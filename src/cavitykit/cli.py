@@ -76,13 +76,18 @@ def _read_table(path: str, columns: tuple) -> np.ndarray:
     """CSV reader: optional '#' comments and one optional header line.
 
     Accepts rows with len(columns) values, or len(columns)-1 when the last
-    column is marked optional with a trailing '?'.
+    column is marked optional with a trailing '?'.  A header is the first
+    non-comment line when it names the columns (case-insensitive, '?'
+    stripped); any other non-numeric cell is an error with its line and
+    column.
     """
     required = [c.rstrip("?") for c in columns]
     n_opt = sum(1 for c in columns if c.endswith("?"))
     widths = {len(required) - k for k in range(n_opt + 1)}
+    names = [c.lower() for c in required]
     rows = []
     width = None
+    first = True
     try:
         fh = open(path)
     except OSError as exc:
@@ -93,11 +98,10 @@ def _read_table(path: str, columns: tuple) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 or (not rows and width is None):
-                try:
-                    [float(p) for p in parts]
-                except ValueError:
-                    continue  # header line
+            at_top, first = first, False
+            if (at_top and len(parts) in widths
+                    and [p.lower().rstrip("?") for p in parts] == names[:len(parts)]):
+                continue  # header line
             if len(parts) not in widths:
                 raise InputFormatError(
                     f"{path}: line {lineno}: expected "
@@ -114,7 +118,9 @@ def _read_table(path: str, columns: tuple) -> np.ndarray:
                 bad = next(i for i, p in enumerate(parts) if not _is_num(p))
                 raise InputFormatError(
                     f"{path}: line {lineno}, column {bad + 1}: "
-                    f"not a number: {parts[bad]!r}") from None
+                    f"not a number: {parts[bad]!r}"
+                    + (f" (a header line reads {','.join(required)})" if at_top else "")
+                    ) from None
     if not rows:
         raise InputFormatError(f"{path}: no data rows found")
     return np.array(rows)

@@ -13,14 +13,32 @@ Frequency conventions: g0, kappa and the detuning are ordinary frequencies
 in Hz (the values experiments report as g0/2pi etc.) and are multiplied by
 2pi internally; gamma1 and gamma_phi are plain rates in 1/s.  Getting this
 wrong changes the cooperativity C = 4 g0^2/(kappa gamma1) by 2pi, so the
-conversion lives in exactly one place: the Liouvillian builder.
+conversion lives in the two generator builders and nowhere else.
 
-The generator is time independent and tiny, so the default propagation is
-an exact matrix exponential per unique grid spacing.  An adaptive
-Dormand-Prince 5(4) path (method="rk45") and a fixed-step fallback at
-dt = 0.1/kappa (method="fixed") integrate the same Liouvillian and are
-cross-checked in the test suite; they are the right tool when kappa is not
-many orders above gamma1.
+Two exact propagators integrate the same model:
+
+* The single-excitation block (default for n_max=1).  From |e, 0> every
+  jump lands in |g, 0>, and dephasing jumps stay inside {|e, 0>, |g, 1>},
+  so the population follows exactly from a closed 4x4 generator on that
+  2x2 block of rho (Auffeves et al., PRB 81, 245419 (2010)).  One
+  eigendecomposition gives P_e on the whole grid at once, at the same cost
+  for uniform and log-spaced grids.  Near the exceptional point
+  g = |kappa - gamma1|/4 (angular) the eigenvector basis is defective and
+  the eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM Rev.
+  45(1), 2003); when cond(V) exceeds _EIG_COND_LIMIT the block is
+  propagated by matrix exponentials instead.  The block's trace decays, so
+  in place of the trace check its states are checked for conjugate
+  coherences, real populations, tr <= 1 and P_e(t0) = 1, each to
+  10*rel_tol.
+* The full Liouvillian on the Fock space truncated at n_max, propagated by
+  one scipy matrix exponential per unique grid spacing (method="expm",
+  every n_max >= 2, and return_states=True).  Its trace is checked to
+  10*rel_tol.  scipy is imported only when this path runs.
+
+An adaptive Dormand-Prince 5(4) path (method="rk45") and a fixed-step
+fallback at dt = 0.1/kappa (method="fixed") integrate the same Liouvillian
+and are cross-checked in the test suite; they are the right tool when kappa
+is not many orders above gamma1.
 """
 
 from __future__ import annotations
@@ -31,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .ode import IntegrationError, integrate_adaptive, integrate_fixed
 from .units import to_angular
@@ -212,6 +229,8 @@ def _initial_state(n_max: int) -> np.ndarray:
 
 
 def _propagate_expm(liou, v0, t_grid):
+    from scipy.linalg import expm  # here, so that importing cavitykit skips scipy
+
     out = np.empty((len(t_grid), len(v0)), dtype=complex)
     out[0] = v0
     props = {}
@@ -227,6 +246,74 @@ def _propagate_expm(liou, v0, t_grid):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Single-excitation block
+# ---------------------------------------------------------------------------
+
+#: cond(V) of the block's eigenvectors above which the basis counts as
+#: defective.  The eigen-expansion is off by about 1e-17 * cond(V) near the
+#: exceptional point, so this keeps it ~1e-12 from expm.
+_EIG_COND_LIMIT = 1e5
+
+#: |e, 0><e, 0| in the block basis (rho_aa, rho_ab, rho_ba, rho_bb).
+_BLOCK_START = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+
+
+def _single_excitation_block(params: AtomCavityParams) -> np.ndarray:
+    """Generator on the row-stacked {|e,0> = a, |g,1> = b} block of rho.
+
+    d rho_aa = -gamma1 rho_aa + i g (rho_ab - rho_ba)
+    d rho_ab = i g (rho_aa - rho_bb) + (i Delta - Gamma) rho_ab
+    d rho_bb = -kappa rho_bb - i g (rho_ab - rho_ba)
+    with Gamma = (gamma1 + kappa)/2 + gamma_phi and rho_ba = rho_ab*.
+    """
+    g = to_angular(params.g0_hz)
+    kappa = to_angular(params.kappa_hz)
+    delta = to_angular(params.delta_hz)
+    half_width = 0.5 * (params.gamma1 + kappa) + params.gamma_phi
+    ig = 1j * g
+    return np.array([
+        [-params.gamma1, ig, -ig, 0.0],
+        [ig, 1j * delta - half_width, 0.0, -ig],
+        [-ig, 0.0, -1j * delta - half_width, ig],
+        [0.0, -ig, ig, -kappa],
+    ], dtype=complex)
+
+
+def _propagate_block(params: AtomCavityParams, t_grid) -> np.ndarray:
+    """Block states (rho_aa, rho_ab, rho_ba, rho_bb) from |e, 0>, one row per time."""
+    gen = _single_excitation_block(params)
+    lam, vecs = np.linalg.eig(gen)
+    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
+        return _propagate_expm(gen, _BLOCK_START, t_grid)
+    coeffs = np.linalg.solve(vecs, _BLOCK_START)
+    return (np.exp(np.outer(t_grid - t_grid[0], lam)) * coeffs) @ vecs.T
+
+
+def _check_block(states: np.ndarray, t_grid, rel_tol: float):
+    """Raise IntegrationError unless the block states are a valid
+    sub-density-matrix from |e, 0> to 10*rel_tol."""
+    tol = 10.0 * rel_tol
+    pops = states[:, [0, 3]]
+    checks = (
+        ("block not Hermitian",
+         np.maximum(np.abs(states[:, 1] - states[:, 2].conj()),
+                    np.max(np.abs(pops.imag), axis=1))),
+        ("block trace above 1", pops.real.sum(axis=1) - 1.0),
+        ("negative block population", -np.min(pops.real, axis=1)),
+    )
+    for what, dev in checks:
+        worst = int(np.argmax(dev))
+        if not dev[worst] <= tol:
+            raise IntegrationError(
+                f"{what}: deviation {dev[worst]:.3e} at t = {t_grid[worst]:.6e}",
+                last_time=float(t_grid[worst]))
+    if not abs(states[0, 0] - 1.0) <= tol:
+        raise IntegrationError(
+            f"P_e(t0) = {states[0, 0].real:.12g}, expected 1",
+            last_time=float(t_grid[0]))
+
+
 def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
                            t_grid=None, rel_tol: float = 1e-8,
                            method: str = "auto", return_states: bool = False,
@@ -234,12 +321,20 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     """Excited-state population <s+ s>(t) from |e, 0> on the given time grid.
 
     method:
-      "auto"/"expm"  exact matrix-exponential propagation (default)
-      "rk45"         adaptive Dormand-Prince 5(4) at relative tolerance rel_tol
-      "fixed"        fixed-step sweep at dt = 0.1 / kappa (angular)
+      "auto"   exact propagation (default): the single-excitation block for
+               n_max=1, else the Liouvillian as for "expm"
+      "expm"   exact matrix-exponential propagation of the full Liouvillian
+      "rk45"   adaptive Dormand-Prince 5(4) at relative tolerance rel_tol
+      "fixed"  fixed-step sweep at dt = 0.1 / kappa (angular)
 
-    The trace of rho is checked to 10*rel_tol at every output time.  With
-    return_states=True, also returns the list of DensityState snapshots.
+    The block path (method="auto", n_max=1, return_states=False) diagonalizes
+    a 4x4 generator once, falls back to expm of the same block when its
+    eigenvectors are ill conditioned (exceptional point), and checks its
+    states for Hermiticity, tr <= 1, non-negative populations and
+    P_e(t0) = 1 to 10*rel_tol.  Every Liouvillian path checks the trace of
+    rho to 10*rel_tol at every output time.  A failed check raises
+    IntegrationError.  With return_states=True, also returns the list of
+    DensityState snapshots (always from the Liouvillian).
     """
     if not (rel_tol > 0.0):
         raise ValueError("rel_tol must be > 0")
@@ -251,36 +346,41 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    liou = liouvillian(params, n_max)
-    rho0 = _initial_state(n_max)
-    v0 = rho0.reshape(-1)
-
-    if method in ("auto", "expm"):
-        vs = _propagate_expm(liou, v0, t_grid)
-    elif method == "rk45":
-        vs = integrate_adaptive(lambda t, y: liou @ y, v0, t_grid,
-                                rtol=rel_tol, atol=1e-3 * rel_tol,
-                                max_steps=max_steps)
-    elif method == "fixed":
-        scale = max(to_angular(params.kappa_hz), to_angular(params.g0_hz),
-                    params.gamma1 + 2.0 * params.gamma_phi,
-                    1.0 / (t_grid[-1] - t_grid[0]))
-        vs = integrate_fixed(lambda t, y: liou @ y, v0, t_grid,
-                             dt=0.1 / scale, max_steps=max_steps)
+    if method == "auto" and n_max == 1 and not return_states:
+        block = _propagate_block(params, t_grid)
+        _check_block(block, t_grid, rel_tol)
+        values = block[:, 0].real
     else:
-        raise ValueError(f"unknown method {method!r}")
+        liou = liouvillian(params, n_max)
+        rho0 = _initial_state(n_max)
+        v0 = rho0.reshape(-1)
 
-    dim = rho0.shape[0]
-    rhos = vs.reshape(len(t_grid), dim, dim)
-    traces = np.einsum("kii->k", rhos).real
-    if np.max(np.abs(traces - 1.0)) > 10.0 * rel_tol:
-        worst = int(np.argmax(np.abs(traces - 1.0)))
-        raise IntegrationError(
-            f"trace not preserved: |tr rho - 1| = {abs(traces[worst]-1.0):.3e} "
-            f"at t = {t_grid[worst]:.6e}", last_time=float(t_grid[worst]))
+        if method in ("auto", "expm"):
+            vs = _propagate_expm(liou, v0, t_grid)
+        elif method == "rk45":
+            vs = integrate_adaptive(lambda t, y: liou @ y, v0, t_grid,
+                                    rtol=rel_tol, atol=1e-3 * rel_tol,
+                                    max_steps=max_steps)
+        elif method == "fixed":
+            scale = max(to_angular(params.kappa_hz), to_angular(params.g0_hz),
+                        params.gamma1 + 2.0 * params.gamma_phi,
+                        1.0 / (t_grid[-1] - t_grid[0]))
+            vs = integrate_fixed(lambda t, y: liou @ y, v0, t_grid,
+                                 dt=0.1 / scale, max_steps=max_steps)
+        else:
+            raise ValueError(f"unknown method {method!r}")
 
-    excited = np.arange(n_max + 1, dim)
-    values = np.einsum("kii->ki", rhos)[:, excited].sum(axis=1).real
+        dim = rho0.shape[0]
+        rhos = vs.reshape(len(t_grid), dim, dim)
+        traces = np.einsum("kii->k", rhos).real
+        if np.max(np.abs(traces - 1.0)) > 10.0 * rel_tol:
+            worst = int(np.argmax(np.abs(traces - 1.0)))
+            raise IntegrationError(
+                f"trace not preserved: |tr rho - 1| = {abs(traces[worst]-1.0):.3e} "
+                f"at t = {t_grid[worst]:.6e}", last_time=float(t_grid[worst]))
+
+        excited = np.arange(n_max + 1, dim)
+        values = np.einsum("kii->ki", rhos)[:, excited].sum(axis=1).real
     values = np.clip(values, 0.0, None)
 
     diffs = np.diff(t_grid)

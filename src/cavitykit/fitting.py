@@ -343,12 +343,19 @@ def _fd_jacobian(fn, x, theta, f0, typical):
     n, p = len(x), len(theta)
     jac = np.empty((n, p))
     for j in range(p):
-        h = FD_REL_STEP * max(abs(theta[j]), typical[j], _TINY)
+        h = FD_REL_STEP * max(abs(theta[j]), typical[j])
         th = theta.copy()
         th[j] = theta[j] + h
         h_actual = th[j] - theta[j]  # exactly representable step
         jac[:, j] = (fn(x, th) - f0) / h_actual
     return jac
+
+
+def _require_finite(name: str, arr: np.ndarray):
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name} must be finite; {name}[{i}] = {float(arr[i])!r}")
 
 
 def least_squares_fit(model, x, y, sigma=None, init=None,
@@ -373,10 +380,13 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
         raise ValueError("x and y must be equal-length 1-D arrays")
     if len(x) < p:
         raise ValueError(f"need at least {p} points to fit {model.kind}")
+    _require_finite("x", x)
+    _require_finite("y", y)
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != y.shape or np.any(sigma <= 0.0):
             raise ValueError("sigma must be positive and match y in length")
+        _require_finite("sigma", sigma)
         inv_sigma = 1.0 / sigma
     else:
         inv_sigma = np.ones_like(y)
@@ -386,8 +396,15 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     theta = np.array(model.guess(x, y) if init is None else init, dtype=float)
     if theta.shape != (p,):
         raise ValueError(f"init must supply {p} parameters for {model.kind}")
+    if init is not None:
+        _require_finite("init", theta)
     theta = np.clip(theta, lower, upper)
-    typical = np.maximum(np.abs(theta), _TINY)
+    # a parameter starting at (or clipped to) ~0 has no scale of its own;
+    # the span of x stands in, so its finite-difference step stays usable
+    typical = np.abs(theta)
+    unscaled = typical <= _TINY
+    if unscaled.any():
+        typical[unscaled] = max(float(np.ptp(x)), _TINY)
 
     def eval_fn(th):
         with np.errstate(all="ignore"):

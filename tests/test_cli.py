@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +202,41 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "usage error" in err
     assert run_cli("purcell") == 2  # neither --c nor lifetimes
     assert run_cli("link-budget") == 2
+
+
+def test_table_header_must_name_the_columns(tmp_path, capsys):
+    rows = "".join(f"{d}e11,{15e-9 - d * 1e-10!r},1e-10\n" for d in range(-3, 4))
+    bad_first_row = tmp_path / "bad_first_row.csv"
+    bad_first_row.write_text("1.0,abc,0.1\n" + rows)
+    assert run_cli("fit-detuning", str(bad_first_row)) == 2
+    assert "line 1, column 2: not a number: 'abc'" in capsys.readouterr().err
+    wrong_names = tmp_path / "wrong_names.csv"
+    wrong_names.write_text("# comment\ndelta,tau,sigma\n" + rows)
+    assert run_cli("fit-detuning", str(wrong_names)) == 2
+    assert "line 2, column 1" in capsys.readouterr().err
+    case_and_mark = tmp_path / "case_and_mark.csv"
+    case_and_mark.write_text("Delta_Hz,TAU_S,sigma_s?\n" + rows)
+    assert run_cli("fit-detuning", str(case_and_mark), "--out",
+                   str(tmp_path / "fit.json")) == 0
+
+
+def test_cold_start_does_not_import_scipy():
+    # scipy is needed only by the expm propagator; a default run of these
+    # subcommands must not pay for importing it
+    script = (
+        "import sys, cavitykit\n"
+        "print('scipy' in sys.modules)\n"
+        "from cavitykit.cli import main\n"
+        "main(['purcell', '--c', '0.14', '--out', sys.argv[1]])\n"
+        "print('scipy' in sys.modules)\n"
+        "main(['simulate-decay', '--g0-ghz', '0.57', '--kappa-ghz', '940',\n"
+        "      '--tau1-ns', '15.9', '--out', sys.argv[1]])\n"
+        "print('scipy' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script, os.devnull], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cavitykit import dynamics
 from cavitykit.dynamics import (
     AtomCavityParams, DecayTrace, analytic_total_rate, decay_trace_from_csv,
     decay_trace_to_csv, evolve_master_equation, extract_decay_rate,
@@ -81,6 +82,78 @@ def test_rk45_step_budget_error():
         evolve_master_equation(p, t_grid=np.linspace(0.0, 1e-6, 8),
                                method="rk45", max_steps=10)
     assert err.value.last_time < 1e-6
+
+
+def _oracle_sets():
+    """The 20 random sets of acceptance criterion 6, then the paper point at
+    Delta/kappa in {0, +-0.25, +-0.5, +-1, +-2}."""
+    rng = np.random.default_rng(101)
+    sets = [AtomCavityParams(
+        g0_hz=rng.uniform(0.0, 1e8), kappa_hz=rng.uniform(1e8, 1e10),
+        gamma1=rng.uniform(1e6, 1e8), gamma_phi=rng.uniform(0.0, 5e7),
+        delta_hz=rng.uniform(-2e9, 2e9)) for _ in range(20)]
+    return sets + [P_REF.detuned(r * P_REF.kappa_hz)
+                   for r in (0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)]
+
+
+def _grids(tau1):
+    return {"uniform": np.linspace(0.0, 5.0 * tau1, 251),
+            "log": np.concatenate(([0.0], np.geomspace(1e-3 * tau1, 5.0 * tau1, 64)))}
+
+
+@pytest.mark.parametrize("grid", ["uniform", "log"])
+def test_block_path_matches_liouvillian(grid):
+    # the default n_max=1 path propagates the single-excitation block; the
+    # full Liouvillian (expm at n_max=1, and n_max=2) is the oracle
+    for k, p in enumerate(_oracle_sets()):
+        t = _grids(p.tau1_s)[grid]
+        block = evolve_master_equation(p, t_grid=t).values
+        for kwargs in ({"method": "expm"}, {"n_max": 2}):
+            ref = evolve_master_equation(p, t_grid=t, **kwargs).values
+            assert np.max(np.abs(block - ref)) < 1e-10, (k, kwargs)
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-9, -1e-9])
+def test_block_path_at_exceptional_point(rel, monkeypatch):
+    # g = |kappa - gamma1| / 4 (angular) makes the block's eigenvector
+    # basis defective; the eig expansion alone is off by ~1e-7 there
+    fallbacks = []
+    original = dynamics._propagate_expm
+
+    def spy(liou, v0, t_grid):
+        fallbacks.append(liou.shape)
+        return original(liou, v0, t_grid)
+
+    monkeypatch.setattr(dynamics, "_propagate_expm", spy)
+    for kappa_hz, gamma1 in ((1e9, 1e7), (2e8, 5e7)):
+        g_ang = abs(2.0 * math.pi * kappa_hz - gamma1) / 4.0 * (1.0 + rel)
+        p = AtomCavityParams(g0_hz=g_ang / (2.0 * math.pi), kappa_hz=kappa_hz,
+                             gamma1=gamma1)
+        for t in _grids(p.tau1_s).values():
+            fallbacks.clear()
+            block = evolve_master_equation(p, t_grid=t).values
+            assert fallbacks == [(4, 4)]
+            ref = evolve_master_equation(p, t_grid=t, method="expm").values
+            assert np.max(np.abs(block - ref)) < 1e-10
+
+
+def test_block_check_rejects_corrupted_states():
+    t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
+    good = dynamics._propagate_block(P_REF.detuned(2e11), t)
+    dynamics._check_block(good, t, 1e-8)
+
+    def corrupt(row, col, shift):
+        bad = good.copy()
+        bad[row, col] += shift
+        return bad
+
+    for bad in (corrupt(5, 1, 1e-6j),      # coherences not conjugate
+                corrupt(5, 0, 1e-6j),      # complex population
+                corrupt(5, 3, 1.0),        # trace above 1
+                corrupt(5, 3, -1e-3 - good[5, 3].real),  # negative population
+                corrupt(0, 0, -1e-6)):     # P_e(t0) != 1
+        with pytest.raises(IntegrationError):
+            dynamics._check_block(bad, t, 1e-8)
 
 
 def test_structural_invariants_on_random_parameters():

@@ -328,6 +328,29 @@ def test_least_squares_fit_api_validation():
         least_squares_fit("single-exponential", x, y, init=np.ones(5))
 
 
+@pytest.mark.parametrize("name", ["x", "y", "sigma", "init"])
+def test_least_squares_fit_rejects_non_finite_inputs(name):
+    args = {"x": np.linspace(0.0, 1.0, 10), "y": np.exp(-np.linspace(0.0, 1.0, 10)),
+            "sigma": np.full(10, 0.1), "init": np.array([1.0, 1.0])}
+    args[name] = args[name].copy()
+    args[name][1] = np.nan if name != "sigma" else np.inf
+    with pytest.raises(ValueError, match=rf"{name}\[1\]"):
+        least_squares_fit("single-exponential", **args)
+
+
+def test_zero_valued_guess_gets_a_usable_fd_step():
+    # the grid holds x = 0, so the guessed center is exactly 0; its
+    # finite-difference step must not collapse to ~1e-307
+    model = get_model("asymmetric-lorentzian")
+    x = np.linspace(-5.0, 5.0, 151)
+    truth = np.array([1.0, 0.01, 0.5, 1.0])
+    y = model.fn(x, truth)
+    assert model.guess(x, y)[1] == 0.0
+    res = least_squares_fit(model, x, y, sigma=np.full(x.size, 0.01))
+    assert res.converged
+    assert np.allclose(list(res.params.values()), truth, rtol=1e-6, atol=1e-9)
+
+
 def test_fit_result_json_dict_is_self_describing():
     res = fit_tau_detuning(synthetic_tau_detuning())
     doc = res.to_json_dict()
