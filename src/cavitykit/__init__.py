@@ -8,8 +8,7 @@ decay traces, detuning sweeps and spectra, and photonic link-loss budgets.
 """
 
 from .units import (
-    CONSTANTS, PhysicalConstants, OrdinaryFrequency, AngularFrequency,
-    Duration, Efficiency, to_angular, to_ordinary, linear_to_db,
+    CONSTANTS, PhysicalConstants, to_angular, to_ordinary, linear_to_db,
     db_to_linear, quality_factor, wavelength_to_frequency,
     frequency_to_wavelength,
 )
@@ -20,7 +19,7 @@ from .purcell import (
 )
 from .dynamics import (
     AtomCavityParams, DensityState, DecayTrace, RateEstimate,
-    evolve_master_equation, analytic_total_rate, tau_of_detuning,
+    IntegrationError, evolve_master_equation, analytic_total_rate, tau_of_detuning,
     extract_decay_rate, sweep_detunings, save_decay_trace, load_decay_trace,
 )
 from .coupling import (
@@ -39,6 +38,5 @@ from .linkbudget import (
     LinkElement, LinkChain, propagation_efficiency, chain_efficiency,
     budget_report, format_budget_table,
 )
-from .ode import IntegrationError, integrate_adaptive, integrate_fixed
 
 __version__ = "0.1.0"

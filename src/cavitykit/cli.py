@@ -10,17 +10,22 @@ same inputs and seed are byte identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from . import coupling, dynamics, fitting, linkbudget, purcell, synthetic
-from .ode import IntegrationError
+from ._cells import check_finite, parse_row
 
 SCHEMA_VERSION = 1
+
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 SUBCOMMANDS = ("simulate-decay", "fit-decay", "fit-detuning", "fit-spectrum",
                "purcell", "g0", "ensemble-weight", "mode-volume",
@@ -51,11 +56,19 @@ def _jsonable(obj):
 
 
 def _write_atomic(path: str, data):
-    tmp = f"{path}.tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write through a unique temp file in the target's directory, so that
+    concurrent writers never share one and a failed write leaves none."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates 0600
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _emit(args, command: str, inputs: dict, result: dict) -> int:
@@ -79,13 +92,13 @@ def _read_table(path: str, columns: tuple) -> np.ndarray:
     column is marked optional with a trailing '?'.  A header is the first
     non-comment line when it names the columns (case-insensitive, '?'
     stripped); any other non-numeric cell is an error with its line and
-    column.
+    column, and so is a nan or inf cell.
     """
     required = [c.rstrip("?") for c in columns]
     n_opt = sum(1 for c in columns if c.endswith("?"))
     widths = {len(required) - k for k in range(n_opt + 1)}
     names = [c.lower() for c in required]
-    rows = []
+    rows, linenos = [], []
     width = None
     first = True
     try:
@@ -113,25 +126,19 @@ def _read_table(path: str, columns: tuple) -> np.ndarray:
                 raise InputFormatError(
                     f"{path}: line {lineno}: inconsistent column count")
             try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                bad = next(i for i, p in enumerate(parts) if not _is_num(p))
+                rows.append(parse_row(parts, lineno))
+            except ValueError as exc:
                 raise InputFormatError(
-                    f"{path}: line {lineno}, column {bad + 1}: "
-                    f"not a number: {parts[bad]!r}"
+                    f"{path}: {exc}"
                     + (f" (a header line reads {','.join(required)})" if at_top else "")
                     ) from None
+            linenos.append(lineno)
     if not rows:
         raise InputFormatError(f"{path}: no data rows found")
-    return np.array(rows)
-
-
-def _is_num(s: str) -> bool:
     try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+        return check_finite(np.array(rows), linenos)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _table_text(header: tuple, rows) -> str:
@@ -153,8 +160,7 @@ def _cmd_simulate_decay(args) -> int:
     t_max = (args.t_max_ns * 1e-9) if args.t_max_ns else 5.0 * params.tau1_s
     t_grid = np.linspace(0.0, t_max, args.points)
     trace = dynamics.evolve_master_equation(
-        params, n_max=args.nmax, t_grid=t_grid, rel_tol=args.tol,
-        method=args.method)
+        params, n_max=args.nmax, t_grid=t_grid, rel_tol=args.tol)
     estimate = dynamics.extract_decay_rate(trace)
     result = {
         "analytic_rate_per_s": dynamics.analytic_total_rate(params),
@@ -169,8 +175,7 @@ def _cmd_simulate_decay(args) -> int:
     inputs = {"g0_hz": params.g0_hz, "kappa_hz": params.kappa_hz,
               "gamma1_per_s": params.gamma1, "gamma_phi_per_s": params.gamma_phi,
               "delta_hz": params.delta_hz, "n_max": args.nmax,
-              "rel_tol": args.tol, "method": args.method,
-              "t_max_s": t_max, "points": args.points}
+              "rel_tol": args.tol, "t_max_s": t_max, "points": args.points}
     return _emit(args, "simulate-decay", inputs, result)
 
 
@@ -416,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max-ns", type=float, default=None)
     p.add_argument("--points", type=int, default=251)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--method", choices=("auto", "expm", "rk45", "fixed"),
-                   default="auto")
     p.add_argument("--trace-csv", default=None,
                    help="also write the simulated trace as CSV")
     p.add_argument("--out", default=None)
@@ -523,7 +526,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (ValueError, IntegrationError) as exc:
+    except (ValueError, dynamics.IntegrationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

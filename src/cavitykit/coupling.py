@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._cells import check_finite, parse_row
 from .units import C0, DEBYE, EPS0, HBAR, to_angular
 
 __all__ = [
@@ -325,7 +326,7 @@ def load_field_grid(path) -> FieldGrid:
                 f"({n_points} points x 4 float64 columns)")
         data = np.frombuffer(body, dtype="<f8").reshape(n_points, 4)
     elif header["encoding"] == "csv":
-        rows = []
+        rows, linenos = [], []
         for lineno, line in enumerate(body.decode().splitlines(), start=2):
             if not line.strip():
                 continue
@@ -333,18 +334,12 @@ def load_field_grid(path) -> FieldGrid:
             if len(parts) != 4:
                 raise ValueError(
                     f"line {lineno}: expected 4 comma-separated values, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                bad = next(i for i, p in enumerate(parts)
-                           if not _is_float(p))
-                raise ValueError(
-                    f"line {lineno}, column {bad + 1}: not a number: {parts[bad]!r}"
-                ) from None
+            rows.append(parse_row(parts, lineno))
+            linenos.append(lineno)
         if len(rows) != n_points:
             raise ValueError(
                 f"body holds {len(rows)} rows, expected exactly {n_points}")
-        data = np.array(rows)
+        data = check_finite(np.array(rows), linenos)
     else:
         raise ValueError(f"line 1: unknown encoding {header['encoding']!r}")
     return FieldGrid(
@@ -352,11 +347,3 @@ def load_field_grid(path) -> FieldGrid:
         eps_rel=data[:, 3].reshape(nx, ny, nz),
         spacing_m=tuple(header["spacing_m"]),
         origin_m=tuple(header.get("origin_m", (0.0, 0.0, 0.0))))
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False

@@ -15,30 +15,26 @@ in Hz (the values experiments report as g0/2pi etc.) and are multiplied by
 wrong changes the cooperativity C = 4 g0^2/(kappa gamma1) by 2pi, so the
 conversion lives in the two generator builders and nowhere else.
 
-Two exact propagators integrate the same model:
+The propagator is chosen from the inputs alone; both are exact, and the
+path that ran is recorded in the trace's meta["method"]:
 
-* The single-excitation block (default for n_max=1).  From |e, 0> every
-  jump lands in |g, 0>, and dephasing jumps stay inside {|e, 0>, |g, 1>},
-  so the population follows exactly from a closed 4x4 generator on that
-  2x2 block of rho (Auffeves et al., PRB 81, 245419 (2010)).  One
-  eigendecomposition gives P_e on the whole grid at once, at the same cost
-  for uniform and log-spaced grids.  Near the exceptional point
-  g = |kappa - gamma1|/4 (angular) the eigenvector basis is defective and
-  the eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM Rev.
-  45(1), 2003); when cond(V) exceeds _EIG_COND_LIMIT the block is
-  propagated by matrix exponentials instead.  The block's trace decays, so
-  in place of the trace check its states are checked for conjugate
-  coherences, real populations, tr <= 1 and P_e(t0) = 1, each to
+* n_max=1 without return_states: the single-excitation block ("block").
+  From |e, 0> every jump lands in |g, 0>, and dephasing jumps stay inside
+  {|e, 0>, |g, 1>}, so the population follows exactly from a closed 4x4
+  generator on that 2x2 block of rho (Auffeves et al., PRB 81, 245419
+  (2010)).  One eigendecomposition gives P_e on the whole grid at once, at
+  the same cost for uniform and log-spaced grids.  Near the exceptional
+  point g = |kappa - gamma1|/4 (angular) the eigenvector basis is defective
+  and the eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM
+  Rev. 45(1), 2003); when cond(V) exceeds _EIG_COND_LIMIT the block is
+  propagated by matrix exponentials instead ("block-expm").  The block's
+  trace decays, so in place of the trace check its states are checked for
+  conjugate coherences, real populations, tr <= 1 and P_e(t0) = 1, each to
   10*rel_tol.
-* The full Liouvillian on the Fock space truncated at n_max, propagated by
-  one scipy matrix exponential per unique grid spacing (method="expm",
-  every n_max >= 2, and return_states=True).  Its trace is checked to
-  10*rel_tol.  scipy is imported only when this path runs.
-
-An adaptive Dormand-Prince 5(4) path (method="rk45") and a fixed-step
-fallback at dt = 0.1/kappa (method="fixed") integrate the same Liouvillian
-and are cross-checked in the test suite; they are the right tool when kappa
-is not many orders above gamma1.
+* Every n_max >= 2, and return_states=True: the full Liouvillian on the
+  Fock space truncated at n_max ("liouvillian"), propagated by one scipy
+  matrix exponential per unique grid spacing.  Its trace is checked to
+  10*rel_tol.  scipy is imported only when a matrix exponential runs.
 """
 
 from __future__ import annotations
@@ -50,15 +46,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import IntegrationError, integrate_adaptive, integrate_fixed
+from ._cells import check_finite, parse_row
 from .units import to_angular
 
 __all__ = [
     "AtomCavityParams", "DensityState", "DecayTrace", "RateEstimate",
+    "IntegrationError",
     "evolve_master_equation", "analytic_total_rate", "tau_of_detuning",
     "extract_decay_rate", "sweep_detunings", "save_decay_trace",
     "load_decay_trace", "decay_trace_to_csv", "decay_trace_from_csv",
 ]
+
+
+class IntegrationError(RuntimeError):
+    """Raised when a propagated state fails its validity check.
+
+    ``last_time`` holds the output time at which the check failed.
+    """
+
+    def __init__(self, message: str, last_time: float):
+        super().__init__(message)
+        self.last_time = last_time
 
 
 @dataclass(frozen=True)
@@ -280,14 +288,15 @@ def _single_excitation_block(params: AtomCavityParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def _propagate_block(params: AtomCavityParams, t_grid) -> np.ndarray:
-    """Block states (rho_aa, rho_ab, rho_ba, rho_bb) from |e, 0>, one row per time."""
+def _propagate_block(params: AtomCavityParams, t_grid):
+    """Block states (rho_aa, rho_ab, rho_ba, rho_bb) from |e, 0>, one row per
+    time, and the path that ran: "block", or "block-expm" after the fallback."""
     gen = _single_excitation_block(params)
     lam, vecs = np.linalg.eig(gen)
     if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
-        return _propagate_expm(gen, _BLOCK_START, t_grid)
+        return _propagate_expm(gen, _BLOCK_START, t_grid), "block-expm"
     coeffs = np.linalg.solve(vecs, _BLOCK_START)
-    return (np.exp(np.outer(t_grid - t_grid[0], lam)) * coeffs) @ vecs.T
+    return (np.exp(np.outer(t_grid - t_grid[0], lam)) * coeffs) @ vecs.T, "block"
 
 
 def _check_block(states: np.ndarray, t_grid, rel_tol: float):
@@ -316,25 +325,23 @@ def _check_block(states: np.ndarray, t_grid, rel_tol: float):
 
 def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
                            t_grid=None, rel_tol: float = 1e-8,
-                           method: str = "auto", return_states: bool = False,
-                           max_steps: int = 2_000_000):
+                           return_states: bool = False):
     """Excited-state population <s+ s>(t) from |e, 0> on the given time grid.
 
-    method:
-      "auto"   exact propagation (default): the single-excitation block for
-               n_max=1, else the Liouvillian as for "expm"
-      "expm"   exact matrix-exponential propagation of the full Liouvillian
-      "rk45"   adaptive Dormand-Prince 5(4) at relative tolerance rel_tol
-      "fixed"  fixed-step sweep at dt = 0.1 / kappa (angular)
+    Both paths are exact; the inputs choose between them:
 
-    The block path (method="auto", n_max=1, return_states=False) diagonalizes
-    a 4x4 generator once, falls back to expm of the same block when its
-    eigenvectors are ill conditioned (exceptional point), and checks its
-    states for Hermiticity, tr <= 1, non-negative populations and
-    P_e(t0) = 1 to 10*rel_tol.  Every Liouvillian path checks the trace of
-    rho to 10*rel_tol at every output time.  A failed check raises
-    IntegrationError.  With return_states=True, also returns the list of
-    DensityState snapshots (always from the Liouvillian).
+    * n_max=1 without return_states: the single-excitation block.  It
+      diagonalizes a 4x4 generator once, falls back to expm of the same
+      block when its eigenvectors are ill conditioned (exceptional point),
+      and checks its states for Hermiticity, tr <= 1, non-negative
+      populations and P_e(t0) = 1 to 10*rel_tol.
+    * Anything else: the full Liouvillian at n_max, propagated by expm, with
+      the trace of rho checked to 10*rel_tol at every output time.
+
+    A failed check raises IntegrationError.  meta["method"] of the returned
+    trace names the path that ran: "block", "block-expm" or "liouvillian".
+    With return_states=True, also returns the list of DensityState
+    snapshots.
     """
     if not (rel_tol > 0.0):
         raise ValueError("rel_tol must be > 0")
@@ -346,29 +353,15 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    if method == "auto" and n_max == 1 and not return_states:
-        block = _propagate_block(params, t_grid)
+    if n_max == 1 and not return_states:
+        block, method = _propagate_block(params, t_grid)
         _check_block(block, t_grid, rel_tol)
         values = block[:, 0].real
     else:
+        method = "liouvillian"
         liou = liouvillian(params, n_max)
         rho0 = _initial_state(n_max)
-        v0 = rho0.reshape(-1)
-
-        if method in ("auto", "expm"):
-            vs = _propagate_expm(liou, v0, t_grid)
-        elif method == "rk45":
-            vs = integrate_adaptive(lambda t, y: liou @ y, v0, t_grid,
-                                    rtol=rel_tol, atol=1e-3 * rel_tol,
-                                    max_steps=max_steps)
-        elif method == "fixed":
-            scale = max(to_angular(params.kappa_hz), to_angular(params.g0_hz),
-                        params.gamma1 + 2.0 * params.gamma_phi,
-                        1.0 / (t_grid[-1] - t_grid[0]))
-            vs = integrate_fixed(lambda t, y: liou @ y, v0, t_grid,
-                                 dt=0.1 / scale, max_steps=max_steps)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        vs = _propagate_expm(liou, rho0.reshape(-1), t_grid)
 
         dim = rho0.shape[0]
         rhos = vs.reshape(len(t_grid), dim, dim)
@@ -555,7 +548,7 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
     kind = "simulated"
     bin_width = None
     meta = {}
-    times, values = [], []
+    rows, linenos = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -580,14 +573,12 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'time_s,value', got {raw!r}")
-        try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if not times:
+        rows.append(parse_row(parts, lineno))
+        linenos.append(lineno)
+    if not rows:
         raise ValueError("no data rows found")
-    return DecayTrace(times=np.array(times), values=np.array(values),
+    data = check_finite(np.array(rows), linenos)
+    return DecayTrace(times=data[:, 0], values=data[:, 1],
                       kind=kind, bin_width_s=bin_width, meta=meta)
 
 

@@ -121,9 +121,6 @@ class LinkChain:
     def total_db_err(self) -> float:
         return math.sqrt(sum(el.resolved_db_err ** 2 for el in self.elements))
 
-    def __add__(self, other: "LinkChain") -> "LinkChain":
-        return LinkChain(self.elements + other.elements)
-
 
 def propagation_efficiency(loss_db_per_cm: float, length_cm: float) -> float:
     """eta = 10^(-loss * length / 10)."""

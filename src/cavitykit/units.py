@@ -1,4 +1,4 @@
-"""Physical constants, frequency/time quantity types and unit conversions.
+"""Physical constants and unit conversions.
 
 Lightweight module, safe to import from anywhere. Two conventions are used
 throughout the package and are worth stating once:
@@ -48,56 +48,6 @@ C0 = CONSTANTS.c
 DEBYE = CONSTANTS.debye
 
 TWO_PI = 2.0 * math.pi
-
-
-class OrdinaryFrequency(float):
-    """A frequency in Hz (the nu = omega/2pi reporting convention).
-
-    Detunings are signed, so only finiteness is enforced here; call sites
-    that require a linewidth or rate check non-negativity themselves.
-    """
-
-    def __new__(cls, value: float) -> "OrdinaryFrequency":
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError(f"frequency must be finite, got {value!r}")
-        return super().__new__(cls, v)
-
-    def to_angular(self) -> "AngularFrequency":
-        return AngularFrequency(TWO_PI * self)
-
-
-class AngularFrequency(float):
-    """An angular frequency in rad/s; exactly 2*pi times the ordinary value."""
-
-    def __new__(cls, value: float) -> "AngularFrequency":
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError(f"angular frequency must be finite, got {value!r}")
-        return super().__new__(cls, v)
-
-    def to_ordinary(self) -> OrdinaryFrequency:
-        return OrdinaryFrequency(self / TWO_PI)
-
-
-class Duration(float):
-    """A strictly positive time in seconds (lifetimes, bin widths)."""
-
-    def __new__(cls, value: float) -> "Duration":
-        v = float(value)
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"duration must be positive and finite, got {value!r}")
-        return super().__new__(cls, v)
-
-
-class Efficiency(float):
-    """A dimensionless linear power ratio in [0, 1]."""
-
-    def __new__(cls, value: float) -> "Efficiency":
-        v = float(value)
-        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise ValueError(f"efficiency must lie in [0, 1], got {value!r}")
-        return super().__new__(cls, v)
 
 
 def to_angular(nu_hz: float) -> float:

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavitykit import cli
 from cavitykit.cli import main
+from cavitykit.coupling import save_field_grid
+from cavitykit.synthetic import synthetic_field_grid
 
 
 def run_cli(*argv):
@@ -218,6 +221,52 @@ def test_table_header_must_name_the_columns(tmp_path, capsys):
     case_and_mark.write_text("Delta_Hz,TAU_S,sigma_s?\n" + rows)
     assert run_cli("fit-detuning", str(case_and_mark), "--out",
                    str(tmp_path / "fit.json")) == 0
+
+
+def _with_cell(path, lineno, col, cell):
+    """Copy of a CSV file with the cell at (lineno, col), 1-based, replaced."""
+    lines = Path(path).read_text().splitlines()
+    parts = lines[lineno - 1].split(",")
+    parts[col - 1] = cell
+    lines[lineno - 1] = ",".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "trace", "fgrid"])
+def test_non_finite_cells_are_usage_errors(fmt, fixtures, tmp_path, capsys):
+    # each reader parses nan and inf like any float, then rejects them in
+    # one finiteness check that names the cell
+    if fmt == "table":
+        cmd, src, at, cell = "fit-detuning", fixtures / "tau_detuning.csv", (3, 2), "nan"
+    elif fmt == "trace":
+        cmd, src, at, cell = "fit-decay", fixtures / "decay_trace_04.csv", (30, 2), "inf"
+    else:
+        cmd, src, at, cell = "mode-volume", tmp_path / "grid.fgrid", (4, 3), "-inf"
+        save_field_grid(synthetic_field_grid(dims=(3, 2, 2)), src, encoding="csv")
+    bad = tmp_path / f"bad_{src.name}"
+    bad.write_text(_with_cell(src, *at, cell))
+    assert run_cli(cmd, str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert f"line {at[0]}, column {at[1]}: not a finite number: {float(cell)!r}" in err
+
+
+def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        cli._write_atomic(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    monkeypatch.undo()
+    cli._write_atomic(str(target), "new\n")  # keeps the mode open() would give
+    assert target.read_text() == "new\n"
+    assert os.stat(target).st_mode & 0o777 == 0o666 & ~cli._UMASK
 
 
 def test_cold_start_does_not_import_scipy():

@@ -5,11 +5,10 @@ import pytest
 
 from cavitykit import dynamics
 from cavitykit.dynamics import (
-    AtomCavityParams, DecayTrace, analytic_total_rate, decay_trace_from_csv,
-    decay_trace_to_csv, evolve_master_equation, extract_decay_rate,
-    sweep_detunings, tau_of_detuning,
+    AtomCavityParams, DecayTrace, IntegrationError, analytic_total_rate,
+    decay_trace_from_csv, decay_trace_to_csv, evolve_master_equation,
+    extract_decay_rate, sweep_detunings, tau_of_detuning,
 )
-from cavitykit.ode import IntegrationError
 
 # device-regime reference parameters used throughout
 P_REF = AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9, gamma1=1.0 / 15.9e-9)
@@ -49,14 +48,6 @@ def test_uncoupled_atom_decays_exponentially():
     assert np.max(np.abs(trace.values - np.exp(-p.gamma1 * t))) < 1e-8
 
 
-def test_uncoupled_atom_rk45():
-    # moderate kappa keeps the explicit integrator honest and quick
-    p = AtomCavityParams(g0_hz=0.0, kappa_hz=30e6, gamma1=1.0 / 50e-9)
-    t = np.linspace(0.0, 5 * 50e-9, 64)
-    trace = evolve_master_equation(p, t_grid=t, method="rk45", rel_tol=1e-10)
-    assert np.max(np.abs(trace.values - np.exp(-p.gamma1 * t))) < 1e-8
-
-
 def test_single_excitation_closure():
     # the initial state holds one excitation and nothing pumps the system,
     # so truncating the Fock space at 1 or 2 photons cannot differ
@@ -64,24 +55,6 @@ def test_single_excitation_closure():
     tr1 = evolve_master_equation(P_REF.detuned(200e9), n_max=1, t_grid=t)
     tr2 = evolve_master_equation(P_REF.detuned(200e9), n_max=2, t_grid=t)
     assert np.max(np.abs(tr1.values - tr2.values)) < 1e-8
-
-
-def test_rk45_and_fixed_match_expm():
-    p = AtomCavityParams(g0_hz=5e6, kappa_hz=1e9, gamma1=1e7, delta_hz=3e8)
-    t = np.linspace(0.0, 2e-7, 41)
-    ref = evolve_master_equation(p, t_grid=t, method="expm")
-    rk = evolve_master_equation(p, t_grid=t, method="rk45", rel_tol=1e-9)
-    assert np.max(np.abs(ref.values - rk.values)) < 1e-7
-    fixed = evolve_master_equation(p, t_grid=t[:11], method="fixed")
-    assert np.max(np.abs(ref.values[:11] - fixed.values)) < 1e-7
-
-
-def test_rk45_step_budget_error():
-    p = AtomCavityParams(g0_hz=5e6, kappa_hz=1e9, gamma1=1e7)
-    with pytest.raises(IntegrationError) as err:
-        evolve_master_equation(p, t_grid=np.linspace(0.0, 1e-6, 8),
-                               method="rk45", max_steps=10)
-    assert err.value.last_time < 1e-6
 
 
 def _oracle_sets():
@@ -101,16 +74,25 @@ def _grids(tau1):
             "log": np.concatenate(([0.0], np.geomspace(1e-3 * tau1, 5.0 * tau1, 64)))}
 
 
+def _liouvillian_at_n_max_1(p, t):
+    """The n_max=1 Liouvillian: return_states=True takes that path."""
+    trace, _ = evolve_master_equation(p, t_grid=t, return_states=True)
+    assert trace.meta["method"] == "liouvillian"
+    return trace
+
+
 @pytest.mark.parametrize("grid", ["uniform", "log"])
 def test_block_path_matches_liouvillian(grid):
     # the default n_max=1 path propagates the single-excitation block; the
-    # full Liouvillian (expm at n_max=1, and n_max=2) is the oracle
+    # full Liouvillian (at n_max=1, and at n_max=2) is the oracle
     for k, p in enumerate(_oracle_sets()):
         t = _grids(p.tau1_s)[grid]
-        block = evolve_master_equation(p, t_grid=t).values
-        for kwargs in ({"method": "expm"}, {"n_max": 2}):
-            ref = evolve_master_equation(p, t_grid=t, **kwargs).values
-            assert np.max(np.abs(block - ref)) < 1e-10, (k, kwargs)
+        block = evolve_master_equation(p, t_grid=t)
+        assert block.meta["method"] == "block", k
+        at_2 = evolve_master_equation(p, n_max=2, t_grid=t)
+        assert at_2.meta["method"] == "liouvillian"
+        for n_max, ref in ((1, _liouvillian_at_n_max_1(p, t)), (2, at_2)):
+            assert np.max(np.abs(block.values - ref.values)) < 1e-10, (k, n_max)
 
 
 @pytest.mark.parametrize("rel", [0.0, 1e-9, -1e-9])
@@ -131,29 +113,29 @@ def test_block_path_at_exceptional_point(rel, monkeypatch):
                              gamma1=gamma1)
         for t in _grids(p.tau1_s).values():
             fallbacks.clear()
-            block = evolve_master_equation(p, t_grid=t).values
+            block = evolve_master_equation(p, t_grid=t)
             assert fallbacks == [(4, 4)]
-            ref = evolve_master_equation(p, t_grid=t, method="expm").values
-            assert np.max(np.abs(block - ref)) < 1e-10
+            assert block.meta["method"] == "block-expm"
+            ref = _liouvillian_at_n_max_1(p, t)
+            assert np.max(np.abs(block.values - ref.values)) < 1e-10
 
 
 def test_block_check_rejects_corrupted_states():
     t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
-    good = dynamics._propagate_block(P_REF.detuned(2e11), t)
+    good, path = dynamics._propagate_block(P_REF.detuned(2e11), t)
+    assert path == "block"
     dynamics._check_block(good, t, 1e-8)
 
-    def corrupt(row, col, shift):
+    for row, col, shift in ((5, 1, 1e-6j),      # coherences not conjugate
+                            (5, 0, 1e-6j),      # complex population
+                            (5, 3, 1.0),        # trace above 1
+                            (5, 3, -1e-3 - good[5, 3].real),  # negative population
+                            (0, 0, -1e-6)):     # P_e(t0) != 1
         bad = good.copy()
         bad[row, col] += shift
-        return bad
-
-    for bad in (corrupt(5, 1, 1e-6j),      # coherences not conjugate
-                corrupt(5, 0, 1e-6j),      # complex population
-                corrupt(5, 3, 1.0),        # trace above 1
-                corrupt(5, 3, -1e-3 - good[5, 3].real),  # negative population
-                corrupt(0, 0, -1e-6)):     # P_e(t0) != 1
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError) as err:
             dynamics._check_block(bad, t, 1e-8)
+        assert err.value.last_time == t[row]  # where the check failed
 
 
 def test_structural_invariants_on_random_parameters():

@@ -62,7 +62,7 @@ def test_permutation_invariance_and_concatenation():
         assert _chain(*perm).total_efficiency == pytest.approx(
             reference, rel=1e-12)
     left, right = _chain(*etas[:2]), _chain(*etas[2:])
-    combined = left + right
+    combined = LinkChain(left.elements + right.elements)
     assert combined.total_efficiency == pytest.approx(reference, rel=1e-12)
     assert combined.total_db == pytest.approx(
         left.total_db + right.total_db, rel=1e-12)
