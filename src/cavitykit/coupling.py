@@ -11,14 +11,20 @@ arbitrary linear scale; every output is built scale invariant, so the
 normalization convention of whatever solver produced the map is
 irrelevant.  All sums are cell-centered midpoint sums with no
 interpolation, matching the usual FDTD export convention.
+
+A FieldGrid computes |E|^2 and eps*|E|^2 once, when it is built, and keeps
+them as read-only arrays: 16 extra bytes per grid point.  The mode volume
+reads them whole; the ensemble weighting reads a basic slice of them (the
+averaging box), so a threshold sweep over one grid never recomputes them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +49,18 @@ class FieldGrid:
 
     Sample points sit at origin + index * spacing on each axis and own one
     cell of volume dx*dy*dz each (cell-centered convention).
+
+    ``e_mag2`` (|E|^2) and ``energy_density`` (eps*|E|^2) are computed once
+    at construction and stored read-only, like the inputs; they cost 16
+    bytes per grid point on top of the 32 the field and permittivity take.
     """
 
     e_field: np.ndarray
     eps_rel: np.ndarray
     spacing_m: tuple
     origin_m: tuple = (0.0, 0.0, 0.0)
+    e_mag2: np.ndarray = field(init=False, repr=False, compare=False)
+    energy_density: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.e_field, dtype=float)
@@ -59,20 +71,23 @@ class FieldGrid:
             raise ValueError("eps_rel shape must match the grid dims")
         if any(n < 2 for n in e.shape[:3]):
             raise ValueError(f"grid must have >= 2 points per axis, got {e.shape[:3]}")
-        if len(self.spacing_m) != 3 or any(not (s > 0.0) for s in self.spacing_m):
+        if len(self.spacing_m) != 3 or any(not (0.0 < s < math.inf) for s in self.spacing_m):
             raise ValueError(f"spacing must be three positive lengths, got {self.spacing_m}")
         if not (np.all(np.isfinite(e)) and np.all(np.isfinite(eps))):
             raise ValueError("field and permittivity must be finite")
         if np.any(eps < 1.0):
             raise ValueError("relative permittivity must be >= 1 everywhere")
-        e.flags.writeable = False
-        eps.flags.writeable = False
-        object.__setattr__(self, "e_field", e)
-        object.__setattr__(self, "eps_rel", eps)
+        # the same additions, in the same order, as np.sum(e**2, axis=-1)
+        ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
+        e_mag2 = ex * ex + ey * ey + ez * ez
+        energy = eps * e_mag2
+        for name, arr in (("e_field", e), ("eps_rel", eps),
+                          ("e_mag2", e_mag2), ("energy_density", energy)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "spacing_m", tuple(float(s) for s in self.spacing_m))
         object.__setattr__(self, "origin_m", tuple(float(o) for o in self.origin_m))
-        if self.e_mag2.max() > 0.0 and (
-                np.argmax(self.energy_density) != np.argmax(self.e_mag2)):
+        if e_mag2.max() > 0.0 and np.argmax(energy) != np.argmax(e_mag2):
             warnings.warn(
                 "maximum of eps*|E|^2 and maximum of |E| sit at different grid "
                 "points; the zero-point normalization assumes they coincide",
@@ -81,15 +96,6 @@ class FieldGrid:
     @property
     def dims(self) -> tuple:
         return self.e_field.shape[:3]
-
-    @property
-    def e_mag2(self) -> np.ndarray:
-        return np.sum(self.e_field ** 2, axis=-1)
-
-    @property
-    def energy_density(self) -> np.ndarray:
-        """eps * |E|^2 on the grid (arbitrary units)."""
-        return self.eps_rel * self.e_mag2
 
     @property
     def cell_volume_m3(self) -> float:
@@ -245,17 +251,19 @@ def ensemble_weighting_factor(grid: FieldGrid, cfg: WeightingConfig) -> float:
     factor is sqrt(sum_i p_i (f_x^2 + f_y^2 + f_z^2)/3).  The 1/3 comes from
     an isotropic dipole-orientation average, which caps F at 1/sqrt(3).
     """
-    axes = grid.axes()
-    masks = [(ax >= lo) & (ax <= hi) for ax, (lo, hi) in zip(axes, cfg.region_m)]
-    if not all(m.any() for m in masks):
+    # the axes increase, so each axis' lo <= x <= hi is one run of samples
+    box = tuple(slice(int(np.searchsorted(ax, lo, "left")),
+                      int(np.searchsorted(ax, hi, "right")))
+                for ax, (lo, hi) in zip(grid.axes(), cfg.region_m))
+    if any(s.start >= s.stop for s in box):
         raise ValueError("averaging region does not intersect the grid")
-    sub_e2 = grid.e_mag2[np.ix_(*masks)]
-    sub_energy = grid.energy_density[np.ix_(*masks)]
+    sub_e2 = grid.e_mag2[box]
     # E_max is read at the energy-density maximum (first index on ties)
-    e_max = math.sqrt(float(sub_e2.reshape(-1)[int(np.argmax(sub_energy))]))
+    e_max = math.sqrt(float(sub_e2.flat[int(np.argmax(grid.energy_density[box]))]))
     if e_max <= 0.0:
         raise ValueError("field is zero everywhere in the region")
-    e_mag = np.sqrt(sub_e2.reshape(-1))
+    # |E| over the box in flat C order, the order every sum below adds in
+    e_mag = np.sqrt(sub_e2).ravel()
     w = np.maximum(e_mag - cfg.threshold_fraction * e_max, 0.0) / e_max
     w_sum = float(np.sum(w))
     if w_sum <= 0.0:
@@ -302,48 +310,72 @@ def save_field_grid(grid: FieldGrid, path, encoding: str = "f64"):
             fh.write(("\n".join(lines) + "\n").encode())
 
 
+def _header_triple(header: dict, key: str, is_valid, want: str) -> tuple:
+    """header[key] as a 3-tuple, every entry passing is_valid, else a line-1 error."""
+    val = header[key]
+    if not (isinstance(val, list) and len(val) == 3 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and is_valid(v)
+            for v in val)):
+        raise ValueError(f"line 1: {key} must be {want}, got {val!r}")
+    return tuple(val)
+
+
 def load_field_grid(path) -> FieldGrid:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ValueError("missing header line")
-    try:
-        header = json.loads(raw[:nl].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"line 1: malformed JSON header ({exc})") from None
-    for key in ("dims", "spacing_m", "encoding"):
-        if key not in header:
-            raise ValueError(f"line 1: header missing required key {key!r}")
-    nx, ny, nz = (int(n) for n in header["dims"])
-    n_points = nx * ny * nz
-    body = raw[nl + 1:]
-    if header["encoding"] == "f64":
-        expected = n_points * 4 * 8
-        if len(body) != expected:
-            raise ValueError(
-                f"body holds {len(body)} bytes, expected exactly {expected} "
-                f"({n_points} points x 4 float64 columns)")
-        data = np.frombuffer(body, dtype="<f8").reshape(n_points, 4)
-    elif header["encoding"] == "csv":
-        rows, linenos = [], []
-        for lineno, line in enumerate(body.decode().splitlines(), start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
+        head = fh.readline()
+        if not head.endswith(b"\n"):
+            raise ValueError("missing header line")
+        try:
+            header = json.loads(head.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"line 1: malformed JSON header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ValueError("line 1: header must be a JSON object")
+        for key in ("dims", "spacing_m", "encoding"):
+            if key not in header:
+                raise ValueError(f"line 1: header missing required key {key!r}")
+        # checked before the body is sized or read: the f64 path allocates
+        # from dims alone
+        nx, ny, nz = _header_triple(
+            header, "dims", lambda v: isinstance(v, int) and v >= 2,
+            "three integers >= 2")
+        spacing = _header_triple(
+            header, "spacing_m", lambda v: 0.0 < v < math.inf,
+            "three finite positive numbers")
+        origin = (0.0, 0.0, 0.0)
+        if "origin_m" in header:
+            origin = _header_triple(header, "origin_m", math.isfinite,
+                                    "three finite numbers")
+        n_points = nx * ny * nz
+        if header["encoding"] == "f64":
+            expected = n_points * 4 * 8
+            size = os.fstat(fh.fileno()).st_size - len(head)
+            if size != expected:
                 raise ValueError(
-                    f"line {lineno}: expected 4 comma-separated values, got {len(parts)}")
-            rows.append(parse_row(parts, lineno))
-            linenos.append(lineno)
-        if len(rows) != n_points:
-            raise ValueError(
-                f"body holds {len(rows)} rows, expected exactly {n_points}")
-        data = check_finite(np.array(rows), linenos)
-    else:
-        raise ValueError(f"line 1: unknown encoding {header['encoding']!r}")
+                    f"body holds {size} bytes, expected exactly {expected} "
+                    f"({n_points} points x 4 float64 columns)")
+            data = np.empty((n_points, 4), dtype="<f8")
+            got = fh.readinto(data)
+            if got != expected:   # the file shrank after the size check
+                raise ValueError(f"body holds {got} bytes, expected exactly {expected}")
+        elif header["encoding"] == "csv":
+            rows, linenos = [], []
+            for lineno, line in enumerate(fh.read().decode().splitlines(), start=2):
+                if not line.strip():
+                    continue
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise ValueError(
+                        f"line {lineno}: expected 4 comma-separated values, got {len(parts)}")
+                rows.append(parse_row(parts, lineno))
+                linenos.append(lineno)
+            if len(rows) != n_points:
+                raise ValueError(
+                    f"body holds {len(rows)} rows, expected exactly {n_points}")
+            data = check_finite(np.array(rows), linenos)
+        else:
+            raise ValueError(f"line 1: unknown encoding {header['encoding']!r}")
     return FieldGrid(
         e_field=data[:, :3].reshape(nx, ny, nz, 3),
         eps_rel=data[:, 3].reshape(nx, ny, nz),
-        spacing_m=tuple(header["spacing_m"]),
-        origin_m=tuple(header.get("origin_m", (0.0, 0.0, 0.0))))
+        spacing_m=spacing, origin_m=origin)

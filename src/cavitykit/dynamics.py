@@ -561,7 +561,13 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
                 if key == "kind":
                     kind = val.strip()
                 elif key == "bin_width_s":
-                    bin_width = float(val)
+                    try:
+                        bin_width = float(val)
+                    except ValueError:
+                        bin_width = math.nan
+                    if not (0.0 < bin_width < math.inf):
+                        raise ValueError(f"line {lineno}: bin_width_s must be a positive "
+                                         f"finite number, got {val.strip()!r}")
                 else:
                     try:
                         meta[key] = ast.literal_eval(val.strip())

@@ -251,6 +251,53 @@ def test_non_finite_cells_are_usage_errors(fmt, fixtures, tmp_path, capsys):
     assert f"line {at[0]}, column {at[1]}: not a finite number: {float(cell)!r}" in err
 
 
+GOOD_FGRID_HEADER = {"dims": [2, 2, 2], "spacing_m": [1e-9, 1e-9, 1e-9],
+                     "origin_m": [0.0, 0.0, 0.0], "encoding": "f64"}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("dims", [2, 2], "dims must be three integers >= 2", id="dims-two"),
+    pytest.param("dims", [2, 2, -2], "dims must be three integers >= 2", id="dims-negative"),
+    pytest.param("dims", [2, 2, 1], "dims must be three integers >= 2", id="dims-one"),
+    pytest.param("dims", "abc", "dims must be three integers >= 2", id="dims-string"),
+    pytest.param("dims", [2, 2, 2.0], "dims must be three integers >= 2", id="dims-float"),
+    pytest.param("spacing_m", [1e-9, 1e-9], "spacing_m must be three finite positive numbers",
+                 id="spacing-two"),
+    pytest.param("spacing_m", [1e-9, 0.0, 1e-9],
+                 "spacing_m must be three finite positive numbers", id="spacing-zero"),
+    pytest.param("spacing_m", [1e-9, float("inf"), 1e-9],
+                 "spacing_m must be three finite positive numbers", id="spacing-inf"),
+    pytest.param("origin_m", [0.0, float("nan"), 0.0], "origin_m must be three finite numbers",
+                 id="origin-nan"),
+    pytest.param("origin_m", ["0", 0.0, 0.0], "origin_m must be three finite numbers",
+                 id="origin-string"),
+    pytest.param(None, [GOOD_FGRID_HEADER], "header must be a JSON object", id="not-an-object"),
+])
+def test_bad_fgrid_header_is_a_line_1_usage_error(key, value, message, tmp_path, capsys):
+    header = value if key is None else dict(GOOD_FGRID_HEADER, **{key: value})
+    path = tmp_path / "grid.fgrid"
+    # a body that would suit a valid 2x2x2 header
+    path.write_bytes(json.dumps(header).encode() + b"\n" + np.ones(32).tobytes())
+    assert run_cli("mode-volume", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert f"line 1: {message}" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "inf"])
+def test_bad_bin_width_names_its_line(value, fixtures, tmp_path, capsys):
+    lines = (fixtures / "decay_trace_04.csv").read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith("# bin_width_s="))
+    lines[lineno - 1] = f"# bin_width_s={value}"
+    bad = tmp_path / "bad_bin_width.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("fit-decay", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert (f"line {lineno}: bin_width_s must be a positive finite number, "
+            f"got {value!r}") in err
+
+
 def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "out.json"
     target.write_text("old\n")

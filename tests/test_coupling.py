@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -293,10 +295,11 @@ def test_field_grid_loader_validates_counts(tmp_path):
     path = tmp_path / "grid.fgrid"
     save_field_grid(grid, path, encoding="f64")
     raw = path.read_bytes()
-    truncated = tmp_path / "short.fgrid"
-    truncated.write_bytes(raw[:-16])
-    with pytest.raises(ValueError, match="expected exactly"):
-        load_field_grid(truncated)
+    bad = tmp_path / "bad.fgrid"
+    for body_error in (raw[:-16], raw[:-1], raw + b"\0"):
+        bad.write_bytes(body_error)
+        with pytest.raises(ValueError, match="expected exactly"):
+            load_field_grid(bad)
 
 
 def test_field_grid_loader_reports_bad_csv_cell(tmp_path):
@@ -316,3 +319,103 @@ def test_field_grid_loader_requires_header(tmp_path):
     path.write_bytes(b"not json\n")
     with pytest.raises(ValueError, match="line 1"):
         load_field_grid(path)
+
+
+# ---------------------------------------------------------------------------
+# derived arrays, averaging box and loader: exact equivalence and allocation
+# ---------------------------------------------------------------------------
+
+def _weighting_by_masks(grid, cfg):
+    """Reference F: the box as boolean masks per axis, cut out with np.ix_."""
+    masks = [(ax >= lo) & (ax <= hi) for ax, (lo, hi) in zip(grid.axes(), cfg.region_m)]
+    if not all(m.any() for m in masks):
+        raise ValueError("averaging region does not intersect the grid")
+    e2 = np.sum(grid.e_field ** 2, axis=-1)
+    sub_e2 = e2[np.ix_(*masks)].reshape(-1)
+    sub_energy = (grid.eps_rel * e2)[np.ix_(*masks)].reshape(-1)
+    e_max = math.sqrt(float(sub_e2[int(np.argmax(sub_energy))]))
+    e_mag = np.sqrt(sub_e2)
+    w = np.maximum(e_mag - cfg.threshold_fraction * e_max, 0.0) / e_max
+    p = w / float(np.sum(w))
+    return float(math.sqrt(float(np.sum(p * (e_mag / e_max) ** 2)) / 3.0))
+
+
+def _random_grid(seed, dims=(13, 9, 7)):
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():   # independent maxima of eps*|E|^2 and |E|
+        warnings.simplefilter("ignore")
+        return FieldGrid(e_field=rng.normal(size=dims + (3,)),
+                         eps_rel=rng.uniform(1.0, 6.0, size=dims),
+                         spacing_m=(3e-9, 2e-9, 5e-9), origin_m=(-2e-8, -8e-9, -1.5e-8))
+
+
+def _boxes(axes):
+    """Regions with every bound on a sample, every bound between samples,
+    and one sample thick on every axis."""
+    on = tuple((ax[2], ax[-3]) for ax in axes)
+    between = tuple((0.5 * (ax[1] + ax[2]), 0.5 * (ax[-3] + ax[-2])) for ax in axes)
+    thin = tuple((ax[4] - 0.1 * (ax[1] - ax[0]), ax[4] + 0.1 * (ax[1] - ax[0]))
+                 for ax in axes)
+    return {"on-samples": on, "between-samples": between, "one-sample-thick": thin}
+
+
+@pytest.mark.parametrize("box", ["on-samples", "between-samples", "one-sample-thick"])
+def test_weighting_box_equals_mask_reference(box):
+    for seed in range(5):
+        grid = _random_grid(seed)
+        region = _boxes(grid.axes())[box]
+        for th in (0.0, 0.3, 0.6):
+            cfg = WeightingConfig(threshold_fraction=th, region_m=region)
+            assert ensemble_weighting_factor(grid, cfg) == _weighting_by_masks(grid, cfg)
+
+
+def test_weighting_box_missing_the_grid_raises_like_the_reference():
+    grid = _random_grid(0)
+    ax = grid.axes()
+    # between two samples on x: no sample inside, although the box is within the grid
+    gap = ((ax[0][3] + 1e-12, ax[0][4] - 1e-12),) + DEFAULT_REGION_M[1:]
+    for region in (gap, ((1.0, 2.0),) + DEFAULT_REGION_M[1:]):
+        cfg = WeightingConfig(region_m=region)
+        for fn in (ensemble_weighting_factor, _weighting_by_masks):
+            with pytest.raises(ValueError, match="does not intersect the grid"):
+                fn(grid, cfg)
+
+
+def test_stored_derived_arrays_equal_recomputation_and_are_read_only(tmp_path):
+    path = tmp_path / "grid.fgrid"
+    save_field_grid(_random_grid(3), path)
+    # in memory (contiguous field) and loaded (field is a strided view)
+    for grid in (_random_grid(3), load_field_grid(path)):
+        e2 = np.sum(grid.e_field ** 2, axis=-1)
+        assert np.array_equal(grid.e_mag2, e2)
+        assert np.array_equal(grid.energy_density, grid.eps_rel * e2)
+        for arr in (grid.e_mag2, grid.energy_density, grid.e_field, grid.eps_rel):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 1.0
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_map_calls_stay_within_allocation_bounds(tmp_path):
+    # deterministic guard, no timing: the loader reads the body once into
+    # the grid's own array, mode_volume reads the stored eps*|E|^2, and the
+    # weighting copies only its box (a fraction of the grid here)
+    path = tmp_path / "grid.fgrid"
+    save_field_grid(synthetic_field_grid(dims=(65, 23, 21)), path)
+    file_bytes = path.stat().st_size
+    assert 0.9e6 < file_bytes < 1.1e6
+    cfg = WeightingConfig(threshold_fraction=0.3)
+    grid = load_field_grid(path)
+    mode_volume(grid)   # warm any lazy state before measuring
+    ensemble_weighting_factor(grid, cfg)
+    assert _peak_bytes(lambda: load_field_grid(path)) < 2.0 * file_bytes
+    assert _peak_bytes(lambda: mode_volume(grid)) < 0.01 * file_bytes
+    assert _peak_bytes(lambda: ensemble_weighting_factor(grid, cfg)) < 1.0 * file_bytes
