@@ -43,6 +43,23 @@ __all__ = [
 DEFAULT_REGION_M = ((-400e-9, 400e-9), (-150e-9, 150e-9), (-100e-9, 100e-9))
 
 
+def _owned_read_only(arr) -> np.ndarray:
+    """arr as a read-only float64 array that no writable array can alias.
+
+    Copies, unless arr is already read-only and its memory belongs to a
+    read-only array: so a caller's array stays writable, and writing to it
+    later cannot change a grid whose derived arrays were computed from it.
+    load_field_grid hands over its own buffer that way, without a copy.
+    """
+    a = np.asarray(arr, dtype=float)
+    owner = a if a.base is None else a.base
+    if (a.flags.writeable or not isinstance(owner, np.ndarray)
+            or not owner.flags.owndata or owner.flags.writeable):
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class FieldGrid:
     """Sampled cavity mode: E field (nx, ny, nz, 3) and relative permittivity.
@@ -50,6 +67,8 @@ class FieldGrid:
     Sample points sit at origin + index * spacing on each axis and own one
     cell of volume dx*dy*dz each (cell-centered convention).
 
+    The field and permittivity are stored as read-only copies, unless they
+    arrive read-only already, with read-only memory of their own.
     ``e_mag2`` (|E|^2) and ``energy_density`` (eps*|E|^2) are computed once
     at construction and stored read-only, like the inputs; they cost 16
     bytes per grid point on top of the 32 the field and permittivity take.
@@ -63,8 +82,8 @@ class FieldGrid:
     energy_density: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        e = np.asarray(self.e_field, dtype=float)
-        eps = np.asarray(self.eps_rel, dtype=float)
+        e = _owned_read_only(self.e_field)
+        eps = _owned_read_only(self.eps_rel)
         if e.ndim != 4 or e.shape[-1] != 3:
             raise ValueError(f"e_field must have shape (nx, ny, nz, 3), got {e.shape}")
         if eps.shape != e.shape[:3]:
@@ -81,9 +100,9 @@ class FieldGrid:
         ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
         e_mag2 = ex * ex + ey * ey + ez * ez
         energy = eps * e_mag2
+        e_mag2.flags.writeable = energy.flags.writeable = False
         for name, arr in (("e_field", e), ("eps_rel", eps),
                           ("e_mag2", e_mag2), ("energy_density", energy)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "spacing_m", tuple(float(s) for s in self.spacing_m))
         object.__setattr__(self, "origin_m", tuple(float(o) for o in self.origin_m))
@@ -375,6 +394,7 @@ def load_field_grid(path) -> FieldGrid:
             data = check_finite(np.array(rows), linenos)
         else:
             raise ValueError(f"line 1: unknown encoding {header['encoding']!r}")
+    data.flags.writeable = False  # handed to the grid without a copy
     return FieldGrid(
         e_field=data[:, :3].reshape(nx, ny, nz, 3),
         eps_rel=data[:, 3].reshape(nx, ny, nz),

@@ -15,26 +15,28 @@ in Hz (the values experiments report as g0/2pi etc.) and are multiplied by
 wrong changes the cooperativity C = 4 g0^2/(kappa gamma1) by 2pi, so the
 conversion lives in the two generator builders and nowhere else.
 
-The propagator is chosen from the inputs alone; both are exact, and the
-path that ran is recorded in the trace's meta["method"]:
+The generator is chosen from the inputs alone, and one exact propagator
+runs both: it diagonalizes the generator once and evaluates
+exp(gen (t - t0)) on the whole time grid at once, at the same cost for
+uniform and log-spaced grids.  Near the exceptional point
+g = |kappa - gamma1|/4 (angular) the eigenvector basis is defective and the
+eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM Rev. 45(1),
+2003); when cond(V) exceeds _EIG_COND_LIMIT the matrix exponentials are
+taken directly by scipy instead, the only place scipy is imported.  The
+path that ran is recorded in the trace's meta["method"], with "-expm"
+appended after that fallback:
 
 * n_max=1 without return_states: the single-excitation block ("block").
   From |e, 0> every jump lands in |g, 0>, and dephasing jumps stay inside
   {|e, 0>, |g, 1>}, so the population follows exactly from a closed 4x4
   generator on that 2x2 block of rho (Auffeves et al., PRB 81, 245419
-  (2010)).  One eigendecomposition gives P_e on the whole grid at once, at
-  the same cost for uniform and log-spaced grids.  Near the exceptional
-  point g = |kappa - gamma1|/4 (angular) the eigenvector basis is defective
-  and the eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM
-  Rev. 45(1), 2003); when cond(V) exceeds _EIG_COND_LIMIT the block is
-  propagated by matrix exponentials instead ("block-expm").  The block's
-  trace decays, so in place of the trace check its states are checked for
-  conjugate coherences, real populations, tr <= 1 and P_e(t0) = 1, each to
-  10*rel_tol.
+  (2010)).  The block's trace decays, so in place of the trace check its
+  states are checked for conjugate coherences, real populations, tr <= 1
+  and P_e(t0) = 1, each to 10*rel_tol.
 * Every n_max >= 2, and return_states=True: the full Liouvillian on the
-  Fock space truncated at n_max ("liouvillian"), propagated by one scipy
-  matrix exponential per unique grid spacing.  Its trace is checked to
-  10*rel_tol.  scipy is imported only when a matrix exponential runs.
+  Fock space truncated at n_max ("liouvillian"), built by Kronecker
+  products independently of the block.  Its trace is checked to
+  10*rel_tol.
 """
 
 from __future__ import annotations
@@ -236,32 +238,51 @@ def _initial_state(n_max: int) -> np.ndarray:
     return rho0
 
 
-def _propagate_expm(liou, v0, t_grid):
+# ---------------------------------------------------------------------------
+# Propagation
+# ---------------------------------------------------------------------------
+
+#: cond(V) of a generator's eigenvectors above which the basis counts as
+#: defective.  The eigen-expansion is off by about 1e-17 * cond(V) near the
+#: exceptional point, so this keeps it ~1e-12 from expm.  It holds for the
+#: block and the Liouvillian alike: at n_max=2, cond(V) is ~1e10 within 1e-9
+#: of the exceptional point and ~1e4 at 1e-3 from it.
+_EIG_COND_LIMIT = 1e5
+
+
+def _propagate(gen: np.ndarray, v0: np.ndarray, t_grid: np.ndarray):
+    """exp(gen (t - t0)) v0 for every t in t_grid, one row per time, and
+    whether the expm fallback ran.
+
+    One eigendecomposition gives the whole grid at once, at the same cost
+    for uniform and log-spaced grids.  When the eigenvectors are too ill
+    conditioned to expand in (cond(V) > _EIG_COND_LIMIT, an exceptional
+    point), the matrix exponentials are taken directly instead.
+    """
+    lam, vecs = np.linalg.eig(gen)
+    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
+        return _propagate_expm(gen, v0, t_grid), True
+    coeffs = np.linalg.solve(vecs, v0)
+    return (np.exp(np.outer(t_grid - t_grid[0], lam)) * coeffs) @ vecs.T, False
+
+
+def _propagate_expm(gen, v0, t_grid):
+    """The fallback: stacked scipy expm over the output times, each taken
+    from t0, so no error accumulates from step to step.  The stack is cut
+    into chunks of at most 2**19 entries (8 MB), which keeps a large
+    Liouvillian's fallback from holding one matrix per output time at once;
+    up to n_max=2 on 251 times that is a single call."""
     from scipy.linalg import expm  # here, so that importing cavitykit skips scipy
 
-    out = np.empty((len(t_grid), len(v0)), dtype=complex)
-    out[0] = v0
-    props = {}
-    v = v0
-    for i, dt in enumerate(np.diff(np.asarray(t_grid, dtype=float))):
-        key = float(np.format_float_scientific(dt, precision=12))
-        prop = props.get(key)
-        if prop is None:
-            prop = expm(liou * dt)
-            props[key] = prop
-        v = prop @ v
-        out[i + 1] = v
-    return out
+    dt = (t_grid - t_grid[0])[:, None, None]
+    chunk = max(2 ** 19 // gen.size, 1)
+    return np.concatenate([expm(gen * dt[i:i + chunk]) @ v0
+                           for i in range(0, len(dt), chunk)])
 
 
 # ---------------------------------------------------------------------------
 # Single-excitation block
 # ---------------------------------------------------------------------------
-
-#: cond(V) of the block's eigenvectors above which the basis counts as
-#: defective.  The eigen-expansion is off by about 1e-17 * cond(V) near the
-#: exceptional point, so this keeps it ~1e-12 from expm.
-_EIG_COND_LIMIT = 1e5
 
 #: |e, 0><e, 0| in the block basis (rho_aa, rho_ab, rho_ba, rho_bb).
 _BLOCK_START = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -286,17 +307,6 @@ def _single_excitation_block(params: AtomCavityParams) -> np.ndarray:
         [-ig, 0.0, -1j * delta - half_width, ig],
         [0.0, -ig, ig, -kappa],
     ], dtype=complex)
-
-
-def _propagate_block(params: AtomCavityParams, t_grid):
-    """Block states (rho_aa, rho_ab, rho_ba, rho_bb) from |e, 0>, one row per
-    time, and the path that ran: "block", or "block-expm" after the fallback."""
-    gen = _single_excitation_block(params)
-    lam, vecs = np.linalg.eig(gen)
-    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
-        return _propagate_expm(gen, _BLOCK_START, t_grid), "block-expm"
-    coeffs = np.linalg.solve(vecs, _BLOCK_START)
-    return (np.exp(np.outer(t_grid - t_grid[0], lam)) * coeffs) @ vecs.T, "block"
 
 
 def _check_block(states: np.ndarray, t_grid, rel_tol: float):
@@ -328,20 +338,21 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
                            return_states: bool = False):
     """Excited-state population <s+ s>(t) from |e, 0> on the given time grid.
 
-    Both paths are exact; the inputs choose between them:
+    The inputs choose the generator; one exact eigen-propagator runs both
+    (one eigendecomposition, then the whole grid at once), with scipy expm
+    only as the fallback at an exceptional point, where the eigenvectors
+    are ill conditioned:
 
-    * n_max=1 without return_states: the single-excitation block.  It
-      diagonalizes a 4x4 generator once, falls back to expm of the same
-      block when its eigenvectors are ill conditioned (exceptional point),
-      and checks its states for Hermiticity, tr <= 1, non-negative
-      populations and P_e(t0) = 1 to 10*rel_tol.
-    * Anything else: the full Liouvillian at n_max, propagated by expm, with
-      the trace of rho checked to 10*rel_tol at every output time.
+    * n_max=1 without return_states: the 4x4 single-excitation block, whose
+      states are checked for Hermiticity, tr <= 1, non-negative populations
+      and P_e(t0) = 1 to 10*rel_tol.
+    * Anything else: the full Liouvillian at n_max, with the trace of rho
+      checked to 10*rel_tol at every output time.
 
     A failed check raises IntegrationError.  meta["method"] of the returned
-    trace names the path that ran: "block", "block-expm" or "liouvillian".
-    With return_states=True, also returns the list of DensityState
-    snapshots.
+    trace names the path that ran: "block" or "liouvillian", with "-expm"
+    appended when the fallback ran.  With return_states=True, also returns
+    the list of DensityState snapshots.
     """
     if not (rel_tol > 0.0):
         raise ValueError("rel_tol must be > 0")
@@ -354,14 +365,16 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
         raise ValueError("t_grid must be strictly increasing")
 
     if n_max == 1 and not return_states:
-        block, method = _propagate_block(params, t_grid)
+        method = "block"
+        block, fell_back = _propagate(_single_excitation_block(params),
+                                      _BLOCK_START, t_grid)
         _check_block(block, t_grid, rel_tol)
         values = block[:, 0].real
     else:
         method = "liouvillian"
-        liou = liouvillian(params, n_max)
         rho0 = _initial_state(n_max)
-        vs = _propagate_expm(liou, rho0.reshape(-1), t_grid)
+        vs, fell_back = _propagate(liouvillian(params, n_max),
+                                   rho0.reshape(-1), t_grid)
 
         dim = rho0.shape[0]
         rhos = vs.reshape(len(t_grid), dim, dim)
@@ -384,7 +397,7 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
         meta={"g0_hz": params.g0_hz, "kappa_hz": params.kappa_hz,
               "gamma1_per_s": params.gamma1, "gamma_phi_per_s": params.gamma_phi,
               "delta_hz": params.delta_hz, "n_max": n_max, "rel_tol": rel_tol,
-              "method": method})
+              "method": (method + "-expm") if fell_back else method})
     if return_states:
         states = [DensityState(matrix=rhos[i], n_max=n_max)
                   for i in range(len(t_grid))]
@@ -443,16 +456,27 @@ class RateEstimate(NamedTuple):
     warnings: tuple = ()
 
 
-def _weighted_polyfit(u, ly, w, order):
-    """Weighted LS fit of ly on powers of u; returns (coeffs, stderr, chisq)."""
-    x = np.vander(u, order + 1, increasing=True)
+def _log_fits(u, ly, w):
+    """Weighted least-squares fits of ly on [1, u] and on [1, u, u^2].
+
+    Returns the linear fit's slope and the quadratic fit's u^2 coefficient,
+    each with its standard error (covariance scaled by chi^2/dof).  One QR
+    of sqrt(w) [1, u, u^2] serves both fits, because the first two columns
+    of Q span the linear model.  R is triangular, so the last coefficient of
+    each fit is (Q^T b)_k / r_kk, and its variance, the kk entry of
+    R^-1 R^-T, is 1 / r_kk^2.
+    """
     sw = np.sqrt(w)
-    coeffs, *_ = np.linalg.lstsq(sw[:, None] * x, sw * ly, rcond=None)
-    resid = ly - x @ coeffs
-    chisq = float(np.sum(w * resid ** 2))
-    dof = max(len(u) - (order + 1), 1)
-    cov = np.linalg.pinv(x.T @ (w[:, None] * x)) * (chisq / dof)
-    return coeffs, np.sqrt(np.maximum(np.diag(cov), 0.0)), chisq
+    q, r = np.linalg.qr(sw[:, None] * np.vander(u, 3, increasing=True))
+    b = sw * ly
+    qb = q.T @ b
+    resid_lin = b - q[:, :2] @ qb[:2]
+    resid_quad = resid_lin - q[:, 2] * qb[2]
+    n = len(u)
+    scale_lin = math.sqrt(float(resid_lin @ resid_lin) / max(n - 2, 1))
+    scale_quad = math.sqrt(float(resid_quad @ resid_quad) / max(n - 3, 1))
+    return (qb[1] / r[1, 1], scale_lin / abs(r[1, 1]),
+            qb[2] / r[2, 2], scale_quad / abs(r[2, 2]))
 
 
 def _coarse_lifetime(t, y):
@@ -461,7 +485,10 @@ def _coarse_lifetime(t, y):
         pos = y > 0
     if pos.sum() < 2:
         return t[-1] - t[0]
-    slope = np.polyfit(t[pos], np.log(y[pos]), 1)[0]
+    # least-squares slope of log(y) on t, in closed form
+    tc = t[pos] - np.mean(t[pos])
+    ly = np.log(y[pos])
+    slope = float(tc @ (ly - np.mean(ly))) / float(tc @ tc)
     if slope >= 0.0:
         return t[-1] - t[0]
     return min(-1.0 / slope, (t[-1] - t[0]))
@@ -497,20 +524,16 @@ def extract_decay_rate(trace: DecayTrace, window=None,
 
     tt = t[sel]
     ly = np.log(y[sel])
-    w = y[sel].copy() if trace.kind == "measured" else np.ones(int(sel.sum()))
+    w = y[sel] if trace.kind == "measured" else np.ones(int(sel.sum()))
 
     # center and scale the abscissa so the quadratic fit stays conditioned
     t_mid = 0.5 * (tt[0] + tt[-1])
     t_scale = max(0.5 * (tt[-1] - tt[0]), 1e-300)
     u = (tt - t_mid) / t_scale
 
-    lin, lin_err, _ = _weighted_polyfit(u, ly, w, order=1)
-    slope = lin[1] / t_scale
-    slope_err = lin_err[1] / t_scale
-
-    quad, quad_err, _ = _weighted_polyfit(u, ly, w, order=2)
-    c2 = quad[2] / t_scale ** 2
-    c2_err = quad_err[2] / t_scale ** 2
+    slope, slope_err, c2, c2_err = _log_fits(u, ly, w)
+    slope, slope_err = slope / t_scale, slope_err / t_scale
+    c2, c2_err = c2 / t_scale ** 2, c2_err / t_scale ** 2
     span = tt[-1] - tt[0]
     # flag when the local slope varies by > 5% across the window and the
     # quadratic term is statistically significant

@@ -504,6 +504,12 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     scale = np.where(dead, 1.0, col)
     js = jw / scale
     a = js.T @ js
+    if not np.all(np.isfinite(a)):
+        at = ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
+        raise DegenerateFitError(
+            f"{model.kind}: the normal matrix is not finite at the fitted "
+            f"parameters ({at}); the fit ran off to where the model's "
+            "derivatives overflow or are undefined")
     dof = max(len(x) - p, 1)
     red_chisq = cost / dof
     try:

@@ -141,4 +141,5 @@ def synthetic_field_grid(dims=(61, 31, 25),
     else:
         inside = (np.abs(yg) <= slab_halfwidth_m[0]) & (np.abs(zg) <= slab_halfwidth_m[1])
         eps = np.where(inside, eps_slab, 1.0)
+    e.flags.writeable = eps.flags.writeable = False  # handed over, not copied
     return FieldGrid(e_field=e, eps_rel=eps, spacing_m=spacing, origin_m=origin)

@@ -317,22 +317,26 @@ def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
 
 
 def test_cold_start_does_not_import_scipy():
-    # scipy is needed only by the expm propagator; a default run of these
-    # subcommands must not pay for importing it
+    # scipy is needed only by the expm fallback at an exceptional point; a
+    # default run of these subcommands, at n_max=1 or 2, must not pay for
+    # importing it
     script = (
         "import sys, cavitykit\n"
         "print('scipy' in sys.modules)\n"
         "from cavitykit.cli import main\n"
         "main(['purcell', '--c', '0.14', '--out', sys.argv[1]])\n"
         "print('scipy' in sys.modules)\n"
-        "main(['simulate-decay', '--g0-ghz', '0.57', '--kappa-ghz', '940',\n"
-        "      '--tau1-ns', '15.9', '--out', sys.argv[1]])\n"
+        "args = ['simulate-decay', '--g0-ghz', '0.57', '--kappa-ghz', '940',\n"
+        "        '--tau1-ns', '15.9', '--out', sys.argv[1]]\n"
+        "main(args)\n"
+        "print('scipy' in sys.modules)\n"
+        "main(args + ['--nmax', '2'])\n"
         "print('scipy' in sys.modules)\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", script, os.devnull], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == ["False"] * 4
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

@@ -394,6 +394,26 @@ def test_stored_derived_arrays_equal_recomputation_and_are_read_only(tmp_path):
                 arr[0, 0, 0] = 1.0
 
 
+def test_grid_keeps_no_writable_alias_of_the_callers_arrays():
+    # views of one caller-owned array: the caller's array stays writable,
+    # and writing to it leaves the grid, its derived arrays included, as built
+    data = np.ones((2, 2, 2, 4))
+    grid = FieldGrid(e_field=data[..., :3], eps_rel=data[..., 3],
+                     spacing_m=(1e-9,) * 3)
+    assert data.flags.writeable
+    data[0, 0, 0, :3] = 5.0
+    data[1, 1, 1, 3] = 2.0
+    assert np.array_equal(grid.e_field, np.ones((2, 2, 2, 3)))
+    assert np.array_equal(grid.eps_rel, np.ones((2, 2, 2)))
+    assert np.array_equal(grid.e_mag2, np.full((2, 2, 2), 3.0))
+    assert np.array_equal(grid.energy_density, np.full((2, 2, 2), 3.0))
+    # a read-only array that owns its memory is taken as it is
+    e = np.ones((2, 2, 2, 3))
+    e.flags.writeable = False
+    assert FieldGrid(e_field=e, eps_rel=np.ones((2, 2, 2)),
+                     spacing_m=(1e-9,) * 3).e_field is e
+
+
 def _peak_bytes(fn):
     """Peak traced allocation while fn runs."""
     tracemalloc.start()

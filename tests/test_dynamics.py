@@ -81,6 +81,45 @@ def _liouvillian_at_n_max_1(p, t):
     return trace
 
 
+def _expm_stepping(gen, v0, t):
+    """Test-only reference: scipy expm of each grid step, applied in turn.
+    The steps of a uniform grid agree to rounding and share one expm."""
+    from scipy.linalg import expm
+
+    steps = np.diff(t)
+    if np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        props = [expm(gen * steps[0])] * len(steps)
+    else:
+        props = expm(gen * steps[:, None, None])
+    out = np.empty((len(t), len(v0)), dtype=complex)
+    out[0] = v = v0
+    for i, prop in enumerate(props):
+        out[i + 1] = v = prop @ v
+    return out
+
+
+def _generator(p, n_max, block):
+    """(generator, start vector): the 4x4 block, or the Liouvillian at n_max."""
+    if block:
+        return dynamics._single_excitation_block(p), dynamics._BLOCK_START
+    return dynamics.liouvillian(p, n_max), dynamics._initial_state(n_max).reshape(-1)
+
+
+def _stepped_population(p, n_max, t):
+    """Excited-state population from the Liouvillian, by expm stepping."""
+    dim = 2 * (n_max + 1)
+    rhos = _expm_stepping(*_generator(p, n_max, False), t).reshape(len(t), dim, dim)
+    return np.einsum("kii->ki", rhos)[:, n_max + 1:].sum(axis=1).real
+
+
+def _at_exceptional_point(kappa_hz, gamma1, rel):
+    """g = |kappa - gamma1| / 4 (angular) times (1 + rel): at rel = 0 the
+    eigenvector basis of both generators is defective."""
+    g_ang = abs(2.0 * math.pi * kappa_hz - gamma1) / 4.0 * (1.0 + rel)
+    return AtomCavityParams(g0_hz=g_ang / (2.0 * math.pi), kappa_hz=kappa_hz,
+                            gamma1=gamma1)
+
+
 @pytest.mark.parametrize("grid", ["uniform", "log"])
 def test_block_path_matches_liouvillian(grid):
     # the default n_max=1 path propagates the single-excitation block; the
@@ -108,22 +147,60 @@ def test_block_path_at_exceptional_point(rel, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_propagate_expm", spy)
     for kappa_hz, gamma1 in ((1e9, 1e7), (2e8, 5e7)):
-        g_ang = abs(2.0 * math.pi * kappa_hz - gamma1) / 4.0 * (1.0 + rel)
-        p = AtomCavityParams(g0_hz=g_ang / (2.0 * math.pi), kappa_hz=kappa_hz,
-                             gamma1=gamma1)
+        p = _at_exceptional_point(kappa_hz, gamma1, rel)
         for t in _grids(p.tau1_s).values():
             fallbacks.clear()
             block = evolve_master_equation(p, t_grid=t)
             assert fallbacks == [(4, 4)]
             assert block.meta["method"] == "block-expm"
-            ref = _liouvillian_at_n_max_1(p, t)
-            assert np.max(np.abs(block.values - ref.values)) < 1e-10
+            ref = _stepped_population(p, 1, t)
+            assert np.max(np.abs(block.values - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-9, -1e-9, 1e-3, -1e-3])
+def test_liouvillian_path_at_exceptional_point(rel):
+    # the Liouvillian shares the block's exceptional point: cond(V) is
+    # ~1e10 within 1e-9 of it, where the eig expansion is off by 1e-7 to
+    # 2e-6, so expm must take over; at 1e-3 from it cond(V) is ~1e4, the
+    # expansion is within ~2e-13 and the eig path must stay
+    fallback = abs(rel) < 1e-6
+    for kappa_hz, gamma1 in ((1e9, 1e7), (2e8, 5e7)):
+        p = _at_exceptional_point(kappa_hz, gamma1, rel)
+        _, vecs = np.linalg.eig(dynamics.liouvillian(p, 2))
+        assert (np.linalg.cond(vecs) > dynamics._EIG_COND_LIMIT) == fallback
+        for t in _grids(p.tau1_s).values():
+            trace = evolve_master_equation(p, n_max=2, t_grid=t)
+            assert trace.meta["method"] == ("liouvillian-expm" if fallback
+                                            else "liouvillian")
+            ref = _stepped_population(p, 2, t)
+            assert np.max(np.abs(trace.values - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("grid", ["uniform", "log"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_propagate_matches_expm_stepping(n_max, grid):
+    # the eig path of the shared propagator against one expm per step, on
+    # every state entry; at n_max=1 both the block and the Liouvillian.
+    # One expm of the 64x64 n_max=3 generator takes 10-40 ms with threaded
+    # BLAS on a 2-core machine, so its log grid (64 distinct steps) runs on
+    # three of the sets, the paper point among them
+    sets = list(enumerate(_oracle_sets()))
+    for k, p in sets[::14] if (n_max, grid) == (3, "log") else sets:
+        t = _grids(p.tau1_s)[grid]
+        for block in (True, False) if n_max == 1 else (False,):
+            gen, v0 = _generator(p, n_max, block)
+            states, fell_back = dynamics._propagate(gen, v0, t)
+            assert not fell_back, (k, block)
+            ref = _expm_stepping(gen, v0, t)
+            assert np.max(np.abs(states - ref)) < 1e-10, (k, block)
 
 
 def test_block_check_rejects_corrupted_states():
     t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
-    good, path = dynamics._propagate_block(P_REF.detuned(2e11), t)
-    assert path == "block"
+    good, fell_back = dynamics._propagate(
+        dynamics._single_excitation_block(P_REF.detuned(2e11)),
+        dynamics._BLOCK_START, t)
+    assert not fell_back
     dynamics._check_block(good, t, 1e-8)
 
     for row, col, shift in ((5, 1, 1e-6j),      # coherences not conjugate
@@ -256,6 +333,88 @@ def test_extract_rate_poisson_counts():
     trace = DecayTrace(times=t, values=counts, kind="measured")
     est = extract_decay_rate(trace)
     assert est.rate == pytest.approx(1.0 / tau, rel=0.03)
+
+
+def _reference_extract(trace):
+    """The rate extraction before it shared one QR between its two fits:
+    lstsq per fit, pinv for the covariance, np.polyfit for the coarse
+    lifetime.  Kept as the reference for extract_decay_rate's default call."""
+    def weighted_polyfit(u, ly, w, order):
+        x = np.vander(u, order + 1, increasing=True)
+        sw = np.sqrt(w)
+        coeffs, *_ = np.linalg.lstsq(sw[:, None] * x, sw * ly, rcond=None)
+        resid = ly - x @ coeffs
+        chisq = float(np.sum(w * resid ** 2))
+        dof = max(len(u) - (order + 1), 1)
+        cov = np.linalg.pinv(x.T @ (w[:, None] * x)) * (chisq / dof)
+        return coeffs, np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+    t, y = trace.times, trace.values
+    pos = y > max(1e-3 * float(np.max(y)), 0.0)
+    if pos.sum() < 3:
+        pos = y > 0
+    slope = np.polyfit(t[pos], np.log(y[pos]), 1)[0]
+    tau_est = t[-1] - t[0] if slope >= 0.0 else min(-1.0 / slope, t[-1] - t[0])
+    window = (t[0] + 0.5 * tau_est, t[0] + 3.0 * tau_est)
+    sel = (t >= window[0]) & (t <= window[1]) & (y > 0.0)
+    tt, ly = t[sel], np.log(y[sel])
+    w = y[sel].copy() if trace.kind == "measured" else np.ones(int(sel.sum()))
+    t_scale = max(0.5 * (tt[-1] - tt[0]), 1e-300)
+    u = (tt - 0.5 * (tt[0] + tt[-1])) / t_scale
+    lin, lin_err = weighted_polyfit(u, ly, w, order=1)
+    quad, quad_err = weighted_polyfit(u, ly, w, order=2)
+    slope, c2, c2_err = lin[1] / t_scale, quad[2] / t_scale ** 2, quad_err[2] / t_scale ** 2
+    curved = (abs(2.0 * c2 * (tt[-1] - tt[0])) > 0.05 * abs(slope)
+              and abs(c2) > 3.0 * c2_err)
+    return -slope, lin_err[1] / t_scale, window, int(sel.sum()), bool(curved)
+
+
+def _sweep_style_traces():
+    """Populations as detuning sweeps produce them: the paper point and two
+    draws around it, nine detunings each, on uniform and log-spaced grids,
+    at n_max=1 and 2."""
+    rng = np.random.default_rng(7)
+    points = [(0.57e9, 940e9, 15.9e-9)] + [
+        (0.57e9 * rng.uniform(0.8, 1.25), 940e9 * rng.uniform(0.8, 1.25),
+         15.9e-9 * rng.uniform(0.85, 1.15)) for _ in range(2)]
+    for g0, kappa, tau1 in points:
+        grids = (np.linspace(0.0, 5.0 * tau1, 251),
+                 np.concatenate(([0.0], np.geomspace(1e-3 * tau1, 5.0 * tau1, 250))))
+        for t in grids:
+            for n_max in (1, 2):
+                for step in (-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0):
+                    p = AtomCavityParams(g0_hz=g0, kappa_hz=kappa,
+                                         gamma1=1.0 / tau1, delta_hz=step * kappa)
+                    yield evolve_master_equation(p, n_max=n_max, t_grid=t)
+
+
+def _poisson_traces(n=300):
+    rng = np.random.default_rng(31)
+    t = np.arange(200) * 1.28e-9
+    for _ in range(n):
+        mean = (10.0 ** rng.uniform(2.0, 5.0) * np.exp(-t / rng.uniform(5e-9, 30e-9))
+                + rng.uniform(0.0, 20.0))
+        yield DecayTrace(times=t, values=rng.poisson(mean).astype(float),
+                         kind="measured")
+
+
+def test_rate_extraction_matches_lstsq_pinv_reference():
+    # one QR serves both nested fits; rate, window and, on counted traces,
+    # stderr agree to 1e-12 relative.  A simulated trace's stderr sits at
+    # roundoff (~2e-16 of the rate), so there it is bounded absolutely
+    n_sim = 0
+    for trace in [*_sweep_style_traces(), *_poisson_traces()]:
+        est = extract_decay_rate(trace)
+        rate, stderr, window, n_points, curved = _reference_extract(trace)
+        assert est.rate == pytest.approx(rate, rel=1e-12, abs=0.0)
+        assert est.window == pytest.approx(window, rel=1e-12, abs=0.0)
+        assert (est.n_points, est.curved) == (n_points, curved)
+        if trace.kind == "measured":
+            assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        else:
+            n_sim += 1
+            assert abs(est.stderr - stderr) <= 1e-12 * rate
+    assert n_sim == 108
 
 
 def test_sweep_detunings_keyed_and_order_independent():

@@ -172,6 +172,25 @@ def test_tau_detuning_degenerate_data():
         fit_tau_detuning(np.array([[0.0, 1.0], [1.0, 2.0]]))  # < 4 points
 
 
+def test_non_finite_normal_matrix_is_a_degenerate_fit():
+    # a shallow dip (C ~ 0.11, 1% noise) whose far-detuned points noise
+    # pushes below mid-depth: from the guess (kappa 3.5x its value) the first
+    # step drives kappa to its lower bound, where the Jacobian's kappa column
+    # is 0/0.  The covariance stage handed that to pinv, which raised
+    # LinAlgError; the guess is passed as init so a better guess later does
+    # not hide the case
+    rng = np.random.default_rng(4794)
+    c = rng.uniform(0.10, 0.12)
+    delta = 940e9 * np.linspace(-3.0, 3.0, 25)
+    tau = 15.9e-9 / (1.0 + c / (1.0 + 4.0 * (delta / 940e9) ** 2))
+    noisy = tau + rng.normal(0.0, 0.01 * tau)
+    init = get_model("tau-detuning").guess(delta, noisy)
+    for on_singular in ("raise", "pinv"):
+        with pytest.raises(DegenerateFitError, match="not finite"):
+            least_squares_fit("tau-detuning", delta, noisy, sigma=0.01 * tau,
+                              init=init, on_singular=on_singular)
+
+
 def test_tau_detuning_flat_data_flags_kappa():
     flat = np.column_stack([np.linspace(-2e12, 2e12, 9),
                             np.full(9, 15.9e-9), np.full(9, 0.2e-9)])
