@@ -8,22 +8,20 @@ decay traces, detuning sweeps and spectra, and photonic link-loss budgets.
 """
 
 from .units import (
-    CONSTANTS, PhysicalConstants, to_angular, to_ordinary, linear_to_db,
-    db_to_linear, quality_factor, wavelength_to_frequency,
-    frequency_to_wavelength,
+    CONSTANTS, PhysicalConstants, to_angular, linear_to_db, db_to_linear,
 )
 from .purcell import (
     RateBudget, EfficiencyFactors, PurcellResult, CzplEstimate,
     total_decay_rate, efficiency_factors, czpl_from_lifetimes,
-    zpl_quantities_from_c, czpl_general, NV_DEBYE_WALLER_RANGE,
+    zpl_quantities_from_c, NV_DEBYE_WALLER_RANGE,
 )
 from .dynamics import (
     AtomCavityParams, DensityState, DecayTrace, RateEstimate,
     IntegrationError, evolve_master_equation, analytic_total_rate, tau_of_detuning,
-    extract_decay_rate, sweep_detunings, save_decay_trace, load_decay_trace,
+    extract_decay_rate, load_decay_trace,
 )
 from .coupling import (
-    FieldGrid, EmitterDipole, WeightingConfig, CouplingEstimate,
+    FieldGrid, WeightingConfig, CouplingEstimate,
     mode_volume, normalized_mode_volume, zero_point_field,
     dipole_from_lifetime, to_debye, g0_ideal, ideal_coupling,
     ensemble_weighting_factor, effective_g0, save_field_grid,
@@ -32,7 +30,6 @@ from .coupling import (
 from .fitting import (
     DegenerateFitError, FitModel, FitResult, MODEL_KINDS, get_model,
     least_squares_fit, fit_decay_trace, fit_tau_detuning, fit_spectrum,
-    eval_transmission_model,
 )
 from .linkbudget import (
     LinkElement, LinkChain, propagation_efficiency, chain_efficiency,

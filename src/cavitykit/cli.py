@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import coupling, dynamics, fitting, linkbudget, purcell, synthetic
-from ._cells import check_finite, parse_row
+from ._cells import check_finite, finite_real, parse_row, read_text
 
 SCHEMA_VERSION = 1
 
@@ -71,18 +71,32 @@ def _write_atomic(path: str, data):
         raise
 
 
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
 def _emit(args, command: str, inputs: dict, result: dict) -> int:
-    payload = json.dumps(_jsonable({
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-    }), sort_keys=True, indent=2) + "\n"
+    payload = _json_text({"schema_version": SCHEMA_VERSION, "command": command,
+                          "inputs": inputs, "result": result})
     if getattr(args, "out", None):
         _write_atomic(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """A file that cannot be opened, or is malformed, is a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (TypeError, ValueError, RecursionError) as exc:  # deep JSON nesting
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _read_table(path: str, columns: tuple) -> np.ndarray:
@@ -101,44 +115,39 @@ def _read_table(path: str, columns: tuple) -> np.ndarray:
     rows, linenos = [], []
     width = None
     first = True
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc.strerror or exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            at_top, first = first, False
-            if (at_top and len(parts) in widths
-                    and [p.lower().rstrip("?") for p in parts] == names[:len(parts)]):
-                continue  # header line
-            if len(parts) not in widths:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: expected "
-                    f"{' or '.join(str(w) for w in sorted(widths))} columns "
-                    f"({', '.join(columns)}), got {len(parts)}")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: inconsistent column count")
-            try:
-                rows.append(parse_row(parts, lineno))
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"{path}: {exc}"
-                    + (f" (a header line reads {','.join(required)})" if at_top else "")
-                    ) from None
-            linenos.append(lineno)
+    with _reading(path):
+        text = read_text(path)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        at_top, first = first, False
+        if (at_top and len(parts) in widths
+                and [p.lower().rstrip("?") for p in parts] == names[:len(parts)]):
+            continue  # header line
+        if len(parts) not in widths:
+            raise InputFormatError(
+                f"{path}: line {lineno}: expected "
+                f"{' or '.join(str(w) for w in sorted(widths))} columns "
+                f"({', '.join(columns)}), got {len(parts)}")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise InputFormatError(
+                f"{path}: line {lineno}: inconsistent column count")
+        try:
+            rows.append(parse_row(parts, lineno))
+        except ValueError as exc:
+            raise InputFormatError(
+                f"{path}: {exc}"
+                + (f" (a header line reads {','.join(required)})" if at_top else "")
+                ) from None
+        linenos.append(lineno)
     if not rows:
         raise InputFormatError(f"{path}: no data rows found")
-    try:
+    with _reading(path):
         return check_finite(np.array(rows), linenos)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _table_text(header: tuple, rows) -> str:
@@ -180,12 +189,8 @@ def _cmd_simulate_decay(args) -> int:
 
 
 def _cmd_fit_decay(args) -> int:
-    try:
+    with _reading(args.data):
         trace = dynamics.load_decay_trace(args.data)
-    except OSError as exc:
-        raise InputFormatError(f"{args.data}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise InputFormatError(f"{args.data}: {exc}") from None
     result = fitting.fit_decay_trace(trace, with_background=args.background,
                                      skip_bins=args.skip_bins)
     return _emit(args, "fit-decay",
@@ -266,12 +271,8 @@ def _cmd_g0(args) -> int:
 
 
 def _load_grid(path: str) -> coupling.FieldGrid:
-    try:
+    with _reading(path):
         return coupling.load_field_grid(path)
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _cmd_ensemble_weight(args) -> int:
@@ -306,19 +307,8 @@ def _cmd_mode_volume(args) -> int:
 
 def _cmd_link_budget(args) -> int:
     if args.chain:
-        try:
-            with open(args.chain) as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise InputFormatError(f"{args.chain}: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"{args.chain}: line {exc.lineno}, column {exc.colno}: "
-                f"{exc.msg}") from None
-        try:
-            chain = linkbudget.chain_from_json_obj(spec)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"{args.chain}: {exc}") from None
+        with _reading(args.chain):
+            chain = linkbudget.chain_from_json_obj(json.loads(read_text(args.chain)))
     elif args.db_per_cm is not None:
         if args.length_cm is None:
             raise InputFormatError("--db-per-cm requires --length-cm")
@@ -337,21 +327,33 @@ def _cmd_link_budget(args) -> int:
                  report)
 
 
+def _replayed_params(path: str, defaults: dict) -> list:
+    """The defaults, each replaced by its key in a fit result's "params"."""
+    with _reading(path):
+        doc = json.loads(read_text(path))
+    result = doc.get("result", doc) if isinstance(doc, dict) else None
+    params = result.get("params", {}) if isinstance(result, dict) else None
+    if not isinstance(params, dict):
+        raise InputFormatError(f"{path}: expected a JSON object with a 'params' "
+                               "object, at the top or under 'result'")
+    values = []
+    for key, default in defaults.items():
+        v = params.get(key, default)
+        if not finite_real(v):
+            raise InputFormatError(
+                f"{path}: params[{key!r}] must be a finite number, got {v!r}")
+        values.append(float(v))
+    return values
+
+
 def _cmd_gen_synthetic(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
     what = args.what
     c, kappa_hz, tau1_s = 0.14, 940e9, 15.9e-9
     if args.params_json:
-        try:
-            with open(args.params_json) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputFormatError(f"{args.params_json}: {exc}") from None
-        params = doc.get("result", doc).get("params", {})
-        c = float(params.get("c", c))
-        kappa_hz = float(params.get("kappa", kappa_hz))
-        tau1_s = float(params.get("tau1", tau1_s))
+        c, kappa_hz, tau1_s = _replayed_params(
+            args.params_json, {"c": c, "kappa": kappa_hz, "tau1": tau1_s})
+    os.makedirs(args.out_dir, exist_ok=True)
+    rng = np.random.default_rng(args.seed) if args.seed is not None else None
     files = {}
     base = synthetic.DEFAULT_ATOM_CAVITY
 
@@ -385,7 +387,7 @@ def _cmd_gen_synthetic(args) -> int:
         coupling.save_field_grid(grid, os.path.join(args.out_dir, name))
         files["field_grid"] = name
 
-    index = json.dumps(_jsonable({
+    index = _json_text({
         "schema_version": SCHEMA_VERSION,
         "command": "gen-synthetic",
         "seed": args.seed,
@@ -394,7 +396,7 @@ def _cmd_gen_synthetic(args) -> int:
                        "tau_detuning": {"c": c, "kappa_hz": kappa_hz,
                                         "tau1_s": tau1_s}},
         "files": files,
-    }), sort_keys=True, indent=2) + "\n"
+    })
     _write_atomic(os.path.join(args.out_dir, "index.json"), index)
     sys.stdout.write(f"wrote {args.out_dir}/index.json\n")
     return 0

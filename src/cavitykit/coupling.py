@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cells import check_finite, parse_row
+from ._cells import check_finite, decode, finite_real, parse_row
 from .units import C0, DEBYE, EPS0, HBAR, to_angular
 
 __all__ = [
-    "FieldGrid", "EmitterDipole", "WeightingConfig", "CouplingEstimate",
+    "FieldGrid", "WeightingConfig", "CouplingEstimate",
     "mode_volume", "normalized_mode_volume", "zero_point_field",
     "dipole_from_lifetime", "to_debye", "g0_ideal", "ideal_coupling",
     "ensemble_weighting_factor", "effective_g0",
@@ -131,39 +131,6 @@ class FieldGrid:
 
 
 @dataclass(frozen=True)
-class EmitterDipole:
-    """Transition dipole data derived from a lifetime and transition frequency."""
-
-    tau1_s: float
-    nu_hz: float
-    eta_dw: float
-
-    def __post_init__(self):
-        if not (self.tau1_s > 0.0 and self.nu_hz > 0.0):
-            raise ValueError("lifetime and frequency must be > 0")
-        if not (0.0 < self.eta_dw <= 1.0):
-            raise ValueError(f"eta_dw must lie in (0, 1], got {self.eta_dw!r}")
-
-    @property
-    def d_perp_cm(self) -> float:
-        """Total transition dipole moment in C m."""
-        return dipole_from_lifetime(self.tau1_s, self.nu_hz)
-
-    @property
-    def d_perp_zpl_cm(self) -> float:
-        """ZPL-projected dipole moment, sqrt(eta_dw) * d_perp."""
-        return math.sqrt(self.eta_dw) * self.d_perp_cm
-
-    @property
-    def d_perp_debye(self) -> float:
-        return to_debye(self.d_perp_cm)
-
-    @property
-    def d_perp_zpl_debye(self) -> float:
-        return to_debye(self.d_perp_zpl_cm)
-
-
-@dataclass(frozen=True)
 class WeightingConfig:
     """Threshold model for the ensemble average: emitters below
     threshold_fraction * |E_max| get zero weight; the average runs over an
@@ -251,15 +218,17 @@ def ideal_coupling(tau1_s: float, nu_hz: float, eta_dw: float,
     """
     if (v_mode_m3 is None) == (v_mode_normalized is None):
         raise ValueError("give exactly one of v_mode_m3 or v_mode_normalized")
+    d_perp = dipole_from_lifetime(tau1_s, nu_hz)
+    if not (0.0 < eta_dw <= 1.0):
+        raise ValueError(f"eta_dw must lie in (0, 1], got {eta_dw!r}")
+    d_zpl = math.sqrt(eta_dw) * d_perp  # the ZPL-projected dipole
     if v_mode_m3 is None:
         lam = C0 / nu_hz
         v_mode_m3 = v_mode_normalized * (lam / math.sqrt(eps_rel_at_max)) ** 3
-    dip = EmitterDipole(tau1_s=tau1_s, nu_hz=nu_hz, eta_dw=eta_dw)
     e_zpf = zero_point_field(nu_hz, eps_rel_at_max, v_mode_m3)
     return CouplingEstimate(
-        d_perp_cm=dip.d_perp_cm, d_zpl_cm=dip.d_perp_zpl_cm,
-        e_zpf_v_per_m=e_zpf, g0_hz=g0_ideal(dip.d_perp_zpl_cm, e_zpf),
-        v_mode_m3=v_mode_m3)
+        d_perp_cm=d_perp, d_zpl_cm=d_zpl, e_zpf_v_per_m=e_zpf,
+        g0_hz=g0_ideal(d_zpl, e_zpf), v_mode_m3=v_mode_m3)
 
 
 def ensemble_weighting_factor(grid: FieldGrid, cfg: WeightingConfig) -> float:
@@ -330,11 +299,10 @@ def save_field_grid(grid: FieldGrid, path, encoding: str = "f64"):
 
 
 def _header_triple(header: dict, key: str, is_valid, want: str) -> tuple:
-    """header[key] as a 3-tuple, every entry passing is_valid, else a line-1 error."""
+    """header[key] as a 3-tuple of finite reals passing is_valid, else a line-1 error."""
     val = header[key]
-    if not (isinstance(val, list) and len(val) == 3 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and is_valid(v)
-            for v in val)):
+    if not (isinstance(val, list) and len(val) == 3
+            and all(finite_real(v) and is_valid(v) for v in val)):
         raise ValueError(f"line 1: {key} must be {want}, got {val!r}")
     return tuple(val)
 
@@ -346,7 +314,7 @@ def load_field_grid(path) -> FieldGrid:
             raise ValueError("missing header line")
         try:
             header = json.loads(head.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ValueError(f"line 1: malformed JSON header ({exc})") from None
         if not isinstance(header, dict):
             raise ValueError("line 1: header must be a JSON object")
@@ -358,12 +326,11 @@ def load_field_grid(path) -> FieldGrid:
         nx, ny, nz = _header_triple(
             header, "dims", lambda v: isinstance(v, int) and v >= 2,
             "three integers >= 2")
-        spacing = _header_triple(
-            header, "spacing_m", lambda v: 0.0 < v < math.inf,
-            "three finite positive numbers")
+        spacing = _header_triple(header, "spacing_m", lambda v: v > 0.0,
+                                 "three finite positive numbers")
         origin = (0.0, 0.0, 0.0)
         if "origin_m" in header:
-            origin = _header_triple(header, "origin_m", math.isfinite,
+            origin = _header_triple(header, "origin_m", lambda v: True,
                                     "three finite numbers")
         n_points = nx * ny * nz
         if header["encoding"] == "f64":
@@ -379,7 +346,7 @@ def load_field_grid(path) -> FieldGrid:
                 raise ValueError(f"body holds {got} bytes, expected exactly {expected}")
         elif header["encoding"] == "csv":
             rows, linenos = [], []
-            for lineno, line in enumerate(fh.read().decode().splitlines(), start=2):
+            for lineno, line in enumerate(decode(fh.read(), 2).splitlines(), start=2):
                 if not line.strip():
                     continue
                 parts = line.split(",")

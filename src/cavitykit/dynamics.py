@@ -48,15 +48,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cells import check_finite, parse_row
+from ._cells import check_finite, parse_row, read_text
 from .units import to_angular
 
 __all__ = [
     "AtomCavityParams", "DensityState", "DecayTrace", "RateEstimate",
     "IntegrationError",
     "evolve_master_equation", "analytic_total_rate", "tau_of_detuning",
-    "extract_decay_rate", "sweep_detunings", "save_decay_trace",
-    "load_decay_trace", "decay_trace_to_csv", "decay_trace_from_csv",
+    "extract_decay_rate", "load_decay_trace", "decay_trace_to_csv",
+    "decay_trace_from_csv",
 ]
 
 
@@ -134,17 +134,6 @@ class DensityState:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
-
-    def validate(self, tol: float = 1e-9):
-        problems = []
-        if self.trace_deviation() > 10.0 * tol:
-            problems.append(f"trace deviates by {self.trace_deviation():.3e}")
-        if self.hermiticity_deviation() > 10.0 * tol:
-            problems.append(f"non-Hermitian by {self.hermiticity_deviation():.3e}")
-        if self.min_eigenvalue() < -100.0 * tol:
-            problems.append(f"negative eigenvalue {self.min_eigenvalue():.3e}")
-        if problems:
-            raise ValueError("invalid density matrix: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -437,12 +426,6 @@ def tau_of_detuning(c: float, kappa_hz: float, tau1_s: float, delta_hz):
     return float(tau) if np.isscalar(delta_hz) else tau
 
 
-def sweep_detunings(params: AtomCavityParams, deltas_hz, **kwargs) -> dict:
-    """Independent evolutions per detuning, keyed by the detuning value."""
-    return {float(d): evolve_master_equation(params.detuned(float(d)), **kwargs)
-            for d in deltas_hz}
-
-
 # ---------------------------------------------------------------------------
 # Rate extraction from traces
 # ---------------------------------------------------------------------------
@@ -494,16 +477,15 @@ def _coarse_lifetime(t, y):
     return min(-1.0 / slope, (t[-1] - t[0]))
 
 
-def extract_decay_rate(trace: DecayTrace, window=None,
-                       on_nonpositive: str = "shrink") -> RateEstimate:
+def extract_decay_rate(trace: DecayTrace, window=None) -> RateEstimate:
     """Decay rate from a weighted linear regression of log(values).
 
     The default window is [0.5, 3] times a coarse single-exponential
     lifetime estimate.  Measured traces get Poisson-motivated weights
     (w = counts, since var log y ~ 1/y); simulated traces are unweighted.
-    Non-positive samples inside the window are dropped with a warning, or
-    raise when on_nonpositive="error".  A significant quadratic term in the
-    log-residuals sets ``curved`` (single-exponential model inadequate).
+    Non-positive samples inside the window are dropped with a warning.  A
+    significant quadratic term in the log-residuals sets ``curved``
+    (single-exponential model inadequate).
     """
     t = trace.times
     y = trace.values
@@ -515,8 +497,6 @@ def extract_decay_rate(trace: DecayTrace, window=None,
     notes = []
     bad = sel & (y <= 0.0)
     if np.any(bad):
-        if on_nonpositive == "error":
-            raise ValueError(f"{int(bad.sum())} non-positive samples in window")
         notes.append(f"dropped {int(bad.sum())} non-positive samples in window")
         sel &= y > 0.0
     if int(sel.sum()) < 10:
@@ -558,7 +538,7 @@ def decay_trace_to_csv(trace: DecayTrace) -> str:
         val = trace.meta[key]
         if isinstance(val, (float, np.floating)):
             val = float(val)
-        elif isinstance(val, (int, np.integer)):
+        elif isinstance(val, np.integer):
             val = int(val)
         lines.append(f"# {key}={val!r}")
     lines.append("time_s,value")
@@ -594,8 +574,8 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
                 else:
                     try:
                         meta[key] = ast.literal_eval(val.strip())
-                    except (ValueError, SyntaxError):
-                        meta[key] = val.strip()
+                    except (ValueError, TypeError, SyntaxError, RecursionError):
+                        meta[key] = val.strip()  # not a literal: kept as text
             continue
         if line.lower().startswith("time_s"):
             continue
@@ -611,11 +591,5 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
                       kind=kind, bin_width_s=bin_width, meta=meta)
 
 
-def save_decay_trace(trace: DecayTrace, path):
-    with open(path, "w") as fh:
-        fh.write(decay_trace_to_csv(trace))
-
-
 def load_decay_trace(path) -> DecayTrace:
-    with open(path) as fh:
-        return decay_trace_from_csv(fh.read())
+    return decay_trace_from_csv(read_text(path))

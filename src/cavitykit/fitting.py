@@ -36,7 +36,7 @@ import numpy as np
 __all__ = [
     "DegenerateFitError", "FitModel", "FitResult", "MODEL_KINDS",
     "get_model", "least_squares_fit", "fit_decay_trace", "fit_tau_detuning",
-    "fit_spectrum", "eval_transmission_model",
+    "fit_spectrum",
 ]
 
 MAX_ITERATIONS = 500
@@ -359,7 +359,6 @@ def _require_finite(name: str, arr: np.ndarray):
 
 
 def least_squares_fit(model, x, y, sigma=None, init=None,
-                      max_iter: int = MAX_ITERATIONS,
                       on_singular: str = "raise") -> FitResult:
     """Minimize sum(((y - model(x; theta)) / sigma)^2) over theta.
 
@@ -429,7 +428,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     notes = []
     n_iter = 0
 
-    while n_iter < max_iter:
+    while n_iter < MAX_ITERATIONS:
         n_iter += 1
         jw = jac_at(theta, f) * inv_sigma[:, None]
         col = np.sqrt(np.sum(jw ** 2, axis=0))
@@ -493,8 +492,8 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
         if converged:
             break
 
-    if n_iter >= max_iter and not converged:
-        notes.append(f"iteration cap of {max_iter} reached before convergence")
+    if n_iter >= MAX_ITERATIONS and not converged:
+        notes.append(f"iteration cap of {MAX_ITERATIONS} reached before convergence")
 
     # covariance from the (unscaled) normal matrix at the optimum; a column
     # that is exactly zero marks a structurally unconstrained parameter
@@ -645,25 +644,3 @@ def fit_spectrum(spectrum) -> FitResult:
     })
     return result
 
-
-def eval_transmission_model(kind: str, x, params: dict):
-    """Evaluate one of the transmission-tolerance models at x.
-
-    kinds: tanh-transmission (t0, x0, s), exponential-saturation (t_inf, l0),
-    asymmetric-lorentzian (amplitude, center, w_left, w_right).  Width and
-    scale parameters must be positive.
-    """
-    if kind not in ("tanh-transmission", "exponential-saturation",
-                    "asymmetric-lorentzian"):
-        raise ValueError(f"not a transmission model kind: {kind!r}")
-    model = get_model(kind)
-    positive = {"tanh-transmission": ("x0", "s"),
-                "exponential-saturation": ("l0",),
-                "asymmetric-lorentzian": ("w_left", "w_right")}[kind]
-    for name in positive:
-        if not (params[name] > 0.0):
-            raise ValueError(f"{kind}: parameter {name} must be > 0, "
-                             f"got {params[name]!r}")
-    theta = np.array([params[name] for name in model.param_names], dtype=float)
-    x = np.asarray(x, dtype=float)
-    return model.fn(x, theta)

@@ -10,9 +10,10 @@ uncertainties propagate as a first-order sum of dB variances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
+from ._cells import finite_real
 from .units import db_to_linear
 
 __all__ = [
@@ -42,6 +43,11 @@ class LinkElement:
     loss_db_err: Optional[float] = None
 
     def __post_init__(self):
+        for f in fields(self)[1:]:  # every field after name is a number
+            v = getattr(self, f.name)
+            if not (v is None or finite_real(v)):
+                raise ValueError(f"element {self.name!r}: {f.name} must be a "
+                                 f"finite number, got {v!r}")
         ways = (self.efficiency is not None, self.loss_db is not None,
                 self.loss_db_per_cm is not None or self.length_cm is not None)
         if sum(ways) != 1:
@@ -197,12 +203,11 @@ def chain_from_json_obj(obj) -> LinkChain:
     """Build a chain from a JSON list of element dicts."""
     if not isinstance(obj, list):
         raise ValueError("chain spec must be a JSON list of element objects")
-    allowed = {"name", "efficiency", "loss_db", "loss_db_per_cm", "length_cm",
-               "efficiency_err", "loss_db_err"}
+    allowed = {f.name for f in fields(LinkElement)}
     elements = []
     for i, entry in enumerate(obj):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ValueError(f"chain entry {i}: must be an object with a 'name'")
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise ValueError(f"chain entry {i}: must be an object with a string 'name'")
         unknown = set(entry) - allowed
         if unknown:
             raise ValueError(f"chain entry {i}: unknown keys {sorted(unknown)}")

@@ -48,13 +48,6 @@ class RateBudget:
     def gamma_rad(self) -> float:
         return self.gamma_zpl + self.gamma_psb
 
-    def scaled(self, alpha: float) -> "RateBudget":
-        """All channels multiplied by a common factor alpha > 0."""
-        if not (alpha > 0.0):
-            raise ValueError(f"scale factor must be > 0, got {alpha!r}")
-        return RateBudget(alpha * self.gamma_zpl, alpha * self.gamma_psb,
-                          alpha * self.gamma_nonrad)
-
 
 @dataclass(frozen=True)
 class EfficiencyFactors:
@@ -147,20 +140,3 @@ def zpl_quantities_from_c(c: float, eta: EfficiencyFactors) -> PurcellResult:
     c_zpl = c / eta.product
     return PurcellResult(c=c, f_p=c + 1.0, c_zpl=c_zpl, f_zpl=c_zpl + 1.0)
 
-
-def czpl_general(primed: RateBudget, gamma_on: float) -> float:
-    """ZPL cooperativity from in-cavity far-detuned rates and the on-resonance rate.
-
-    ``primed`` holds the decay budget of the emitter inside the structure
-    but far detuned from the mode; gamma_on is the measured on-resonance
-    total rate.  C_ZPL = (gamma_on - gamma_off_total) / gamma_zpl'.  The
-    result is invariant under a uniform rescaling of the primed budget when
-    gamma_on carries the same single-channel enhancement structure.
-    """
-    if not (primed.gamma_zpl > 0.0):
-        raise ValueError("primed ZPL rate must be > 0")
-    gamma_off = total_decay_rate(primed)
-    if gamma_on < gamma_off:
-        raise ValueError("on-resonance rate below the off-resonance total; "
-                         "use czpl_from_lifetimes for suppression analysis")
-    return (gamma_on - gamma_off) / primed.gamma_zpl

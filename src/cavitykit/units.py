@@ -6,8 +6,8 @@ throughout the package and are worth stating once:
 * Ordinary frequencies (Hz): every user-facing linewidth, coupling rate or
   detuning is an ordinary frequency, i.e. the "omega / 2pi" value that
   experiments report (kappa/2pi, g0/2pi, ...).  Angular frequencies (rad/s)
-  appear only inside formulas that need them and are converted at module
-  boundaries with :func:`to_angular` / :func:`to_ordinary`.
+  appear only inside formulas that need them, converted there with
+  :func:`to_angular`.
 * dB values are power dB throughout: dB = 10 log10(linear).
 
 Constants (CODATA 2018):
@@ -47,17 +47,9 @@ EPS0 = CONSTANTS.eps0
 C0 = CONSTANTS.c
 DEBYE = CONSTANTS.debye
 
-TWO_PI = 2.0 * math.pi
-
-
 def to_angular(nu_hz: float) -> float:
     """Ordinary frequency (Hz) -> angular frequency (rad/s)."""
-    return TWO_PI * nu_hz
-
-
-def to_ordinary(omega: float) -> float:
-    """Angular frequency (rad/s) -> ordinary frequency (Hz)."""
-    return omega / TWO_PI
+    return 2.0 * math.pi * nu_hz
 
 
 def linear_to_db(linear: float) -> float:
@@ -71,23 +63,3 @@ def db_to_linear(db: float) -> float:
     """Power dB -> linear power ratio."""
     return 10.0 ** (db / 10.0)
 
-
-def quality_factor(nu_c_hz: float, kappa_hz: float) -> float:
-    """Q = nu_c / kappa, both as ordinary frequencies."""
-    if not (kappa_hz > 0.0):
-        raise ValueError(f"kappa must be > 0, got {kappa_hz!r}")
-    return nu_c_hz / kappa_hz
-
-
-def wavelength_to_frequency(wavelength_m: float) -> float:
-    """Vacuum wavelength (m) -> ordinary frequency (Hz)."""
-    if not (wavelength_m > 0.0):
-        raise ValueError(f"wavelength must be > 0, got {wavelength_m!r}")
-    return C0 / wavelength_m
-
-
-def frequency_to_wavelength(nu_hz: float) -> float:
-    """Ordinary frequency (Hz) -> vacuum wavelength (m)."""
-    if not (nu_hz > 0.0):
-        raise ValueError(f"frequency must be > 0, got {nu_hz!r}")
-    return C0 / nu_hz

@@ -205,6 +205,65 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "usage error" in err
     assert run_cli("purcell") == 2  # neither --c nor lifetimes
     assert run_cli("link-budget") == 2
+    # a byte that is not UTF-8 is reported with the file and its line
+    rows = "".join(f"{d}e11,{15e-9 - d * 1e-10!r}\n" for d in range(-3, 4))
+    for cmd, name, text in (
+            ("fit-detuning", "table.csv", "delta_hz,tau_s\n" + rows),
+            ("fit-spectrum", "spectrum.csv", "wavelength_nm,intensity\n" + rows * 3),
+            ("link-budget", "chain.json", '[{"name": "a",\n"efficiency": 0.5}]')):
+        path = tmp_path / name
+        data = text.encode()
+        cut = data.index(b"\n") + 1  # the start of line 2
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        assert run_cli(cmd, str(path)) == 2
+        assert f"{path}: line 2: not UTF-8: byte 0xff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    ("[1, 2]", 2, "expected a JSON object with a 'params' object"),
+    ('{"result": 5}', 2, "expected a JSON object with a 'params' object"),
+    ('{"params": [0.14]}', 2, "expected a JSON object with a 'params' object"),
+    ('{"params": {"c": "abc"}}', 2, "params['c'] must be a finite number, got 'abc'"),
+    ('{"result": {"params": {"kappa": NaN}}}', 2, "params['kappa'] must be a finite number"),
+    ('{"params": {"tau1": null}}', 2, "params['tau1'] must be a finite number"),
+    ('{"params": {"c": -1}}', 1, "C must be >= 0"),  # out of range: a domain error
+])
+def test_params_json_must_hold_finite_params(doc, code, message, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(doc)
+    assert run_cli("gen-synthetic", "--what", "tau-detuning", "--params-json",
+                   str(params), "--out-dir", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert (f"usage error: {params}: " in err) == (code == 2)
+
+
+def test_link_budget_non_finite_values(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    for entry in ('{"name": "a", "loss_db": NaN}', '{"name": "a", "efficiency": "x"}',
+                  '{"name": "a", "loss_db_per_cm": 1.0, "length_cm": NaN}',
+                  '{"name": "a", "loss_db": 1.0, "loss_db_err": NaN}'):
+        chain.write_text(f"[{entry}]")
+        assert run_cli("link-budget", str(chain), "--quiet") == 2
+        assert "usage error" in capsys.readouterr().err
+    assert run_cli("link-budget", "--db-per-cm", "nan", "--length-cm", "1") == 1
+    assert "loss_db_per_cm must be a finite number" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_usage_error(fixtures, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    assert run_cli("link-budget", str(deep)) == 2
+    assert run_cli("gen-synthetic", "--params-json", str(deep),
+                   "--out-dir", str(tmp_path / "out")) == 2
+    assert run_cli("mode-volume", str(deep)) == 2
+    assert capsys.readouterr().err.count("usage error") == 3
+    # a trace comment that is not a Python literal is kept as text
+    trace = tmp_path / "trace.csv"
+    for note in ("-" * 5000 + "1", "{[1]: 2}"):
+        trace.write_text(f"# note={note}\n"
+                         + (fixtures / "decay_trace_04.csv").read_text())
+        assert run_cli("fit-decay", str(trace), "--out", str(tmp_path / "f.json")) == 0
 
 
 def test_table_header_must_name_the_columns(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavitykit.coupling import (
-    DEFAULT_REGION_M, EmitterDipole, FieldGrid, WeightingConfig,
+    DEFAULT_REGION_M, FieldGrid, WeightingConfig,
     dipole_from_lifetime, effective_g0, ensemble_weighting_factor, g0_ideal,
     ideal_coupling, load_field_grid, mode_volume, normalized_mode_volume,
     save_field_grid, to_debye, zero_point_field,
@@ -136,10 +136,10 @@ def test_dipole_pins():
 
 def test_zpl_dipole_range():
     for eta_dw, lo, hi in ((0.02, 0.95, 1.05), (0.03, 1.17, 1.29)):
-        dip = EmitterDipole(tau1_s=16e-9, nu_hz=475e12, eta_dw=eta_dw)
-        assert lo < dip.d_perp_zpl_debye < hi
-        assert dip.d_perp_zpl_cm == pytest.approx(
-            math.sqrt(eta_dw) * dip.d_perp_cm, rel=1e-12)
+        est = ideal_coupling(16e-9, 475e12, eta_dw, v_mode_normalized=0.5)
+        assert lo < to_debye(est.d_zpl_cm) < hi
+        assert est.d_zpl_cm == pytest.approx(
+            math.sqrt(eta_dw) * est.d_perp_cm, rel=1e-12)
 
 
 def test_g0_ideal_linearity():
@@ -162,6 +162,11 @@ def test_ideal_coupling_argument_check():
     with pytest.raises(ValueError):
         ideal_coupling(16e-9, 475e12, 0.02, v_mode_m3=1e-20,
                        v_mode_normalized=0.5)
+    # checked before the normalized mode volume divides by the frequency
+    with pytest.raises(ValueError, match="lifetime and frequency must be > 0"):
+        ideal_coupling(16e-9, 0.0, 0.02, v_mode_normalized=0.5)
+    with pytest.raises(ValueError, match=r"eta_dw must lie in \(0, 1\], got 0.0"):
+        ideal_coupling(16e-9, 475e12, 0.0, v_mode_normalized=0.5)
 
 
 def test_effective_g0():

@@ -95,6 +95,18 @@ def test_element_representation_is_exclusive():
         LinkElement(name="x", loss_db=-2.0)
     with pytest.raises(ValueError):
         LinkElement(name="x", efficiency=0.5, efficiency_err=0.1, loss_db_err=0.1)
+    # every given number must be a finite real, and the error names the field
+    for field, spec in (
+            ("loss_db", {"loss_db": math.nan}),
+            ("length_cm", {"loss_db_per_cm": 1.0, "length_cm": math.nan}),
+            ("loss_db_err", {"loss_db": 1.0, "loss_db_err": math.nan}),
+            ("efficiency", {"efficiency": "x"}),
+            ("efficiency", {"efficiency": True}),
+            ("loss_db", {"loss_db": math.inf}),
+            ("loss_db", {"loss_db": 10 ** 400})):  # no float can hold it
+        with pytest.raises(ValueError, match=f"element 'x': {field} must be a finite"):
+            LinkElement(name="x", **spec)
+    assert LinkElement(name="x", efficiency=0).resolved_efficiency == 0.0
 
 
 def test_zero_efficiency_element_is_flagged():
