@@ -72,6 +72,7 @@ class FieldGrid:
     ``e_mag2`` (|E|^2) and ``energy_density`` (eps*|E|^2) are computed once
     at construction and stored read-only, like the inputs; they cost 16
     bytes per grid point on top of the 32 the field and permittivity take.
+    A field so large that either overflows float64 is a ValueError.
     """
 
     e_field: np.ndarray
@@ -98,15 +99,23 @@ class FieldGrid:
             raise ValueError("relative permittivity must be >= 1 everywhere")
         # the same additions, in the same order, as np.sum(e**2, axis=-1)
         ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-        e_mag2 = ex * ex + ey * ey + ez * ez
-        energy = eps * e_mag2
+        with np.errstate(over="ignore"):   # an overflow is an inf, caught below
+            e_mag2 = ex * ex + ey * ey + ez * ez
+            energy = eps * e_mag2
+        i_e2, i_w = int(np.argmax(e_mag2)), int(np.argmax(energy))
+        for name, arr, i in (("|E|^2", e_mag2, i_e2), ("eps*|E|^2", energy, i_w)):
+            if not math.isfinite(arr.flat[i]):
+                raise ValueError(
+                    f"{name} overflows float64 at grid index "
+                    f"{tuple(int(k) for k in np.unravel_index(i, e.shape[:3]))}; "
+                    "rescale the field")
         e_mag2.flags.writeable = energy.flags.writeable = False
         for name, arr in (("e_field", e), ("eps_rel", eps),
                           ("e_mag2", e_mag2), ("energy_density", energy)):
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "spacing_m", tuple(float(s) for s in self.spacing_m))
         object.__setattr__(self, "origin_m", tuple(float(o) for o in self.origin_m))
-        if e_mag2.max() > 0.0 and np.argmax(energy) != np.argmax(e_mag2):
+        if e_mag2.flat[i_e2] > 0.0 and i_w != i_e2:
             warnings.warn(
                 "maximum of eps*|E|^2 and maximum of |E| sit at different grid "
                 "points; the zero-point normalization assumes they coincide",
@@ -154,14 +163,22 @@ def mode_volume(grid: FieldGrid) -> float:
     w_max = float(np.max(w))
     if w_max <= 0.0:
         raise ValueError("field is identically zero; mode volume undefined")
-    return float(np.sum(w)) * grid.cell_volume_m3 / w_max
+    with np.errstate(over="ignore"):
+        total = float(np.sum(w))
+    if not math.isfinite(total):
+        raise ValueError("the sum of eps*|E|^2 overflows float64; rescale the field")
+    return total * grid.cell_volume_m3 / w_max
 
 
 def normalized_mode_volume(v_m3: float, wavelength_m: float, n_index: float) -> float:
     """Mode volume in units of (lambda/n)^3."""
-    if not (wavelength_m > 0.0 and n_index > 0.0):
-        raise ValueError("wavelength and index must be > 0")
-    return v_m3 / (wavelength_m / n_index) ** 3
+    if not (0.0 < wavelength_m < math.inf and 0.0 < n_index < math.inf):
+        raise ValueError("wavelength and index must be finite and > 0")
+    try:
+        return v_m3 / (wavelength_m / n_index) ** 3
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"(lambda/n)^3 is out of float64 range for lambda = "
+                         f"{wavelength_m!r} m, n = {n_index!r}") from None
 
 
 def zero_point_field(nu_c_hz: float, eps_rel_at_max: float, v_mode_m3: float) -> float:

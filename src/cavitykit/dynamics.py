@@ -421,7 +421,8 @@ def tau_of_detuning(c: float, kappa_hz: float, tau1_s: float, delta_hz):
     if not (tau1_s > 0.0):
         raise ValueError(f"tau1 must be > 0, got {tau1_s!r}")
     delta = np.asarray(delta_hz, dtype=float)
-    f = 1.0 / (1.0 + 4.0 * (delta / kappa_hz) ** 2)
+    with np.errstate(over="ignore"):   # |Delta| >> kappa: f -> 0, tau -> tau1
+        f = 1.0 / (1.0 + 4.0 * (delta / kappa_hz) ** 2)
     tau = tau1_s / (c * f + 1.0)
     return float(tau) if np.isscalar(delta_hz) else tau
 

@@ -1,15 +1,20 @@
 """Weighted nonlinear least squares and the fit models used in this package.
 
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt schedule) with
-Marquardt diagonal scaling and column-normalized Jacobians, which keeps the
-normal equations well conditioned even when parameters span twenty orders
-of magnitude (kappa in Hz next to tau in seconds).  Jacobians are finite
-difference at relative step 1e-7 unless a model carries an analytic one.
+column-normalized Jacobians, which keeps the normal equations well
+conditioned even when parameters span twenty orders of magnitude (kappa in
+Hz next to tau in seconds).  With unit-norm columns the diagonal of J^T J
+is 1, so Marquardt's diagonal scaling is the identity and the damping term
+is lam * I.  Every model kind carries an analytic Jacobian; the tests check
+each one against central differences.
 
-Convergence: relative step below 1e-10 or scaled gradient below 1e-12,
-capped at 500 iterations; hitting the cap flags converged=False instead of
-raising.  The parameter covariance is the inverse Gauss-Newton normal
-matrix scaled by the reduced chi-square.
+Steps are clipped to the box bounds; a parameter on a bound that the
+gradient pushes outward is held there for that iteration, so the gradient
+test sees only the free parameters.  Convergence: relative step below
+1e-10 or scaled gradient below 1e-12, capped at 500 iterations; hitting
+the cap flags converged=False instead of raising.  The parameter
+covariance is the inverse Gauss-Newton normal matrix scaled by the reduced
+chi-square.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -23,13 +28,15 @@ The tanh and asymmetric-Lorentzian forms are phenomenological conventions:
 three interpretable parameters (plateau, tolerance half-width, rolloff
 scale) for the former; a piecewise-width Lorentzian, continuous at the
 peak and reducing to the symmetric form for equal widths, for the latter.
+The spectrum's two peak heights are emission peaks and are bounded below
+at 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +49,6 @@ __all__ = [
 MAX_ITERATIONS = 500
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
-FD_REL_STEP = 1e-7
 
 
 class DegenerateFitError(ValueError):
@@ -51,14 +57,14 @@ class DegenerateFitError(ValueError):
 
 @dataclass(frozen=True)
 class FitModel:
-    """A fittable model: vectorized function, optional analytic Jacobian,
-    box bounds (may be infinite) and an initial-guess policy."""
+    """A fittable model: vectorized function, its analytic Jacobian, box
+    bounds (may be infinite) and an initial-guess policy."""
 
     kind: str
     param_names: tuple
     fn: Callable
     guess: Callable
-    jacobian: Optional[Callable] = None
+    jacobian: Callable
     lower: tuple = ()
     upper: tuple = ()
 
@@ -191,6 +197,23 @@ def _spectrum_fn(x, th):
     return lor + gau + b0 + b1 * x
 
 
+def _lorentz_cols(x, a, x0, w):
+    """d/d(a, x0, w) of a / (1 + ((x - x0)/w)^2)."""
+    u = (x - x0) / w
+    ell = 1.0 / (1.0 + u * u)
+    d = 2.0 * a * u * ell * ell / w
+    return ell, d, d * u
+
+
+def _spectrum_jac(x, th):
+    a_c, x_c, w_c, a_z, x_z, s_z, _, _ = th
+    v = (x - x_z) / s_z
+    gau = np.exp(-0.5 * v * v)
+    d = a_z * gau * v / s_z
+    return np.column_stack([*_lorentz_cols(x, a_c, x_c, w_c),
+                            gau, d, d * v, np.ones_like(x), x])
+
+
 def _half_width(x, y, i_peak):
     """Half width at half maximum around a local peak, by interpolation."""
     h = y[i_peak]
@@ -245,6 +268,14 @@ def _tanh_fn(x, th):
     return t0 * 0.5 * (1.0 - np.tanh((np.abs(x) - x0) / s))
 
 
+def _tanh_jac(x, th):
+    t0, x0, s = th
+    z = (np.abs(x) - x0) / s
+    t = np.tanh(z)
+    d = 0.5 * t0 * (1.0 - t) * (1.0 + t) / s  # sech^2 without overflow
+    return np.column_stack([0.5 * (1.0 - t), d, d * z])
+
+
 def _guess_tanh(x, y):
     t0 = float(np.quantile(y, 0.95))
     ax = np.abs(x)
@@ -260,6 +291,11 @@ def _satur_fn(x, th):
     return th[0] * (1.0 - np.exp(-x / th[1]))
 
 
+def _satur_jac(x, th):
+    e = np.exp(-x / th[1])
+    return np.column_stack([1.0 - e, -th[0] * x * e / th[1] ** 2])
+
+
 def _guess_satur(x, y):
     t_inf = float(np.max(y))
     level = (1.0 - math.exp(-1.0)) * t_inf
@@ -272,6 +308,14 @@ def _asym_lorentz_fn(x, th):
     a, x0, w_left, w_right = th
     w = np.where(x < x0, w_left, w_right)
     return a / (1.0 + ((x - x0) / w) ** 2)
+
+
+def _asym_lorentz_jac(x, th):
+    a, x0, w_left, w_right = th
+    left = x < x0
+    ell, d_x0, d_w = _lorentz_cols(x, a, x0, np.where(left, w_left, w_right))
+    return np.column_stack([ell, d_x0, np.where(left, d_w, 0.0),
+                            np.where(left, 0.0, d_w)])
 
 
 def _guess_asym_lorentz(x, y):
@@ -305,22 +349,23 @@ _MODELS = {
         kind="lorentzian-plus-gaussian",
         param_names=("a_cav", "x_cav", "w_cav", "a_zpl", "x_zpl", "sigma_zpl",
                      "base_offset", "base_slope"),
-        fn=_spectrum_fn, guess=_guess_spectrum,
-        lower=(-math.inf, -math.inf, _TINY, -math.inf, -math.inf, _TINY,
+        fn=_spectrum_fn, jacobian=_spectrum_jac, guess=_guess_spectrum,
+        lower=(0.0, -math.inf, _TINY, 0.0, -math.inf, _TINY,
                -math.inf, -math.inf),
         upper=(math.inf,) * 8),
     "tanh-transmission": FitModel(
         kind="tanh-transmission", param_names=("t0", "x0", "s"),
-        fn=_tanh_fn, guess=_guess_tanh,
+        fn=_tanh_fn, jacobian=_tanh_jac, guess=_guess_tanh,
         lower=(_TINY, _TINY, _TINY), upper=(math.inf,) * 3),
     "exponential-saturation": FitModel(
         kind="exponential-saturation", param_names=("t_inf", "l0"),
-        fn=_satur_fn, guess=_guess_satur,
+        fn=_satur_fn, jacobian=_satur_jac, guess=_guess_satur,
         lower=(-math.inf, _TINY), upper=(math.inf, math.inf)),
     "asymmetric-lorentzian": FitModel(
         kind="asymmetric-lorentzian",
         param_names=("amplitude", "center", "w_left", "w_right"),
-        fn=_asym_lorentz_fn, guess=_guess_asym_lorentz,
+        fn=_asym_lorentz_fn, jacobian=_asym_lorentz_jac,
+        guess=_guess_asym_lorentz,
         lower=(-math.inf, -math.inf, _TINY, _TINY), upper=(math.inf,) * 4),
 }
 
@@ -338,18 +383,6 @@ def get_model(kind: str) -> FitModel:
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt engine
 # ---------------------------------------------------------------------------
-
-def _fd_jacobian(fn, x, theta, f0, typical):
-    n, p = len(x), len(theta)
-    jac = np.empty((n, p))
-    for j in range(p):
-        h = FD_REL_STEP * max(abs(theta[j]), typical[j])
-        th = theta.copy()
-        th[j] = theta[j] + h
-        h_actual = th[j] - theta[j]  # exactly representable step
-        jac[:, j] = (fn(x, th) - f0) / h_actual
-    return jac
-
 
 def _require_finite(name: str, arr: np.ndarray):
     finite = np.isfinite(arr)
@@ -398,31 +431,32 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     if init is not None:
         _require_finite("init", theta)
     theta = np.clip(theta, lower, upper)
-    # a parameter starting at (or clipped to) ~0 has no scale of its own;
-    # the span of x stands in, so its finite-difference step stays usable
+    # per-parameter scale of the relative-step test; a parameter starting
+    # at (or clipped to) ~0 has no scale of its own, and the span of x
+    # stands in
     typical = np.abs(theta)
     unscaled = typical <= _TINY
     if unscaled.any():
         typical[unscaled] = max(float(np.ptp(x)), _TINY)
 
-    def eval_fn(th):
+    def residual(th):
         with np.errstate(all="ignore"):
-            return model.fn(x, th)
+            return (y - model.fn(x, th)) * inv_sigma
 
-    def jac_at(th, f0):
+    def jac_at(th):
         with np.errstate(all="ignore"):
-            if model.jacobian is not None:
-                return model.jacobian(x, th)
-            return _fd_jacobian(model.fn, x, th, f0, typical)
+            return model.jacobian(x, th)
 
-    f = eval_fn(theta)
-    r = (y - f) * inv_sigma
+    r = residual(theta)
     cost = float(r @ r)
     # scale for the gradient test: with unit-norm Jacobian columns the
     # gradient is linear in the weighted residual, so normalizing by the
     # weighted data norm makes the 1e-12 threshold dimensionless
     yw = y * inv_sigma
     grad_scale = max(math.sqrt(float(yw @ yw)), math.sqrt(cost), _TINY)
+    # the normalized columns make diag(J^T J) 1 (0 for a dead column, whose
+    # gradient entry and so its step are 0 anyway): Marquardt's scaling is I
+    eye = np.eye(p)
     lam = 1e-3
     converged = False
     notes = []
@@ -430,7 +464,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
 
     while n_iter < MAX_ITERATIONS:
         n_iter += 1
-        jw = jac_at(theta, f) * inv_sigma[:, None]
+        jw = jac_at(theta) * inv_sigma[:, None]
         col = np.sqrt(np.sum(jw ** 2, axis=0))
         if not np.any(col > 0.0):
             if on_singular == "raise":
@@ -443,21 +477,23 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
         # enter the normal equations on an equal footing
         scale = np.where(col > 0.0, col, 1.0)
         js = jw / scale
-        a = js.T @ js
         g = js.T @ r
+        # a parameter on a bound that the gradient pushes out of the box is
+        # held there: with its column zeroed its step is 0, like a dead one's
+        held = ((theta <= lower) & (g < 0.0)) | ((theta >= upper) & (g > 0.0))
+        if held.any():
+            js[:, held] = 0.0
+            g[held] = 0.0
+        a = js.T @ js
         if float(np.max(np.abs(g))) < GRAD_TOL * grad_scale:
             converged = True
             break
-
-        diag = np.diag(a).copy()
-        diag_floor = 1e-12 * float(np.max(diag)) if np.max(diag) > 0.0 else 1.0
-        diag = np.maximum(diag, diag_floor)
 
         accepted = False
         no_step_left = False
         while lam <= 1e14:
             try:
-                delta_s = np.linalg.solve(a + lam * np.diag(diag), g)
+                delta_s = np.linalg.solve(a + lam * eye, g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -468,15 +504,14 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
                 # nothing representable improves the cost any more
                 no_step_left = True
                 break
-            f_t = eval_fn(trial)
-            r_t = (y - f_t) * inv_sigma
+            r_t = residual(trial)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t < cost:
                 # per-parameter relative step; an aggregate norm would let
                 # the largest-scale parameter mask motion in the others
                 rel_step = float(np.max(
                     np.abs(trial - theta) / np.maximum(np.abs(theta), typical)))
-                theta, f, r, cost = trial, f_t, r_t, cost_t
+                theta, r, cost = trial, r_t, cost_t
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 if rel_step < STEP_TOL:
@@ -497,7 +532,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
 
     # covariance from the (unscaled) normal matrix at the optimum; a column
     # that is exactly zero marks a structurally unconstrained parameter
-    jw = jac_at(theta, f) * inv_sigma[:, None]
+    jw = jac_at(theta) * inv_sigma[:, None]
     col = np.sqrt(np.sum(jw ** 2, axis=0))
     dead = col <= 1e-280
     scale = np.where(dead, 1.0, col)

@@ -343,6 +343,17 @@ def test_bad_fgrid_header_is_a_line_1_usage_error(key, value, message, tmp_path,
     assert f"line 1: {message}" in err
 
 
+def test_overflowing_field_map_is_a_usage_error(tmp_path, capsys):
+    # a CSV field map of 1e160 everywhere: |E|^2 overflows float64, a
+    # usage error naming the file, with no numpy warning
+    path = tmp_path / "huge.fgrid"
+    header = dict(GOOD_FGRID_HEADER, encoding="csv")
+    path.write_text(json.dumps(header) + "\n" + "1e160,1e160,1e160,1.0\n" * 8)
+    assert run_cli("mode-volume", str(path)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"usage error: {path}: |E|^2 overflows float64 at grid index (0, 0, 0)")
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "inf"])
 def test_bad_bin_width_names_its_line(value, fixtures, tmp_path, capsys):
     lines = (fixtures / "decay_trace_04.csv").read_text().splitlines()

@@ -70,10 +70,29 @@ def test_mode_volume_zero_field_raises():
         mode_volume(grid)
 
 
+def test_overflowing_field_is_rejected():
+    # |E|^2 overflows float64 at every point; the grid names the first one
+    with pytest.raises(ValueError, match=r"\|E\|\^2 overflows float64 at grid index \(0, 0, 0\)"):
+        _uniform_grid(value=1e160)
+    # |E|^2 fits, eps*|E|^2 does not
+    with pytest.raises(ValueError, match=r"eps\*\|E\|\^2 overflows float64"):
+        _uniform_grid(value=1e154, eps=1e10)
+    # every cell fits, their sum does not
+    grid = _uniform_grid(value=1e154)
+    with pytest.raises(ValueError, match=r"sum of eps\*\|E\|\^2 overflows"):
+        mode_volume(grid)
+
+
 def test_normalized_mode_volume():
     lam, n = 631.1e-9, math.sqrt(5.7)
     v = 0.5 * (lam / n) ** 3
     assert normalized_mode_volume(v, lam, n) == pytest.approx(0.5, rel=1e-12)
+    # (lambda/n)^3 past either end of the float64 range is a ValueError
+    for lam_m, n_index in ((1e291, 1.0), (6.37e-7, 1e150)):
+        with pytest.raises(ValueError, match="out of float64 range"):
+            normalized_mode_volume(v, lam_m, n_index)
+    with pytest.raises(ValueError, match="finite"):
+        normalized_mode_volume(v, math.inf, n)
 
 
 def test_field_grid_validation():

@@ -81,6 +81,33 @@ def test_noiseless_round_trip_from_perturbed_init(kind):
         assert result.converged
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_analytic_jacobian_matches_central_differences(kind):
+    # 20 random points inside the round-trip ranges; every column agrees
+    # with a central difference to 1e-5 of its largest entry
+    x, ranges = ROUND_TRIP_CASES[kind]
+    model = get_model(kind)
+    rng = np.random.default_rng(zlib.crc32(b"jacobian:" + kind.encode()))
+    for _ in range(20):
+        theta = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+        jac = model.jacobian(x, theta)
+        assert jac.shape == (len(x), len(theta))
+        for j, (lo, hi) in enumerate(ranges):
+            up, down = theta.copy(), theta.copy()
+            up[j] += 1e-6 * (hi - lo)
+            down[j] -= 1e-6 * (hi - lo)
+            fd = (model.fn(x, up) - model.fn(x, down)) / (up[j] - down[j])
+            err = float(np.max(np.abs(jac[:, j] - fd)))
+            assert err <= 1e-5 * float(np.max(np.abs(jac[:, j]))), (kind, j, theta)
+
+
+def test_every_fit_model_needs_a_jacobian():
+    with pytest.raises(TypeError):
+        fitting.FitModel(kind="line", param_names=("a", "b"),
+                         fn=lambda x, th: th[0] + th[1] * x,
+                         guess=lambda x, y: np.zeros(2))
+
+
 def test_exact_init_converges_within_two_iterations():
     x, _ = ROUND_TRIP_CASES["single-exponential"]
     truth = np.array([1e4, 15.9e-9])
@@ -278,6 +305,22 @@ def test_fit_spectrum_flags_unresolvable_overlap():
     assert any("correlated" in w or "unconstrained" in w for w in res.warnings)
 
 
+def test_peak_height_held_at_its_bound_converges():
+    # the blended core above, from one start: the ZPL height is pushed below
+    # its bound 0 and is held there, so the fit converges in a few
+    # iterations instead of zigzagging against the bound to the cap
+    lam = np.linspace(636.2, 637.8, 80)
+    core = (150.0 / (1.0 + ((lam - 637.0) / 0.55) ** 2)
+            + 140.0 * np.exp(-0.5 * ((lam - 637.0) / 0.50) ** 2) + 5.0)
+    res = least_squares_fit("lorentzian-plus-gaussian", lam, core,
+                            init=fitting._guess_spectrum(lam, core),
+                            on_singular="pinv")
+    assert res.params["a_zpl"] == 0.0
+    assert res.converged
+    assert res.n_iterations < 50
+    assert any("'x_zpl' is unconstrained" in w for w in res.warnings)
+
+
 def test_tau_detuning_noisy_band_recovery():
     # sweep with 2% error bars: C comes back inside the 0.14 +/- 0.03 band
     pts = synthetic_tau_detuning(sigma_frac=0.02, rng=np.random.default_rng(77))
@@ -352,8 +395,8 @@ def test_least_squares_fit_rejects_non_finite_inputs(name):
 
 
 def test_zero_valued_guess_gets_a_usable_fd_step():
-    # the grid holds x = 0, so the guessed center is exactly 0; its
-    # finite-difference step must not collapse to ~1e-307
+    # the grid holds x = 0, so the guessed center is exactly 0: a start with
+    # no scale of its own must still converge
     model = get_model("asymmetric-lorentzian")
     x = np.linspace(-5.0, 5.0, 151)
     truth = np.array([1.0, 0.01, 0.5, 1.0])

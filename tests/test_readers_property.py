@@ -1,17 +1,21 @@
 """Property tests for the input readers, driven through ``cli.main``.
 
 Each case starts from a valid input file and mutates it: cells replaced by
-awkward tokens, lines dropped, repeated or inserted, stray bytes added.  It
-then runs the subcommand that reads the file.  Whatever the input, the
-command exits 0, 1 or 2 and no exception escapes, and every file that the
-reader itself rejects exits 2.  The trace and ``.fgrid`` writers round-trip
-bit for bit.
+awkward tokens, lines dropped, repeated or inserted, stray bytes added; a
+binary ``.fgrid`` body is truncated, extended or has float64 words
+overwritten.  It then runs the subcommand that reads the file.  Whatever
+the input, the command exits 0, 1 or 2 and no exception escapes, and every
+file that the reader itself rejects exits 2.  The trace and ``.fgrid``
+writers round-trip bit for bit.  tau(Delta), which the detuning fits model,
+is even, non-decreasing in |Delta| and bounded by tau1.
 """
 
 import contextlib
 import io
 import json
+import math
 import string
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,7 +28,9 @@ from hypothesis import strategies as st
 from cavitykit import cli, dynamics, linkbudget
 from cavitykit._cells import read_text
 from cavitykit.coupling import FieldGrid, load_field_grid, save_field_grid
-from cavitykit.dynamics import DecayTrace, decay_trace_from_csv, decay_trace_to_csv
+from cavitykit.dynamics import (
+    DecayTrace, decay_trace_from_csv, decay_trace_to_csv, tau_of_detuning,
+)
 from cavitykit.synthetic import (
     synthetic_decay_trace, synthetic_field_grid, synthetic_spectrum,
     synthetic_tau_detuning,
@@ -60,17 +66,18 @@ def _table(header, rows):
         ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-def _fgrid_csv():
+def _fgrid_bytes(encoding):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "grid.fgrid"
-        save_field_grid(synthetic_field_grid(dims=(3, 2, 2)), path, encoding="csv")
-        return path.read_text()
+        save_field_grid(synthetic_field_grid(dims=(3, 2, 2)), path, encoding=encoding)
+        return path.read_bytes()
 
 
 DETUNING = _table("delta_hz,tau_s,sigma_s", synthetic_tau_detuning())
 SPECTRUM = _table("wavelength_nm,intensity", synthetic_spectrum(n=24))
 TRACE = decay_trace_to_csv(synthetic_decay_trace(n_bins=40))
-FGRID = _fgrid_csv()
+FGRID = _fgrid_bytes("csv").decode()
+FGRID_F64 = _fgrid_bytes("f64")
 CHAIN = json.dumps([{"name": "taper", "efficiency": 0.8},
                     {"name": "wg", "loss_db_per_cm": 1.9, "length_cm": 0.35},
                     {"name": "edge", "efficiency": 0.197, "efficiency_err": 0.045}],
@@ -99,6 +106,29 @@ def mutated(draw, text, extra_lines):
         pos = draw(st.integers(0, len(data)))
         data = data[:pos] + draw(st.binary(min_size=1, max_size=3)) + data[pos:]
     return data
+
+
+#: float64 words written over an f64 body: non-finite, huge enough to
+#: overflow |E|^2 or eps*|E|^2, zero (a permittivity below 1), subnormal
+WORDS = [struct.pack("<d", v) for v in (0.0, -0.0, 5e-324, 1e154, 1e160, 1e300,
+                                        -1e300, math.nan, math.inf, -math.inf)]
+
+
+@st.composite
+def mutated_f64(draw):
+    """A valid f64 .fgrid with one to three edits to its binary body."""
+    head, _, body = FGRID_F64.partition(b"\n")
+    body = bytearray(body)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["word", "word", "truncate", "extend"]))
+        if op == "word" and len(body) >= 8:
+            i = 8 * draw(st.integers(0, len(body) // 8 - 1))
+            body[i:i + 8] = draw(st.sampled_from(WORDS))
+        elif op == "truncate":
+            del body[draw(st.integers(0, len(body))):]
+        elif op == "extend":
+            body += draw(st.sampled_from(WORDS) | st.binary(min_size=1, max_size=9))
+    return head + b"\n" + bytes(body)
 
 
 #: JSON values of every type, for the fields of a chain element
@@ -170,6 +200,13 @@ def test_fgrid_csv(work, data):
            load_field_grid)
 
 
+@settings(FEW, max_examples=100)
+@given(data=mutated_f64())
+def test_fgrid_f64(work, data):
+    _check(work, data, "grid_f64.fgrid", ["mode-volume", "--lambda-nm", "637"],
+           load_field_grid)
+
+
 @FEW
 @given(data=st.builds(lambda doc: json.dumps(doc).encode(), CHAINS) | mutated(CHAIN, CHAIN_LINES))
 def test_chain_json(work, data):
@@ -237,3 +274,19 @@ def test_field_grid_round_trip(work, grid, encoding):
     assert back.e_field.tobytes() == grid.e_field.tobytes()
     assert back.eps_rel.tobytes() == grid.eps_rel.tobytes()
     assert repr((back.spacing_m, back.origin_m)) == repr((grid.spacing_m, grid.origin_m))
+
+
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@FEW
+@given(c=st.floats(0.0, allow_infinity=False), kappa=POSITIVE, tau1=POSITIVE,
+       deltas=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=20))
+def test_tau_of_detuning_is_an_even_dip_below_tau1(c, kappa, tau1, deltas):
+    delta = np.array(deltas)
+    tau = tau_of_detuning(c, kappa, tau1, delta)
+    assert np.array_equal(tau, tau_of_detuning(c, kappa, tau1, -delta))
+    assert np.all(np.diff(tau[np.argsort(np.abs(delta))]) >= 0.0)
+    assert tau_of_detuning(c, kappa, tau1, 0.0) == tau1 / (1.0 + c)
+    assert np.all(tau <= tau1)
