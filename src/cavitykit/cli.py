@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -271,8 +272,13 @@ def _cmd_g0(args) -> int:
 
 
 def _load_grid(path: str) -> coupling.FieldGrid:
-    with _reading(path):
-        return coupling.load_field_grid(path)
+    """The grid at path; a warning about it goes to stderr as one line naming the file."""
+    with _reading(path), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        grid = coupling.load_field_grid(path)
+    for w in caught:
+        sys.stderr.write(f"warning: {path}: {w.message}\n")
+    return grid
 
 
 def _cmd_ensemble_weight(args) -> int:

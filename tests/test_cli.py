@@ -9,7 +9,7 @@ import pytest
 
 from cavitykit import cli
 from cavitykit.cli import main
-from cavitykit.coupling import save_field_grid
+from cavitykit.coupling import FieldGrid, save_field_grid
 from cavitykit.synthetic import synthetic_field_grid
 
 
@@ -352,6 +352,24 @@ def test_overflowing_field_map_is_a_usage_error(tmp_path, capsys):
     assert run_cli("mode-volume", str(path)) == 2
     assert capsys.readouterr().err.startswith(
         f"usage error: {path}: |E|^2 overflows float64 at grid index (0, 0, 0)")
+
+
+def test_grid_warning_is_one_line_naming_the_file(tmp_path, capsys):
+    # |E| peaks at a vacuum point, eps*|E|^2 at the eps = 2 point beside it
+    e = np.zeros((2, 2, 2, 3))
+    e[0, 0, 0, 1], e[1, 0, 0, 1] = 1.0, 0.8
+    eps = np.ones((2, 2, 2))
+    eps[1, 0, 0] = 2.0
+    path = tmp_path / "grid.fgrid"
+    with pytest.warns(UserWarning):
+        save_field_grid(FieldGrid(e_field=e, eps_rel=eps, spacing_m=(1e-9,) * 3), path)
+    for argv in (["mode-volume", str(path)], ["ensemble-weight", str(path)]):
+        assert run_cli(*argv) == 0
+        err = capsys.readouterr().err
+        assert err == (f"warning: {path}: maximum of eps*|E|^2 and maximum of |E| sit at "
+                       "different grid points; the zero-point normalization assumes "
+                       "they coincide\n")
+        assert "<string>" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "inf"])

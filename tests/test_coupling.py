@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cavitykit import coupling
 from cavitykit.coupling import (
     DEFAULT_REGION_M, FieldGrid, WeightingConfig,
     dipole_from_lifetime, effective_g0, ensemble_weighting_factor, g0_ideal,
@@ -107,14 +108,21 @@ def test_field_grid_validation():
         FieldGrid(e_field=e, eps_rel=np.ones((2, 2, 2)), spacing_m=(1e-9,) * 3)
 
 
-def test_field_grid_warns_when_maxima_disagree():
+def test_field_grid_warns_when_maxima_disagree(tmp_path):
     e = np.zeros((2, 2, 2, 3))
     e[0, 0, 0, 1] = 1.0   # |E| max at vacuum point
     e[1, 0, 0, 1] = 0.8   # energy max at high-eps point: 2 * 0.64 = 1.28
     eps = np.ones((2, 2, 2))
     eps[1, 0, 0] = 2.0
-    with pytest.warns(UserWarning, match="different grid points"):
-        FieldGrid(e_field=e, eps_rel=eps, spacing_m=(1e-9,) * 3)
+    with pytest.warns(UserWarning, match="different grid points") as record:
+        grid = FieldGrid(e_field=e, eps_rel=eps, spacing_m=(1e-9,) * 3)
+    # the warning names the line that built the grid, also through the loader
+    assert record[0].filename == __file__
+    path = tmp_path / "grid.fgrid"
+    save_field_grid(grid, path)
+    with pytest.warns(UserWarning, match="different grid points") as record:
+        load_field_grid(path)
+    assert record[0].filename == __file__
 
 
 def test_argmax_tie_breaks_at_lowest_linear_index():
@@ -418,6 +426,79 @@ def test_stored_derived_arrays_equal_recomputation_and_are_read_only(tmp_path):
                 arr[0, 0, 0] = 1.0
 
 
+#: 200 points a block cuts a grid of 13 x-planes of 9*7 points (the dims of
+#: _random_grid) into blocks of 3 planes and a ragged last block of 1
+SMALL_BLOCK = 200
+LAST_PLANE = 12
+
+
+def test_blocked_derived_arrays_equal_whole_grid_arithmetic(tmp_path, monkeypatch):
+    monkeypatch.setattr(coupling, "_BLOCK_POINTS", SMALL_BLOCK)
+    path = tmp_path / "grid.fgrid"
+    save_field_grid(_random_grid(5), path)
+    with warnings.catch_warnings():   # independent maxima of eps*|E|^2 and |E|
+        warnings.simplefilter("ignore")
+        loaded = load_field_grid(path)
+    # in memory (contiguous field) and loaded (field is a strided view)
+    for grid in (_random_grid(5), loaded):
+        e2 = np.sum(grid.e_field ** 2, axis=-1)
+        assert grid.e_mag2.tobytes() == e2.tobytes()
+        assert grid.energy_density.tobytes() == (grid.eps_rel * e2).tobytes()
+
+
+FINITE = "field and permittivity must be finite"
+EPS_BELOW_1 = "relative permittivity must be >= 1 everywhere"
+
+
+def _overflow(name, index):
+    return f"{name} overflows float64 at grid index {index}; rescale the field"
+
+
+# (column, grid index, value) plants: columns 0-2 are the field, 3 is eps
+@pytest.mark.parametrize("plants, message", [
+    ([(1, (12, 4, 3), math.nan)], FINITE),
+    ([(0, (12, 4, 3), math.inf)], FINITE),
+    ([(2, (12, 4, 3), -math.inf)], FINITE),
+    ([(1, (12, 4, 3), 1e160)], _overflow("|E|^2", (12, 4, 3))),
+    ([(3, (12, 4, 3), math.nan)], FINITE),
+    ([(3, (12, 4, 3), math.inf)], FINITE),
+    ([(3, (12, 4, 3), -math.inf)], FINITE),
+    ([(3, (12, 4, 3), 0.5)], EPS_BELOW_1),
+    # precedence: finite, then eps >= 1, then overflow at the first index
+    ([(3, (12, 1, 1), 0.5), (1, (12, 6, 2), math.nan)], FINITE),
+    ([(3, (0, 1, 1), 0.5), (1, (12, 6, 2), math.inf)], FINITE),
+    ([(1, (12, 1, 1), 1e160), (3, (12, 6, 2), 0.5)], EPS_BELOW_1),
+    ([(1, (12, 6, 2), 1e160), (0, (12, 1, 1), 1e170)], _overflow("|E|^2", (12, 1, 1))),
+    ([(1, (12, 6, 2), 1e154), (3, (12, 6, 2), 1e10)], _overflow("eps*|E|^2", (12, 6, 2))),
+], ids=["e-nan", "e-inf", "e-neginf", "e-overflow", "eps-nan", "eps-inf", "eps-neginf",
+        "eps-half", "nan-before-eps", "inf-before-earlier-eps", "eps-before-overflow",
+        "first-overflow", "energy-overflow"])
+def test_bad_value_in_the_last_block_raises_the_whole_grid_message(
+        plants, message, tmp_path, monkeypatch):
+    monkeypatch.setattr(coupling, "_BLOCK_POINTS", SMALL_BLOCK)
+    rng = np.random.default_rng(7)
+    dims = (LAST_PLANE + 1, 9, 7)
+    data = np.concatenate([rng.normal(size=dims + (3,)),
+                           rng.uniform(1.0, 6.0, size=dims + (1,))], axis=-1)
+    path = tmp_path / "grid.fgrid"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        save_field_grid(FieldGrid(e_field=data[..., :3], eps_rel=data[..., 3],
+                                  spacing_m=(1e-9,) * 3), path)
+    header_len = len(path.read_bytes().split(b"\n", 1)[0]) + 1
+    body = np.memmap(path, dtype="<f8", mode="r+", offset=header_len, shape=dims + (4,))
+    for column, index, value in plants:
+        data[index + (column,)] = body[index + (column,)] = value
+    body.flush()
+    del body
+    for build in (lambda: FieldGrid(e_field=data[..., :3], eps_rel=data[..., 3],
+                                    spacing_m=(1e-9,) * 3),
+                  lambda: load_field_grid(path)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_grid_keeps_no_writable_alias_of_the_callers_arrays():
     # views of one caller-owned array: the caller's array stays writable,
     # and writing to it leaves the grid, its derived arrays included, as built
@@ -450,16 +531,23 @@ def _peak_bytes(fn):
 
 def test_field_map_calls_stay_within_allocation_bounds(tmp_path):
     # deterministic guard, no timing: the loader reads the body once into
-    # the grid's own array, mode_volume reads the stored eps*|E|^2, and the
-    # weighting copies only its box (a fraction of the grid here)
-    path = tmp_path / "grid.fgrid"
-    save_field_grid(synthetic_field_grid(dims=(65, 23, 21)), path)
-    file_bytes = path.stat().st_size
-    assert 0.9e6 < file_bytes < 1.1e6
+    # the grid's own array and derives |E|^2 and eps*|E|^2 block by block
+    # (1.5x the file in all), mode_volume reads the stored
+    # eps*|E|^2, and the weighting holds two box-sized arrays (the box is
+    # about half the grid here).  The one-block grid is small enough that
+    # numpy elides no temporary of a whole-grid expression (below 256 KB
+    # an array), so a whole-grid |E|^2 would show there; the second grid
+    # spans two blocks, the last one ragged
     cfg = WeightingConfig(threshold_fraction=0.3)
-    grid = load_field_grid(path)
-    mode_volume(grid)   # warm any lazy state before measuring
-    ensemble_weighting_factor(grid, cfg)
-    assert _peak_bytes(lambda: load_field_grid(path)) < 2.0 * file_bytes
-    assert _peak_bytes(lambda: mode_volume(grid)) < 0.01 * file_bytes
-    assert _peak_bytes(lambda: ensemble_weighting_factor(grid, cfg)) < 1.0 * file_bytes
+    for dims, n_blocks in (((65, 23, 21), 1), ((129, 23, 21), 2)):
+        path = tmp_path / "grid.fgrid"
+        save_field_grid(synthetic_field_grid(dims=dims), path)
+        file_bytes = path.stat().st_size
+        assert 0.9e6 * n_blocks < file_bytes < 1.1e6 * n_blocks
+        assert -(-dims[0] // (coupling._BLOCK_POINTS // (dims[1] * dims[2]))) == n_blocks
+        grid = load_field_grid(path)
+        mode_volume(grid)   # warm any lazy state before measuring
+        ensemble_weighting_factor(grid, cfg)
+        assert _peak_bytes(lambda: load_field_grid(path)) < 1.6 * file_bytes
+        assert _peak_bytes(lambda: mode_volume(grid)) < 0.01 * file_bytes
+        assert _peak_bytes(lambda: ensemble_weighting_factor(grid, cfg)) < 0.35 * file_bytes
