@@ -15,18 +15,14 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 
 import numpy as np
 
 from . import coupling, dynamics, fitting, linkbudget, purcell, synthetic
-from ._cells import check_finite, finite_real, parse_row, read_text
+from ._cells import finite_real, format_rows, read_rows, read_text, write_atomic
 
 SCHEMA_VERSION = 1
-
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
 
 SUBCOMMANDS = ("simulate-decay", "fit-decay", "fit-detuning", "fit-spectrum",
                "purcell", "g0", "ensemble-weight", "mode-volume",
@@ -56,22 +52,6 @@ def _jsonable(obj):
     return obj
 
 
-def _write_atomic(path: str, data):
-    """Write through a unique temp file in the target's directory, so that
-    concurrent writers never share one and a failed write leaves none."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".")
-    try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
-        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates 0600
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
@@ -80,7 +60,7 @@ def _emit(args, command: str, inputs: dict, result: dict) -> int:
     payload = _json_text({"schema_version": SCHEMA_VERSION, "command": command,
                           "inputs": inputs, "result": result})
     if getattr(args, "out", None):
-        _write_atomic(args.out, payload)
+        write_atomic(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0
@@ -106,56 +86,31 @@ def _read_table(path: str, columns: tuple) -> np.ndarray:
     Accepts rows with len(columns) values, or len(columns)-1 when the last
     column is marked optional with a trailing '?'.  A header is the first
     non-comment line when it names the columns (case-insensitive, '?'
-    stripped); any other non-numeric cell is an error with its line and
-    column, and so is a nan or inf cell.
+    stripped); any other line is a data row (see _cells.read_rows), and an
+    error on a first line that is not a header shows what a header reads.
     """
     required = [c.rstrip("?") for c in columns]
-    n_opt = sum(1 for c in columns if c.endswith("?"))
-    widths = {len(required) - k for k in range(n_opt + 1)}
-    names = [c.lower() for c in required]
-    rows, linenos = [], []
-    width = None
-    first = True
+    widths = range(len(required) - sum(c.endswith("?") for c in columns),
+                   len(required) + 1)
     with _reading(path):
         text = read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        at_top, first = first, False
-        if (at_top and len(parts) in widths
-                and [p.lower().rstrip("?") for p in parts] == names[:len(parts)]):
-            continue  # header line
-        if len(parts) not in widths:
-            raise InputFormatError(
-                f"{path}: line {lineno}: expected "
-                f"{' or '.join(str(w) for w in sorted(widths))} columns "
-                f"({', '.join(columns)}), got {len(parts)}")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise InputFormatError(
-                f"{path}: line {lineno}: inconsistent column count")
-        try:
-            rows.append(parse_row(parts, lineno))
-        except ValueError as exc:
-            raise InputFormatError(
-                f"{path}: {exc}"
-                + (f" (a header line reads {','.join(required)})" if at_top else "")
-                ) from None
-        linenos.append(lineno)
-    if not rows:
-        raise InputFormatError(f"{path}: no data rows found")
-    with _reading(path):
-        return check_finite(np.array(rows), linenos)
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.lstrip().startswith("#")]
+    top = lines[0][0] if lines else None
+    names = [c.lower() for c in required]
+    if lines and [p.strip().lower().rstrip("?")
+                  for p in lines[0][1].split(",")] in [names[:w] for w in widths]:
+        lines, top = lines[1:], None
+    try:
+        return read_rows(lines, widths)
+    except ValueError as exc:
+        hint = (f" (a header line reads {','.join(required)})"
+                if str(exc).startswith((f"line {top}:", f"line {top},")) else "")
+        raise InputFormatError(f"{path}: {exc}{hint}") from None
 
 
 def _table_text(header: tuple, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + format_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +122,7 @@ def _cmd_simulate_decay(args) -> int:
         g0_hz=args.g0_ghz * 1e9, kappa_hz=args.kappa_ghz * 1e9,
         gamma1=1.0 / (args.tau1_ns * 1e-9), gamma_phi=args.gamma_phi_per_s,
         delta_hz=args.delta_ghz * 1e9)
-    t_max = (args.t_max_ns * 1e-9) if args.t_max_ns else 5.0 * params.tau1_s
+    t_max = (args.t_max_ns * 1e-9) if args.t_max_ns is not None else 5.0 * params.tau1_s
     t_grid = np.linspace(0.0, t_max, args.points)
     trace = dynamics.evolve_master_equation(
         params, n_max=args.nmax, t_grid=t_grid, rel_tol=args.tol)
@@ -180,7 +135,7 @@ def _cmd_simulate_decay(args) -> int:
         "n_points": len(trace),
     }
     if args.trace_csv:
-        _write_atomic(args.trace_csv, dynamics.decay_trace_to_csv(trace))
+        write_atomic(args.trace_csv, dynamics.decay_trace_to_csv(trace))
         result["trace_csv"] = args.trace_csv
     inputs = {"g0_hz": params.g0_hz, "kappa_hz": params.kappa_hz,
               "gamma1_per_s": params.gamma1, "gamma_phi_per_s": params.gamma_phi,
@@ -369,23 +324,23 @@ def _cmd_gen_synthetic(args) -> int:
             trace = synthetic.synthetic_decay_trace(
                 base.detuned(step * base.kappa_hz), rng=rng)
             name = f"decay_trace_{i:02d}.csv"
-            _write_atomic(os.path.join(args.out_dir, name),
-                          dynamics.decay_trace_to_csv(trace))
+            write_atomic(os.path.join(args.out_dir, name),
+                         dynamics.decay_trace_to_csv(trace))
             names.append({"file": name, "delta_hz": step * base.kappa_hz})
         files["decay_traces"] = names
     if what in ("tau-detuning", "all"):
         table = synthetic.synthetic_tau_detuning(
             c=c, kappa_hz=kappa_hz, tau1_s=tau1_s, rng=rng)
         name = "tau_detuning.csv"
-        _write_atomic(os.path.join(args.out_dir, name),
-                      _table_text(("delta_hz", "tau_s", "sigma_s"), table))
+        write_atomic(os.path.join(args.out_dir, name),
+                     _table_text(("delta_hz", "tau_s", "sigma_s"), table))
         files["tau_detuning"] = name
     if what in ("spectrum", "all"):
         spec = synthetic.synthetic_spectrum(
             noise_frac=0.02 if rng is not None else 0.0, rng=rng)
         name = "spectrum.csv"
-        _write_atomic(os.path.join(args.out_dir, name),
-                      _table_text(("wavelength_nm", "intensity"), spec))
+        write_atomic(os.path.join(args.out_dir, name),
+                     _table_text(("wavelength_nm", "intensity"), spec))
         files["spectrum"] = name
     if what in ("field-grid", "all"):
         grid = synthetic.synthetic_field_grid()
@@ -403,7 +358,7 @@ def _cmd_gen_synthetic(args) -> int:
                                         "tau1_s": tau1_s}},
         "files": files,
     })
-    _write_atomic(os.path.join(args.out_dir, "index.json"), index)
+    write_atomic(os.path.join(args.out_dir, "index.json"), index)
     sys.stdout.write(f"wrote {args.out_dir}/index.json\n")
     return 0
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cells import check_finite, decode, finite_real, parse_row
+from ._cells import decode, finite_real, format_rows, read_rows, write_atomic
 from .units import C0, DEBYE, EPS0, HBAR, to_angular
 
 __all__ = [
@@ -306,14 +306,16 @@ def ensemble_weighting_factor(grid: FieldGrid, cfg: WeightingConfig) -> float:
     if any(s.start >= s.stop for s in box):
         raise ValueError("averaging region does not intersect the grid")
     sub_e2 = grid.e_mag2[box]
-    # E_max is read at the energy-density maximum (first index on ties)
-    e_max = math.sqrt(float(sub_e2.flat[int(np.argmax(grid.energy_density[box]))]))
+    # E_max is read at the energy-density maximum (first index on ties); the
+    # box copy that argmax takes is reused below as the weight array
+    w = grid.energy_density[box].flatten()
+    e_max = math.sqrt(float(sub_e2.flat[int(np.argmax(w))]))
     if e_max <= 0.0:
         raise ValueError("field is zero everywhere in the region")
     # |E| over the box in flat C order, the order every sum below adds in;
     # the weights, then p * f^2, are built in place in one second array
     e_mag = np.sqrt(sub_e2).ravel()
-    w = e_mag - cfg.threshold_fraction * e_max
+    np.subtract(e_mag, cfg.threshold_fraction * e_max, out=w)
     np.maximum(w, 0.0, out=w)
     w /= e_max
     w_sum = float(np.sum(w))
@@ -353,13 +355,9 @@ def save_field_grid(grid: FieldGrid, path, encoding: str = "f64"):
     }
     body = np.concatenate(
         [grid.e_field.reshape(-1, 3), grid.eps_rel.reshape(-1, 1)], axis=1)
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        if encoding == "f64":
-            fh.write(body.astype("<f8").tobytes())
-        else:
-            lines = [",".join(repr(float(x)) for x in row) for row in body]
-            fh.write(("\n".join(lines) + "\n").encode())
+    write_atomic(path, (json.dumps(header, sort_keys=True) + "\n").encode()
+                 + (body.astype("<f8").tobytes() if encoding == "f64"
+                    else format_rows(body).encode()))
 
 
 def _header_triple(header: dict, key: str, is_valid, want: str) -> tuple:
@@ -409,20 +407,9 @@ def load_field_grid(path) -> FieldGrid:
             if got != expected:   # the file shrank after the size check
                 raise ValueError(f"body holds {got} bytes, expected exactly {expected}")
         elif header["encoding"] == "csv":
-            rows, linenos = [], []
-            for lineno, line in enumerate(decode(fh.read(), 2).splitlines(), start=2):
-                if not line.strip():
-                    continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise ValueError(
-                        f"line {lineno}: expected 4 comma-separated values, got {len(parts)}")
-                rows.append(parse_row(parts, lineno))
-                linenos.append(lineno)
-            if len(rows) != n_points:
-                raise ValueError(
-                    f"body holds {len(rows)} rows, expected exactly {n_points}")
-            data = check_finite(np.array(rows), linenos)
+            data = read_rows(enumerate(decode(fh.read(), 2).splitlines(), start=2), (4,))
+            if len(data) != n_points:
+                raise ValueError(f"body holds {len(data)} rows, expected exactly {n_points}")
         else:
             raise ValueError(f"line 1: unknown encoding {header['encoding']!r}")
     data.flags.writeable = False  # handed to the grid without a copy

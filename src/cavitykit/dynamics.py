@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cells import check_finite, parse_row, read_text
+from ._cells import format_rows, read_rows, read_text
 from .units import to_angular
 
 __all__ = [
@@ -201,8 +201,6 @@ def _lindblad_term(op: np.ndarray) -> np.ndarray:
 
 def liouvillian(params: AtomCavityParams, n_max: int) -> np.ndarray:
     """Master-equation generator as a matrix acting on row-stacked rho."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     sigma, proj_e, c = _operators(n_max)
     g = to_angular(params.g0_hz)
     kappa = to_angular(params.kappa_hz)
@@ -343,6 +341,8 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     appended when the fallback ran.  With return_states=True, also returns
     the list of DensityState snapshots.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not (rel_tol > 0.0):
         raise ValueError("rel_tol must be > 0")
     if t_grid is None:
@@ -543,20 +543,16 @@ def decay_trace_to_csv(trace: DecayTrace) -> str:
             val = int(val)
         lines.append(f"# {key}={val!r}")
     lines.append("time_s,value")
-    for t, v in zip(trace.times, trace.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + format_rows(zip(trace.times, trace.values))
 
 
 def decay_trace_from_csv(text: str) -> DecayTrace:
+    """The trace decay_trace_to_csv wrote; data rows as in _cells.read_rows."""
     kind = "simulated"
     bin_width = None
-    meta = {}
-    rows, linenos = [], []
+    meta, rows = {}, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body and not body.startswith("decay-trace"):
@@ -577,17 +573,9 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
                         meta[key] = ast.literal_eval(val.strip())
                     except (ValueError, TypeError, SyntaxError, RecursionError):
                         meta[key] = val.strip()  # not a literal: kept as text
-            continue
-        if line.lower().startswith("time_s"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'time_s,value', got {raw!r}")
-        rows.append(parse_row(parts, lineno))
-        linenos.append(lineno)
-    if not rows:
-        raise ValueError("no data rows found")
-    data = check_finite(np.array(rows), linenos)
+        elif not line.lower().startswith("time_s"):
+            rows.append((lineno, line))
+    data = read_rows(rows, (2,))
     return DecayTrace(times=data[:, 0], values=data[:, 1],
                       kind=kind, bin_width_s=bin_width, meta=meta)
 

@@ -587,6 +587,8 @@ def fit_decay_trace(trace, with_background: bool = False,
     simulated traces are fit unweighted.  skip_bins drops leading bins (for
     instrument fall-time contamination) instead of deconvolving.
     """
+    if skip_bins < 0:
+        raise ValueError(f"skip_bins must be >= 0, got {skip_bins}")
     t = trace.times[skip_bins:]
     y = trace.values[skip_bins:]
     if len(t) < 10:

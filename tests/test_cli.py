@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitykit import cli
+from cavitykit import _cells, cli
 from cavitykit.cli import main
 from cavitykit.coupling import FieldGrid, save_field_grid
+from cavitykit.dynamics import DecayTrace, decay_trace_to_csv, load_decay_trace
+from cavitykit.fitting import fit_decay_trace
 from cavitykit.synthetic import synthetic_field_grid
 
 
@@ -271,11 +273,12 @@ def test_table_header_must_name_the_columns(tmp_path, capsys):
     bad_first_row = tmp_path / "bad_first_row.csv"
     bad_first_row.write_text("1.0,abc,0.1\n" + rows)
     assert run_cli("fit-detuning", str(bad_first_row)) == 2
-    assert "line 1, column 2: not a number: 'abc'" in capsys.readouterr().err
+    hint = " (a header line reads delta_hz,tau_s,sigma_s)\n"
+    assert capsys.readouterr().err.endswith("line 1, column 2: not a number: 'abc'" + hint)
     wrong_names = tmp_path / "wrong_names.csv"
     wrong_names.write_text("# comment\ndelta,tau,sigma\n" + rows)
     assert run_cli("fit-detuning", str(wrong_names)) == 2
-    assert "line 2, column 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("line 2, column 1: not a number: 'delta'" + hint)
     case_and_mark = tmp_path / "case_and_mark.csv"
     case_and_mark.write_text("Delta_Hz,TAU_S,sigma_s?\n" + rows)
     assert run_cli("fit-detuning", str(case_and_mark), "--out",
@@ -308,6 +311,89 @@ def test_non_finite_cells_are_usage_errors(fmt, fixtures, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage error" in err
     assert f"line {at[0]}, column {at[1]}: not a finite number: {float(cell)!r}" in err
+
+
+def _csv_source(fmt, fixtures, tmp_path):
+    """(subcommand, a valid file of that CSV format, a later data line in it)."""
+    if fmt == "table":
+        return "fit-detuning", fixtures / "tau_detuning.csv", 5
+    if fmt == "trace":
+        return "fit-decay", fixtures / "decay_trace_04.csv", 30
+    src = tmp_path / "grid.fgrid"
+    save_field_grid(synthetic_field_grid(dims=(3, 2, 2)), src, encoding="csv")
+    return "mode-volume", src, 4
+
+
+@pytest.mark.parametrize("fault", ["count", "number", "nan"])
+@pytest.mark.parametrize("fmt", ["table", "trace", "fgrid"])
+def test_csv_readers_reject_a_bad_row_alike(fmt, fault, fixtures, tmp_path, capsys):
+    # one row codec: the same fault in a later row of any of the three
+    # formats is a usage error worded the same way
+    cmd, src, lineno = _csv_source(fmt, fixtures, tmp_path)
+    lines = src.read_text().splitlines()
+    width = len(lines[lineno - 1].split(","))
+    if fault == "count":
+        text = "\n".join(lines[:lineno - 1] + [lines[lineno - 1] + ",1.0"]
+                         + lines[lineno:]) + "\n"
+        message = f"line {lineno}: expected {width} comma-separated values, got {width + 1}"
+    elif fault == "number":
+        text = _with_cell(src, lineno, 2, "abc")
+        message = f"line {lineno}, column 2: not a number: 'abc'"
+    else:
+        text = _with_cell(src, lineno, 2, "nan")
+        message = f"line {lineno}, column 2: not a finite number: nan"
+    bad = tmp_path / f"bad_{src.name}"
+    bad.write_text(text)
+    assert run_cli(cmd, str(bad)) == 2
+    assert capsys.readouterr().err == f"usage error: {bad}: {message}\n"
+
+
+def test_csv_writers_keep_their_bytes(tmp_path):
+    rows = np.array([[-2.5e11, 1.59e-08, 1.0 / 3.0], [0.0, -0.0, 5e-324]])
+    assert cli._table_text(("delta_hz", "tau_s", "sigma_s"), rows) == (
+        "delta_hz,tau_s,sigma_s\n-250000000000.0,1.59e-08,0.3333333333333333\n"
+        "0.0,-0.0,5e-324\n")
+    assert cli._table_text(("wavelength_nm", "intensity"), [[637, 0.1], [638.5, 1e300]]) == (
+        "wavelength_nm,intensity\n637.0,0.1\n638.5,1e+300\n")
+    trace = DecayTrace(times=np.array([0.0, 1.28e-09, 2.56e-09]),
+                       values=np.array([1.0, 0.7, 1e-17]), kind="measured",
+                       bin_width_s=1.28e-09, meta={"seed": 7, "note": "x", "g": np.float64(0.1)})
+    assert decay_trace_to_csv(trace) == (
+        "# decay-trace schema_version=1\n# kind=measured\n# bin_width_s=1.28e-09\n"
+        "# g=0.1\n# note='x'\n# seed=7\ntime_s,value\n"
+        "0.0,1.0\n1.28e-09,0.7\n2.56e-09,1e-17\n")
+    grid = FieldGrid(e_field=np.arange(24.0).reshape(2, 2, 2, 3) / 7.0,
+                     eps_rel=np.full((2, 2, 2), 5.7), spacing_m=(1e-9, 2e-9, 3e-9),
+                     origin_m=(-1e-9, 0.0, 0.5e-9))
+    path = tmp_path / "grid.fgrid"
+    save_field_grid(grid, path, encoding="csv")
+    assert path.read_bytes() == (
+        b'{"columns": ["ex", "ey", "ez", "eps_rel"], "dims": [2, 2, 2], "encoding": "csv", '
+        b'"origin_m": [-1e-09, 0.0, 5e-10], "schema_version": 1, "spacing_m": [1e-09, 2e-09, '
+        b'3e-09], "units": {"e": "arbitrary", "eps_rel": "dimensionless", "length": "m"}}\n'
+        b"0.0,0.14285714285714285,0.2857142857142857,5.7\n"
+        b"0.42857142857142855,0.5714285714285714,0.7142857142857143,5.7\n"
+        b"0.8571428571428571,1.0,1.1428571428571428,5.7\n"
+        b"1.2857142857142858,1.4285714285714286,1.5714285714285714,5.7\n"
+        b"1.7142857142857142,1.8571428571428572,2.0,5.7\n"
+        b"2.142857142857143,2.2857142857142856,2.4285714285714284,5.7\n"
+        b"2.5714285714285716,2.7142857142857144,2.857142857142857,5.7\n"
+        b"3.0,3.142857142857143,3.2857142857142856,5.7\n")
+
+
+def test_skip_bins_drops_exactly_the_leading_bins(fixtures, tmp_path, capsys):
+    path = fixtures / "decay_trace_04.csv"
+    trace = load_decay_trace(path)
+    for k in (0, 7):
+        assert fit_decay_trace(trace, skip_bins=k).n_points == len(trace) - k
+    out = tmp_path / "fit.json"
+    assert run_cli("fit-decay", str(path), "--skip-bins", "7", "--out", str(out)) == 0
+    doc = read_json(out)
+    assert doc["inputs"]["skip_bins"] == 7
+    assert doc["result"]["n_points"] == len(trace) - 7
+    # a negative count is an error, not a tail slice
+    assert run_cli("fit-decay", str(path), "--skip-bins", "-150") == 1
+    assert "skip_bins must be >= 0, got -150" in capsys.readouterr().err
 
 
 GOOD_FGRID_HEADER = {"dims": [2, 2, 2], "spacing_m": [1e-9, 1e-9, 1e-9],
@@ -389,19 +475,28 @@ def test_bad_bin_width_names_its_line(value, fixtures, tmp_path, capsys):
 def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "out.json"
     target.write_text("old\n")
+    grid_path = tmp_path / "grid.fgrid"
+    grid_path.write_bytes(b"old grid\n")
+    grid = synthetic_field_grid(dims=(3, 2, 2))
 
     def failing_replace(src, dst):
         raise OSError("replace failed")
 
-    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    monkeypatch.setattr(_cells.os, "replace", failing_replace)
     with pytest.raises(OSError, match="replace failed"):
-        cli._write_atomic(str(target), "new\n")
+        _cells.write_atomic(str(target), "new\n")
+    for encoding in ("f64", "csv"):
+        with pytest.raises(OSError, match="replace failed"):
+            save_field_grid(grid, grid_path, encoding=encoding)
     assert target.read_text() == "old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    assert grid_path.read_bytes() == b"old grid\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.fgrid", "out.json"]
     monkeypatch.undo()
-    cli._write_atomic(str(target), "new\n")  # keeps the mode open() would give
+    _cells.write_atomic(str(target), "new\n")  # keeps the mode open() would give
     assert target.read_text() == "new\n"
-    assert os.stat(target).st_mode & 0o777 == 0o666 & ~cli._UMASK
+    assert os.stat(target).st_mode & 0o777 == 0o666 & ~_cells._UMASK
+    save_field_grid(grid, grid_path)
+    assert os.stat(grid_path).st_mode & 0o777 == 0o666 & ~_cells._UMASK
 
 
 def test_cold_start_does_not_import_scipy():
@@ -434,3 +529,10 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert run_cli("fit-detuning", str(same)) == 1
     assert "error" in capsys.readouterr().err
     assert run_cli("purcell", "--c", "-1.0") == 1
+    # simulate-decay: a Fock cutoff below 1, and a zero time span, which
+    # is not taken as "use the default"
+    sim = ["simulate-decay", "--g0-ghz", "0.57", "--kappa-ghz", "940", "--tau1-ns", "15.9"]
+    assert run_cli(*sim, "--nmax", "-1") == 1
+    assert "n_max must be >= 1, got -1" in capsys.readouterr().err
+    assert run_cli(*sim, "--t-max-ns", "0") == 1
+    assert "t_grid must be strictly increasing" in capsys.readouterr().err
