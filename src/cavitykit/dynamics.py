@@ -22,9 +22,10 @@ uniform and log-spaced grids.  Near the exceptional point
 g = |kappa - gamma1|/4 (angular) the eigenvector basis is defective and the
 eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM Rev. 45(1),
 2003); when cond(V) exceeds _EIG_COND_LIMIT the matrix exponentials are
-taken directly by scipy instead, the only place scipy is imported.  The
-path that ran is recorded in the trace's meta["method"], with "-expm"
-appended after that fallback:
+taken directly instead, by a scaling-and-squaring Pade exponential in numpy
+(Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  The path that ran is
+recorded in the trace's meta["method"], with "-expm" appended after that
+fallback:
 
 * n_max=1 without return_states: the single-excitation block ("block").
   From |e, 0> every jump lands in |g, 0>, and dephasing jumps stay inside
@@ -35,8 +36,12 @@ appended after that fallback:
   and P_e(t0) = 1, each to 10*rel_tol.
 * Every n_max >= 2, and return_states=True: the full Liouvillian on the
   Fock space truncated at n_max ("liouvillian"), built by Kronecker
-  products independently of the block.  Its trace is checked to
-  10*rel_tol.
+  products independently of the block.  Only the entries of rho that the
+  generator's nonzero pattern can reach from |e, 0><e, 0| are propagated:
+  every jump lowers the excitation number, so that is the block plus
+  <g, 0|rho|g, 0>, five entries at any n_max (Buca & Prosen, New J. Phys.
+  14, 073007 (2012)).  The rest stay exactly 0, and the full rho, zeros
+  included, has its trace checked to 10*rel_tol.
 """
 
 from __future__ import annotations
@@ -225,6 +230,19 @@ def _initial_state(n_max: int) -> np.ndarray:
     return rho0
 
 
+def _reachable(gen: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Indices of the entries exp(gen t) v0 can make nonzero: the support of
+    v0, closed under gen's nonzero pattern.  Every other entry has an exact
+    zero derivative while these evolve, so it stays 0."""
+    linked = gen != 0
+    reach = v0 != 0
+    while True:
+        grown = reach | linked[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
@@ -232,9 +250,14 @@ def _initial_state(n_max: int) -> np.ndarray:
 #: cond(V) of a generator's eigenvectors above which the basis counts as
 #: defective.  The eigen-expansion is off by about 1e-17 * cond(V) near the
 #: exceptional point, so this keeps it ~1e-12 from expm.  It holds for the
-#: block and the Liouvillian alike: at n_max=2, cond(V) is ~1e10 within 1e-9
-#: of the exceptional point and ~1e4 at 1e-3 from it.
+#: block and the Liouvillian's reachable part alike: cond(V) is 2e9 to 6e10
+#: within 1e-9 of the exceptional point and ~3e3 at 1e-3 from it.
 _EIG_COND_LIMIT = 1e5
+
+#: Largest n_max evolve_master_equation accepts.  The Liouvillian holds
+#: (2 (n_max + 1))^4 complex entries, 16 MiB at n_max = 15, and building it
+#: by Kronecker products peaks near 64 MiB there.
+_N_MAX_LIMIT = 15
 
 
 def _propagate(gen: np.ndarray, v0: np.ndarray, t_grid: np.ndarray):
@@ -244,7 +267,9 @@ def _propagate(gen: np.ndarray, v0: np.ndarray, t_grid: np.ndarray):
     One eigendecomposition gives the whole grid at once, at the same cost
     for uniform and log-spaced grids.  When the eigenvectors are too ill
     conditioned to expand in (cond(V) > _EIG_COND_LIMIT, an exceptional
-    point), the matrix exponentials are taken directly instead.
+    point), _propagate_expm takes the matrix exponentials directly instead.
+    Both generators that reach it, the 4x4 block and the reachable part of
+    the Liouvillian, are at most 5x5.
     """
     lam, vecs = np.linalg.eig(gen)
     if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
@@ -254,17 +279,48 @@ def _propagate(gen: np.ndarray, v0: np.ndarray, t_grid: np.ndarray):
 
 
 def _propagate_expm(gen, v0, t_grid):
-    """The fallback: stacked scipy expm over the output times, each taken
-    from t0, so no error accumulates from step to step.  The stack is cut
-    into chunks of at most 2**19 entries (8 MB), which keeps a large
-    Liouvillian's fallback from holding one matrix per output time at once;
-    up to n_max=2 on 251 times that is a single call."""
-    from scipy.linalg import expm  # here, so that importing cavitykit skips scipy
+    """The fallback: one stacked _expm of gen (t - t0) over the output
+    times, each taken from t0, so no error accumulates from step to step."""
+    return _expm(gen * (t_grid - t_grid[0])[:, None, None]) @ v0
 
-    dt = (t_grid - t_grid[0])[:, None, None]
-    chunk = max(2 ** 19 // gen.size, 1)
-    return np.concatenate([expm(gen * dt[i:i + chunk]) @ v0
-                           for i in range(0, len(dt), chunk)])
+
+#: Numerator coefficients b_0..b_13 of the [13/13] Pade approximant to exp,
+#: and theta_13, the 1-norm up to which it is exact to double precision in
+#: backward error (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix in the stack a (k, n, n), by scaling and squaring.
+
+    Each matrix is scaled by its own 2**-s to a 1-norm of at most theta_13,
+    where the [13/13] Pade approximant (V - U)^-1 (V + U) is exact to double
+    precision in backward error, and is then squared s times (Higham 2005,
+    Algorithm 2.3, in its degree-13 branch).  It is taken as I + 2 (V - U)^-1 U,
+    so a conserved trace keeps an eps error through the squarings instead
+    of 2**s eps (at kappa = 940 GHz: 6e-16 instead of 3e-11).
+    """
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(s, 0)
+    a = a * np.exp2(-s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    for i in range(int(s.max(initial=0))):
+        more = s > i
+        r[more] = r[more] @ r[more]
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +382,18 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     """Excited-state population <s+ s>(t) from |e, 0> on the given time grid.
 
     The inputs choose the generator; one exact eigen-propagator runs both
-    (one eigendecomposition, then the whole grid at once), with scipy expm
-    only as the fallback at an exceptional point, where the eigenvectors
-    are ill conditioned:
+    (one eigendecomposition, then the whole grid at once), with a numpy
+    scaling-and-squaring exponential only as the fallback at an exceptional
+    point, where the eigenvectors are ill conditioned:
 
     * n_max=1 without return_states: the 4x4 single-excitation block, whose
       states are checked for Hermiticity, tr <= 1, non-negative populations
       and P_e(t0) = 1 to 10*rel_tol.
-    * Anything else: the full Liouvillian at n_max, with the trace of rho
-      checked to 10*rel_tol at every output time.
+    * Anything else: the full Liouvillian at n_max, of which only the
+      entries of rho reachable from |e, 0><e, 0| (five at any n_max) are
+      propagated and the rest kept at exactly 0; the trace of the full rho
+      is checked to 10*rel_tol at every output time.  n_max above
+      _N_MAX_LIMIT (15, a 16 MiB Liouvillian) is a ValueError.
 
     A failed check raises IntegrationError.  meta["method"] of the returned
     trace names the path that ran: "block" or "liouvillian", with "-expm"
@@ -343,6 +402,9 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > _N_MAX_LIMIT:
+        raise ValueError(f"n_max must be <= {_N_MAX_LIMIT}, got {n_max}: its "
+                         f"Liouvillian would take {(2 * n_max + 2) ** 4 >> 16} MiB")
     if not (rel_tol > 0.0):
         raise ValueError("rel_tol must be > 0")
     if t_grid is None:
@@ -362,8 +424,11 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     else:
         method = "liouvillian"
         rho0 = _initial_state(n_max)
-        vs, fell_back = _propagate(liouvillian(params, n_max),
-                                   rho0.reshape(-1), t_grid)
+        gen, v0 = liouvillian(params, n_max), rho0.reshape(-1)
+        reach = _reachable(gen, v0)
+        vs = np.zeros((len(t_grid), v0.size), dtype=complex)
+        vs[:, reach], fell_back = _propagate(gen[np.ix_(reach, reach)],
+                                             v0[reach], t_grid)
 
         dim = rho0.shape[0]
         rhos = vs.reshape(len(t_grid), dim, dim)

@@ -168,7 +168,10 @@ def _tau_detuning_jac(delta, th):
     c, kappa, tau1 = th
     f = 1.0 / (1.0 + 4.0 * (delta / kappa) ** 2)
     denom = 1.0 + c * f
-    df_dkappa = 8.0 * kappa * delta ** 2 / (kappa ** 2 + 4.0 * delta ** 2) ** 2
+    # f = 1 at delta = 0 for every kappa, so d f / d kappa is 0 there; the
+    # quotient is 0/0 once kappa^4 underflows (kappa at its 1e-300 bound)
+    df_dkappa = np.where(delta == 0.0, 0.0, 8.0 * kappa * delta ** 2
+                         / (kappa ** 2 + 4.0 * delta ** 2) ** 2)
     return np.column_stack([
         -tau1 * f / denom ** 2,
         -tau1 * c * df_dkappa / denom ** 2,

@@ -499,10 +499,11 @@ def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
     assert os.stat(grid_path).st_mode & 0o777 == 0o666 & ~_cells._UMASK
 
 
-def test_cold_start_does_not_import_scipy():
-    # scipy is needed only by the expm fallback at an exceptional point; a
-    # default run of these subcommands, at n_max=1 or 2, must not pay for
-    # importing it
+def test_cold_start_does_not_import_scipy(tmp_path):
+    # a default run of these subcommands, at n_max=1 or 2, imports no
+    # scipy; and with scipy blocked, the exceptional point (g = |kappa -
+    # gamma1|/4, angular), where the numpy expm fallback runs, still works
+    traces = [str(tmp_path / f"ep{n}.csv") for n in (1, 2)]
     script = (
         "import sys, cavitykit\n"
         "print('scipy' in sys.modules)\n"
@@ -514,15 +515,24 @@ def test_cold_start_does_not_import_scipy():
         "main(args)\n"
         "print('scipy' in sys.modules)\n"
         "main(args + ['--nmax', '2'])\n"
-        "print('scipy' in sys.modules)\n")
+        "print('scipy' in sys.modules)\n"
+        "sys.modules['scipy'] = None\n"
+        "ep = ['simulate-decay', '--g0-ghz', '0.24960211264227028',\n"
+        "      '--kappa-ghz', '1', '--tau1-ns', '100', '--t-max-ns', '10',\n"
+        "      '--out', sys.argv[1]]\n"
+        "print(main(ep + ['--nmax', '1', '--trace-csv', sys.argv[2]]))\n"
+        "print(main(ep + ['--nmax', '2', '--trace-csv', sys.argv[3]]))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script, os.devnull], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False"] * 4
+    out = subprocess.run([sys.executable, "-c", script, os.devnull, *traces],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.split() == ["False"] * 4 + ["0", "0"]
+    for path, method in zip(traces, ("block-expm", "liouvillian-expm")):
+        assert f"# method={method!r}\n" in Path(path).read_text()
 
 
-def test_domain_errors_exit_1(tmp_path, capsys):
+def test_domain_errors_exit_1(tmp_path, capsys, monkeypatch):
     same = tmp_path / "same.csv"
     same.write_text("delta_hz,tau_s\n" + "".join(
         f"1e11,{15e-9 + i * 1e-10!r}\n" for i in range(6)))
@@ -536,3 +546,19 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert "n_max must be >= 1, got -1" in capsys.readouterr().err
     assert run_cli(*sim, "--t-max-ns", "0") == 1
     assert "t_grid must be strictly increasing" in capsys.readouterr().err
+    # a lifetime that is not a positive finite number, and fewer than two
+    # output times, are named by their flags
+    for tau1 in ("0", "-1", "nan", "inf"):
+        assert run_cli(*sim[:-2], "--tau1-ns", tau1) == 1
+        assert "--tau1-ns must be finite and > 0" in capsys.readouterr().err
+    for points in ("1", "0", "-1"):
+        assert run_cli(*sim, "--points", points) == 1
+        assert f"--points must be >= 2, got {points}" in capsys.readouterr().err
+    # an n_max whose Liouvillian would not fit the memory bound is refused
+    # before anything is built
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    assert run_cli(*sim, "--nmax", "400") == 1
+    assert "n_max must be <= 15, got 400" in capsys.readouterr().err

@@ -195,6 +195,90 @@ def test_propagate_matches_expm_stepping(n_max, grid):
             assert np.max(np.abs(states - ref)) < 1e-10, (k, block)
 
 
+def _entry(n_max, atom_row, n_row, atom_col, n_col):
+    """Index of |atom_row, n_row><atom_col, n_col| in row-stacked rho, atom
+    basis (g, e) = (0, 1)."""
+    dim_c = n_max + 1
+    return (atom_row * dim_c + n_row) * 2 * dim_c + atom_col * dim_c + n_col
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
+def test_reachable_part_is_the_block_and_the_ground_state(n_max):
+    # every jump lowers the excitation number, so from |e,0><e,0| only the
+    # {|e,0>, |g,1>} block and <g,0|rho|g,0> can fill, whatever n_max is;
+    # without coupling nothing leaves |e,0> but the decay to |g,0>
+    v0 = dynamics._initial_state(n_max).reshape(-1)
+    p = AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9, gamma1=1.0 / 15.9e-9,
+                         gamma_phi=3e7, delta_hz=2e11)
+    e0, g1, g0 = (1, 0), (0, 1), (0, 0)
+    block = [_entry(n_max, *r, *c) for r in (e0, g1) for c in (e0, g1)]
+    reach = dynamics._reachable(dynamics.liouvillian(p, n_max), v0)
+    assert sorted(reach) == sorted(block + [_entry(n_max, *g0, *g0)])
+    uncoupled = AtomCavityParams(g0_hz=0.0, kappa_hz=940e9, gamma1=1.0 / 15.9e-9)
+    reach = dynamics._reachable(dynamics.liouvillian(uncoupled, n_max), v0)
+    assert sorted(reach) == [_entry(n_max, *g0, *g0), _entry(n_max, *e0, *e0)]
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+def test_reachable_part_matches_the_full_liouvillian(n_max):
+    # evolve_master_equation propagates the reachable part and zero-fills
+    # the rest.  Its populations against the eig propagator on the whole
+    # Liouvillian, whose own error grows with ||gen|| t to 5e-11 at n_max=6;
+    # every entry of rho against scipy expm of the whole Liouvillian at three
+    # times.  The paper point with dephasing and detuning on the log grid,
+    # and two of the random sets on the uniform one
+    from scipy.linalg import expm
+
+    cases = [(AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9,
+                               gamma1=1.0 / 15.9e-9, gamma_phi=3e7,
+                               delta_hz=2e11), "log")]
+    cases += [(p, "uniform") for p in _oracle_sets()[:20:10]]
+    for p, grid in cases:
+        t = _grids(p.tau1_s)[grid]
+        trace, states = evolve_master_equation(p, n_max=n_max, t_grid=t,
+                                               return_states=True)
+        assert trace.meta["method"] == "liouvillian"
+        gen, v0 = _generator(p, n_max, False)
+        full, fell_back = dynamics._propagate(gen, v0, t)
+        assert not fell_back
+        dim = 2 * (n_max + 1)
+        pops = np.einsum("kii->ki", full.reshape(len(t), dim, dim))[:, n_max + 1:]
+        assert np.max(np.abs(trace.values - pops.sum(axis=1).real)) < 1e-10, (p, grid)
+        for k in (1, len(t) // 2, len(t) - 1):
+            ref = expm(gen * (t[k] - t[0])) @ v0
+            assert np.max(np.abs(states[k].matrix.reshape(-1) - ref)) < 1e-11, (p, k)
+
+
+def _exceptional_point_generators():
+    """Every generator the suite sends to the expm fallback: the block and
+    the reachable part of the n_max=2 Liouvillian at both exceptional points
+    and 1e-9 either side of them, plus one at the paper's kappa, whose
+    stiffness takes ~18 squarings."""
+    points = [_at_exceptional_point(kappa_hz, gamma1, rel)
+              for kappa_hz, gamma1 in ((1e9, 1e7), (2e8, 5e7))
+              for rel in (0.0, 1e-9, -1e-9)]
+    points.append(_at_exceptional_point(940e9, 1.0 / 15.9e-9, 0.0))
+    for p in points:
+        gen, v0 = _generator(p, 2, False)
+        reach = dynamics._reachable(gen, v0)
+        yield p, dynamics._single_excitation_block(p)
+        yield p, gen[np.ix_(reach, reach)]
+
+
+def test_numpy_expm_matches_scipy_at_exceptional_points():
+    # scipy's expm is the oracle, on the whole output grid from t0; the
+    # entries are populations and coherences of at most 1, and agree to
+    # 4e-15.  The Pade quotient taken as (V - U)^-1 (V + U) misses this
+    # bound by 2^s eps: 2e-13 at kappa = 1 GHz, 3e-11 at 940 GHz
+    from scipy.linalg import expm
+
+    for p, gen in _exceptional_point_generators():
+        for t in _grids(p.tau1_s).values():
+            stack = gen * (t - t[0])[:, None, None]
+            dev = np.max(np.abs(dynamics._expm(stack) - expm(stack)))
+            assert dev < 1e-13, (p, gen.shape, dev)
+
+
 def test_block_check_rejects_corrupted_states():
     t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
     good, fell_back = dynamics._propagate(

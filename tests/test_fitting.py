@@ -1,3 +1,4 @@
+import dataclasses
 import zlib
 
 import numpy as np
@@ -200,23 +201,60 @@ def test_tau_detuning_degenerate_data():
         fit_tau_detuning(np.array([[0.0, 1.0], [1.0, 2.0]]))  # < 4 points
 
 
-def test_non_finite_normal_matrix_is_a_degenerate_fit():
-    # a shallow dip (C ~ 0.11, 1% noise) whose far-detuned points noise
-    # pushes below mid-depth: from the guess (kappa 3.5x its value) the first
-    # step drives kappa to its lower bound, where the Jacobian's kappa column
-    # is 0/0.  The covariance stage handed that to pinv, which raised
-    # LinAlgError; the guess is passed as init so a better guess later does
-    # not hide the case
+def _shallow_dip():
+    """A shallow dip (C ~ 0.11, 1% noise) whose far-detuned points noise
+    pushes below mid-depth: from the guess (kappa 3.5x its value) the first
+    step drives kappa to its lower bound, 1e-300.  Returns (delta, tau,
+    noisy tau, guess); the guess is the init, so a better guess later does
+    not hide the case."""
     rng = np.random.default_rng(4794)
     c = rng.uniform(0.10, 0.12)
     delta = 940e9 * np.linspace(-3.0, 3.0, 25)
     tau = 15.9e-9 / (1.0 + c / (1.0 + 4.0 * (delta / 940e9) ** 2))
     noisy = tau + rng.normal(0.0, 0.01 * tau)
-    init = get_model("tau-detuning").guess(delta, noisy)
+    return delta, tau, noisy, get_model("tau-detuning").guess(delta, noisy)
+
+
+def _tau_detuning_jac_0_over_0(delta, th):
+    """tau(Delta)'s Jacobian with d f / d kappa written as
+    8 kappa delta^2 / (kappa^2 + 4 delta^2)^2: 0/0 at kappa = 1e-300 and
+    delta = 0, a model whose derivatives are undefined where the fit ends."""
+    c, kappa, tau1 = th
+    f = 1.0 / (1.0 + 4.0 * (delta / kappa) ** 2)
+    denom = 1.0 + c * f
+    df_dkappa = 8.0 * kappa * delta ** 2 / (kappa ** 2 + 4.0 * delta ** 2) ** 2
+    return np.column_stack([-tau1 * f / denom ** 2,
+                            -tau1 * c * df_dkappa / denom ** 2, 1.0 / denom])
+
+
+def test_non_finite_normal_matrix_is_a_degenerate_fit():
+    # the shallow dip's first step puts kappa where this model's kappa
+    # column is 0/0.  The covariance stage handed that to pinv, which
+    # raised LinAlgError
+    delta, tau, noisy, init = _shallow_dip()
+    model = dataclasses.replace(get_model("tau-detuning"),
+                                jacobian=_tau_detuning_jac_0_over_0)
     for on_singular in ("raise", "pinv"):
         with pytest.raises(DegenerateFitError, match="not finite"):
-            least_squares_fit("tau-detuning", delta, noisy, sigma=0.01 * tau,
+            least_squares_fit(model, delta, noisy, sigma=0.01 * tau,
                               init=init, on_singular=on_singular)
+
+
+def test_tau_detuning_jacobian_is_finite_at_the_kappa_bound():
+    # d f / d kappa is 0 at delta = 0, where the quotient is 0/0 at this
+    # kappa, and the shallow dip's fit now ends on a dead kappa column (a
+    # singular normal matrix), not on NaN.  The model is evaluated as
+    # least_squares_fit does, with numpy's warnings off: delta / kappa
+    # overflows at 1e11 / 1e-300, which makes f 0 there
+    with np.errstate(all="ignore"):
+        jac = get_model("tau-detuning").jacobian(
+            np.array([0.0, 1e11]), np.array([0.14, 1e-300, 15.9e-9]))
+    assert np.all(np.isfinite(jac))
+    assert jac[0, 1] == 0.0
+    delta, tau, noisy, init = _shallow_dip()
+    with pytest.raises(DegenerateFitError, match="singular normal matrix"):
+        least_squares_fit("tau-detuning", delta, noisy, sigma=0.01 * tau,
+                          init=init)
 
 
 def test_tau_detuning_flat_data_flags_kappa():
