@@ -122,6 +122,10 @@ def _cmd_simulate_decay(args) -> int:
         raise ValueError(f"--tau1-ns must be finite and > 0, got {args.tau1_ns!r}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
+    if args.t_max_ns is not None and not math.isfinite(args.t_max_ns):
+        raise ValueError(f"--t-max-ns must be finite, got {args.t_max_ns!r}")
+    if not (0.0 < args.tol < math.inf):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
     params = dynamics.AtomCavityParams(
         g0_hz=args.g0_ghz * 1e9, kappa_hz=args.kappa_ghz * 1e9,
         gamma1=1.0 / (args.tau1_ns * 1e-9), gamma_phi=args.gamma_phi_per_s,

@@ -9,6 +9,7 @@ from cavitykit.dynamics import (
     decay_trace_from_csv, decay_trace_to_csv, evolve_master_equation,
     extract_decay_rate, tau_of_detuning,
 )
+from cavitykit.units import to_angular
 
 # device-regime reference parameters used throughout
 P_REF = AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9, gamma1=1.0 / 15.9e-9)
@@ -74,13 +75,6 @@ def _grids(tau1):
             "log": np.concatenate(([0.0], np.geomspace(1e-3 * tau1, 5.0 * tau1, 64)))}
 
 
-def _liouvillian_at_n_max_1(p, t):
-    """The n_max=1 Liouvillian: return_states=True takes that path."""
-    trace, _ = evolve_master_equation(p, t_grid=t, return_states=True)
-    assert trace.meta["method"] == "liouvillian"
-    return trace
-
-
 def _expm_stepping(gen, v0, t):
     """Test-only reference: scipy expm of each grid step, applied in turn.
     The steps of a uniform grid agree to rounding and share one expm."""
@@ -98,18 +92,107 @@ def _expm_stepping(gen, v0, t):
     return out
 
 
-def _generator(p, n_max, block):
-    """(generator, start vector): the 4x4 block, or the Liouvillian at n_max."""
-    if block:
-        return dynamics._single_excitation_block(p), dynamics._BLOCK_START
-    return dynamics.liouvillian(p, n_max), dynamics._initial_state(n_max).reshape(-1)
+# ---------------------------------------------------------------------------
+# Oracle: the generator on the whole Fock space truncated at n_max, built by
+# Kronecker products independently of dynamics._generator
+# ---------------------------------------------------------------------------
+
+def _operators(n_max: int):
+    """(sigma, sigma+sigma, c) on the product space, atom basis (g, e)."""
+    dim_c = n_max + 1
+    lower_atom = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
+    a = np.diag(np.sqrt(np.arange(1, dim_c)), 1).astype(complex)
+    eye_c = np.eye(dim_c, dtype=complex)
+    eye_a = np.eye(2, dtype=complex)
+    sigma = np.kron(lower_atom, eye_c)
+    c = np.kron(eye_a, a)
+    return sigma, sigma.conj().T @ sigma, c
+
+
+def _lindblad_term(op: np.ndarray) -> np.ndarray:
+    """Row-stacking superoperator matrix of D[op]."""
+    d = op.shape[0]
+    eye = np.eye(d, dtype=complex)
+    opd_op = op.conj().T @ op
+    return (np.kron(op, op.conj())
+            - 0.5 * np.kron(opd_op, eye)
+            - 0.5 * np.kron(eye, opd_op.T))
+
+
+def liouvillian(params: AtomCavityParams, n_max: int) -> np.ndarray:
+    """Master-equation generator as a matrix acting on row-stacked rho."""
+    sigma, proj_e, c = _operators(n_max)
+    g = to_angular(params.g0_hz)
+    kappa = to_angular(params.kappa_hz)
+    delta = to_angular(params.delta_hz)
+    h = -delta * proj_e + g * (sigma.conj().T @ c + sigma @ c.conj().T)
+    d = h.shape[0]
+    eye = np.eye(d, dtype=complex)
+    liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    liou += params.gamma1 * _lindblad_term(sigma)
+    if params.gamma_phi > 0.0:
+        liou += 2.0 * params.gamma_phi * _lindblad_term(proj_e)
+    if kappa > 0.0:
+        liou += kappa * _lindblad_term(c)
+    return liou
+
+
+def _initial_state(n_max: int) -> np.ndarray:
+    """|e, 0><e, 0| as a density matrix."""
+    dim = 2 * (n_max + 1)
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[n_max + 1, n_max + 1] = 1.0  # atom excited, cavity vacuum
+    return rho0
+
+
+def _reachable(gen: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Indices of the entries exp(gen t) v0 can make nonzero: the support of
+    v0, closed under gen's nonzero pattern.  Every other entry has an exact
+    zero derivative while these evolve, so it stays 0."""
+    linked = gen != 0
+    reach = v0 != 0
+    while True:
+        grown = reach | linked[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+def _entry(n_max, atom_row, n_row, atom_col, n_col):
+    """Index of |atom_row, n_row><atom_col, n_col| in row-stacked rho, atom
+    basis (g, e) = (0, 1)."""
+    dim_c = n_max + 1
+    return (atom_row * dim_c + n_row) * 2 * dim_c + atom_col * dim_c + n_col
+
+
+E0, G1, G0 = (1, 0), (0, 1), (0, 0)
+
+
+def _five_entries(n_max):
+    """Indices of the generator's entries (rho_gg, rho_aa, rho_ab, rho_ba,
+    rho_bb), a = |e,0>, b = |g,1>, g = |g,0>, in row-stacked rho."""
+    return [_entry(n_max, *r, *c)
+            for r, c in ((G0, G0), (E0, E0), (E0, G1), (G1, E0), (G1, G1))]
+
+
+def _generator(p, n_max, kron):
+    """(generator, start vector): the 5x5 one of dynamics, or the oracle's
+    Liouvillian at n_max."""
+    if not kron:
+        return dynamics._generator(p), dynamics._RHO0
+    return liouvillian(p, n_max), _initial_state(n_max).reshape(-1)
+
+
+def _excited_population(states, n_max):
+    """<s+ s> of row-stacked density matrices, one per row."""
+    dim = 2 * (n_max + 1)
+    rhos = states.reshape(len(states), dim, dim)
+    return np.einsum("kii->ki", rhos)[:, n_max + 1:].sum(axis=1).real
 
 
 def _stepped_population(p, n_max, t):
     """Excited-state population from the Liouvillian, by expm stepping."""
-    dim = 2 * (n_max + 1)
-    rhos = _expm_stepping(*_generator(p, n_max, False), t).reshape(len(t), dim, dim)
-    return np.einsum("kii->ki", rhos)[:, n_max + 1:].sum(axis=1).real
+    return _excited_population(_expm_stepping(*_generator(p, n_max, True), t), n_max)
 
 
 def _at_exceptional_point(kappa_hz, gamma1, rel):
@@ -120,23 +203,46 @@ def _at_exceptional_point(kappa_hz, gamma1, rel):
                             gamma1=gamma1)
 
 
+#: the paper point with dephasing and detuning, so every term is nonzero
+P_DEPHASED = AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9, gamma1=1.0 / 15.9e-9,
+                              gamma_phi=3e7, delta_hz=2e11)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
+def test_generator_is_the_reachable_part_of_the_liouvillian(n_max):
+    # dynamics._generator, written entry by entry, against the oracle's
+    # Liouvillian on the five entries that fill from |e,0><e,0|, entry for
+    # entry; zeros must be exact
+    order = _five_entries(n_max)
+    for p in [*_oracle_sets(), P_DEPHASED]:
+        ref = liouvillian(p, n_max)[np.ix_(order, order)]
+        dev = np.abs(dynamics._generator(p) - ref)
+        assert np.all(dev <= 1e-15 * np.abs(ref)), (p, dev)
+
+
 @pytest.mark.parametrize("grid", ["uniform", "log"])
 def test_block_path_matches_liouvillian(grid):
-    # the default n_max=1 path propagates the single-excitation block; the
-    # full Liouvillian (at n_max=1, and at n_max=2) is the oracle
+    # populations at n_max=1 and 2, with and without return_states, against
+    # the eig propagator on the oracle's whole Liouvillian at that n_max;
+    # every n_max runs the one 5x5 generator, so all four agree to the bit
     for k, p in enumerate(_oracle_sets()):
         t = _grids(p.tau1_s)[grid]
-        block = evolve_master_equation(p, t_grid=t)
-        assert block.meta["method"] == "block", k
-        at_2 = evolve_master_equation(p, n_max=2, t_grid=t)
-        assert at_2.meta["method"] == "liouvillian"
-        for n_max, ref in ((1, _liouvillian_at_n_max_1(p, t)), (2, at_2)):
-            assert np.max(np.abs(block.values - ref.values)) < 1e-10, (k, n_max)
+        trace = evolve_master_equation(p, t_grid=t)
+        assert trace.meta["method"] == "eig", k
+        for n_max in (1, 2):
+            at_n = evolve_master_equation(p, n_max=n_max, t_grid=t)
+            with_states, _ = evolve_master_equation(p, n_max=n_max, t_grid=t,
+                                                    return_states=True)
+            assert np.array_equal(at_n.values, trace.values), (k, n_max)
+            assert np.array_equal(with_states.values, trace.values), (k, n_max)
+            full, _ = dynamics._propagate(*_generator(p, n_max, True), t)
+            ref = _excited_population(full, n_max)
+            assert np.max(np.abs(trace.values - ref)) < 1e-10, (k, n_max)
 
 
 @pytest.mark.parametrize("rel", [0.0, 1e-9, -1e-9])
 def test_block_path_at_exceptional_point(rel, monkeypatch):
-    # g = |kappa - gamma1| / 4 (angular) makes the block's eigenvector
+    # g = |kappa - gamma1| / 4 (angular) makes the generator's eigenvector
     # basis defective; the eig expansion alone is off by ~1e-7 there
     fallbacks = []
     original = dynamics._propagate_expm
@@ -150,28 +256,27 @@ def test_block_path_at_exceptional_point(rel, monkeypatch):
         p = _at_exceptional_point(kappa_hz, gamma1, rel)
         for t in _grids(p.tau1_s).values():
             fallbacks.clear()
-            block = evolve_master_equation(p, t_grid=t)
-            assert fallbacks == [(4, 4)]
-            assert block.meta["method"] == "block-expm"
+            trace = evolve_master_equation(p, t_grid=t)
+            assert fallbacks == [(5, 5)]
+            assert trace.meta["method"] == "expm"
             ref = _stepped_population(p, 1, t)
-            assert np.max(np.abs(block.values - ref)) < 1e-10
+            assert np.max(np.abs(trace.values - ref)) < 1e-10
 
 
 @pytest.mark.parametrize("rel", [0.0, 1e-9, -1e-9, 1e-3, -1e-3])
 def test_liouvillian_path_at_exceptional_point(rel):
-    # the Liouvillian shares the block's exceptional point: cond(V) is
-    # ~1e10 within 1e-9 of it, where the eig expansion is off by 1e-7 to
-    # 2e-6, so expm must take over; at 1e-3 from it cond(V) is ~1e4, the
-    # expansion is within ~2e-13 and the eig path must stay
+    # the oracle's Liouvillian shares the generator's exceptional point:
+    # cond(V) is ~1e10 within 1e-9 of it, where the eig expansion is off by
+    # 1e-7 to 2e-6, so expm must take over; at 1e-3 from it cond(V) is
+    # ~1e4, the expansion is within ~2e-13 and the eig path must stay
     fallback = abs(rel) < 1e-6
     for kappa_hz, gamma1 in ((1e9, 1e7), (2e8, 5e7)):
         p = _at_exceptional_point(kappa_hz, gamma1, rel)
-        _, vecs = np.linalg.eig(dynamics.liouvillian(p, 2))
+        _, vecs = np.linalg.eig(liouvillian(p, 2))
         assert (np.linalg.cond(vecs) > dynamics._EIG_COND_LIMIT) == fallback
         for t in _grids(p.tau1_s).values():
             trace = evolve_master_equation(p, n_max=2, t_grid=t)
-            assert trace.meta["method"] == ("liouvillian-expm" if fallback
-                                            else "liouvillian")
+            assert trace.meta["method"] == ("expm" if fallback else "eig")
             ref = _stepped_population(p, 2, t)
             assert np.max(np.abs(trace.values - ref)) < 1e-10
 
@@ -180,26 +285,19 @@ def test_liouvillian_path_at_exceptional_point(rel):
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_propagate_matches_expm_stepping(n_max, grid):
     # the eig path of the shared propagator against one expm per step, on
-    # every state entry; at n_max=1 both the block and the Liouvillian.
-    # One expm of the 64x64 n_max=3 generator takes 10-40 ms with threaded
-    # BLAS on a 2-core machine, so its log grid (64 distinct steps) runs on
-    # three of the sets, the paper point among them
+    # every state entry; at n_max=1 both the 5x5 generator and the oracle's
+    # Liouvillian.  One expm of the 64x64 n_max=3 generator takes 10-40 ms
+    # with threaded BLAS on a 2-core machine, so its log grid (64 distinct
+    # steps) runs on three of the sets, the paper point among them
     sets = list(enumerate(_oracle_sets()))
     for k, p in sets[::14] if (n_max, grid) == (3, "log") else sets:
         t = _grids(p.tau1_s)[grid]
-        for block in (True, False) if n_max == 1 else (False,):
-            gen, v0 = _generator(p, n_max, block)
+        for kron in (False, True) if n_max == 1 else (True,):
+            gen, v0 = _generator(p, n_max, kron)
             states, fell_back = dynamics._propagate(gen, v0, t)
-            assert not fell_back, (k, block)
+            assert not fell_back, (k, kron)
             ref = _expm_stepping(gen, v0, t)
-            assert np.max(np.abs(states - ref)) < 1e-10, (k, block)
-
-
-def _entry(n_max, atom_row, n_row, atom_col, n_col):
-    """Index of |atom_row, n_row><atom_col, n_col| in row-stacked rho, atom
-    basis (g, e) = (0, 1)."""
-    dim_c = n_max + 1
-    return (atom_row * dim_c + n_row) * 2 * dim_c + atom_col * dim_c + n_col
+            assert np.max(np.abs(states - ref)) < 1e-10, (k, kron)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
@@ -207,62 +305,51 @@ def test_reachable_part_is_the_block_and_the_ground_state(n_max):
     # every jump lowers the excitation number, so from |e,0><e,0| only the
     # {|e,0>, |g,1>} block and <g,0|rho|g,0> can fill, whatever n_max is;
     # without coupling nothing leaves |e,0> but the decay to |g,0>
-    v0 = dynamics._initial_state(n_max).reshape(-1)
-    p = AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9, gamma1=1.0 / 15.9e-9,
-                         gamma_phi=3e7, delta_hz=2e11)
-    e0, g1, g0 = (1, 0), (0, 1), (0, 0)
-    block = [_entry(n_max, *r, *c) for r in (e0, g1) for c in (e0, g1)]
-    reach = dynamics._reachable(dynamics.liouvillian(p, n_max), v0)
-    assert sorted(reach) == sorted(block + [_entry(n_max, *g0, *g0)])
+    v0 = _initial_state(n_max).reshape(-1)
+    reach = _reachable(liouvillian(P_DEPHASED, n_max), v0)
+    assert sorted(reach) == sorted(_five_entries(n_max))
     uncoupled = AtomCavityParams(g0_hz=0.0, kappa_hz=940e9, gamma1=1.0 / 15.9e-9)
-    reach = dynamics._reachable(dynamics.liouvillian(uncoupled, n_max), v0)
-    assert sorted(reach) == [_entry(n_max, *g0, *g0), _entry(n_max, *e0, *e0)]
+    reach = _reachable(liouvillian(uncoupled, n_max), v0)
+    assert sorted(reach) == [_entry(n_max, *G0, *G0), _entry(n_max, *E0, *E0)]
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
 def test_reachable_part_matches_the_full_liouvillian(n_max):
-    # evolve_master_equation propagates the reachable part and zero-fills
-    # the rest.  Its populations against the eig propagator on the whole
-    # Liouvillian, whose own error grows with ||gen|| t to 5e-11 at n_max=6;
-    # every entry of rho against scipy expm of the whole Liouvillian at three
-    # times.  The paper point with dephasing and detuning on the log grid,
-    # and two of the random sets on the uniform one
+    # evolve_master_equation propagates the five entries and zero-fills the
+    # rest.  Its populations against the eig propagator on the oracle's
+    # whole Liouvillian, whose own error grows with ||gen|| t to 5e-11 at
+    # n_max=6; every entry of rho against scipy expm of the whole
+    # Liouvillian at three times.  The paper point with dephasing and
+    # detuning on the log grid, and two of the random sets on the uniform one
     from scipy.linalg import expm
 
-    cases = [(AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9,
-                               gamma1=1.0 / 15.9e-9, gamma_phi=3e7,
-                               delta_hz=2e11), "log")]
+    cases = [(P_DEPHASED, "log")]
     cases += [(p, "uniform") for p in _oracle_sets()[:20:10]]
     for p, grid in cases:
         t = _grids(p.tau1_s)[grid]
         trace, states = evolve_master_equation(p, n_max=n_max, t_grid=t,
                                                return_states=True)
-        assert trace.meta["method"] == "liouvillian"
-        gen, v0 = _generator(p, n_max, False)
+        assert trace.meta["method"] == "eig"
+        gen, v0 = _generator(p, n_max, True)
         full, fell_back = dynamics._propagate(gen, v0, t)
         assert not fell_back
-        dim = 2 * (n_max + 1)
-        pops = np.einsum("kii->ki", full.reshape(len(t), dim, dim))[:, n_max + 1:]
-        assert np.max(np.abs(trace.values - pops.sum(axis=1).real)) < 1e-10, (p, grid)
+        pops = _excited_population(full, n_max)
+        assert np.max(np.abs(trace.values - pops)) < 1e-10, (p, grid)
         for k in (1, len(t) // 2, len(t) - 1):
             ref = expm(gen * (t[k] - t[0])) @ v0
             assert np.max(np.abs(states[k].matrix.reshape(-1) - ref)) < 1e-11, (p, k)
 
 
 def _exceptional_point_generators():
-    """Every generator the suite sends to the expm fallback: the block and
-    the reachable part of the n_max=2 Liouvillian at both exceptional points
-    and 1e-9 either side of them, plus one at the paper's kappa, whose
-    stiffness takes ~18 squarings."""
+    """Every generator the suite sends to the expm fallback: the 5x5 one at
+    both exceptional points and 1e-9 either side of them, plus one at the
+    paper's kappa, whose stiffness takes ~18 squarings."""
     points = [_at_exceptional_point(kappa_hz, gamma1, rel)
               for kappa_hz, gamma1 in ((1e9, 1e7), (2e8, 5e7))
               for rel in (0.0, 1e-9, -1e-9)]
     points.append(_at_exceptional_point(940e9, 1.0 / 15.9e-9, 0.0))
     for p in points:
-        gen, v0 = _generator(p, 2, False)
-        reach = dynamics._reachable(gen, v0)
-        yield p, dynamics._single_excitation_block(p)
-        yield p, gen[np.ix_(reach, reach)]
+        yield p, dynamics._generator(p)
 
 
 def test_numpy_expm_matches_scipy_at_exceptional_points():
@@ -279,24 +366,72 @@ def test_numpy_expm_matches_scipy_at_exceptional_points():
             assert dev < 1e-13, (p, gen.shape, dev)
 
 
-def test_block_check_rejects_corrupted_states():
+def test_state_check_rejects_corrupted_states():
     t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
     good, fell_back = dynamics._propagate(
-        dynamics._single_excitation_block(P_REF.detuned(2e11)),
-        dynamics._BLOCK_START, t)
+        dynamics._generator(P_REF.detuned(2e11)), dynamics._RHO0, t)
     assert not fell_back
-    dynamics._check_block(good, t, 1e-8)
+    dynamics._check_states(good, t, 1e-8)
 
-    for row, col, shift in ((5, 1, 1e-6j),      # coherences not conjugate
-                            (5, 0, 1e-6j),      # complex population
-                            (5, 3, 1.0),        # trace above 1
-                            (5, 3, -1e-3 - good[5, 3].real),  # negative population
-                            (0, 0, -1e-6)):     # P_e(t0) != 1
+    # (row, {column: shift}, the check that must fail); columns are
+    # (rho_gg, rho_aa, rho_ab, rho_ba, rho_bb), and the shifts of the last
+    # two cases keep the trace, so only the named check fails
+    neg_bb = -1e-3 - good[5, 4].real
+    for row, shifts, what in (
+            (5, {2: 1e-6j}, "not Hermitian"),          # coherences not conjugate
+            (5, {1: 1e-6j}, "not Hermitian"),          # complex population
+            (5, {0: 1e-6j}, "not Hermitian"),          # complex ground population
+            (5, {4: 1.0}, "trace not preserved"),      # trace above 1
+            (5, {0: 1e-3}, "trace not preserved"),     # rho_gg: trace above 1
+            (5, {0: -1e-3}, "trace not preserved"),    # rho_gg: trace below 1
+            (5, {4: neg_bb, 0: -neg_bb}, "negative population"),
+            (0, {1: -1e-6, 0: 1e-6}, "P_e\\(t0\\)")):    # P_e(t0) != 1
         bad = good.copy()
-        bad[row, col] += shift
-        with pytest.raises(IntegrationError) as err:
-            dynamics._check_block(bad, t, 1e-8)
+        for col, shift in shifts.items():
+            bad[row, col] += shift
+        with pytest.raises(IntegrationError, match=what) as err:
+            dynamics._check_states(bad, t, 1e-8)
         assert err.value.last_time == t[row]  # where the check failed
+
+
+def test_evolve_builds_no_kronecker_product(monkeypatch):
+    # one 5x5 generator serves every n_max: no Kronecker product is built,
+    # not even at n_max=15 or for the density matrices of return_states
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
+
+    t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
+    monkeypatch.setattr(np, "kron", no_kron)
+    ref = evolve_master_equation(P_DEPHASED, t_grid=t)
+    for n_max in (1, 2, 15):
+        trace = evolve_master_equation(P_DEPHASED, n_max=n_max, t_grid=t)
+        assert np.array_equal(trace.values, ref.values)
+        trace, states = evolve_master_equation(P_DEPHASED, n_max=n_max,
+                                               t_grid=t, return_states=True)
+        assert np.array_equal(trace.values, ref.values)
+        dim = 2 * (n_max + 1)
+        assert [s.matrix.shape for s in states] == [(dim, dim)] * len(t)
+        assert max(s.trace_deviation() for s in states) < 1e-7
+
+
+def test_evolve_rejects_bad_arguments(monkeypatch):
+    # each is refused before anything is propagated
+    def no_propagate(*args):
+        raise AssertionError("_propagate called")
+
+    monkeypatch.setattr(dynamics, "_propagate", no_propagate)
+    t = np.linspace(0.0, 1e-8, 8)
+    cases = [({"n_max": 0}, "n_max must be >= 1"),
+             ({"n_max": 16}, "n_max must be <= 15, got 16")]
+    cases += [({"rel_tol": tol}, "rel_tol must be finite and > 0")
+              for tol in (0.0, -1e-8, math.nan, math.inf)]
+    for bad in (math.nan, math.inf, -math.inf):
+        cases.append(({"t_grid": np.append(t, bad)}, "t_grid must be finite"))
+    cases += [({"t_grid": [0.0]}, "at least two times"),
+              ({"t_grid": t[::-1]}, "strictly increasing")]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            evolve_master_equation(P_REF, **{"t_grid": t, **kwargs})
 
 
 def test_structural_invariants_on_random_parameters():
@@ -506,6 +641,9 @@ def test_default_grid_runs_five_lifetimes():
     assert trace.bin_width_s == pytest.approx(trace.times[1] - trace.times[0])
     assert trace.kind == "simulated"
     assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
+    # a log-spaced grid has no bin width, however short its steps
+    t = np.concatenate(([0.0], np.geomspace(1e-12, 5e-9, 64)))
+    assert evolve_master_equation(P_REF, t_grid=t).bin_width_s is None
 
 
 def test_decay_trace_validation():
