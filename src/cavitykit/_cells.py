@@ -17,8 +17,6 @@ import numbers
 import os
 import tempfile
 
-import numpy as np
-
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
@@ -46,8 +44,11 @@ def parse_row(parts, lineno: int) -> list:
                 f"line {lineno}, column {col}: not a number: {p!r}") from None
 
 
-def check_finite(data: np.ndarray, linenos) -> np.ndarray:
-    """data unchanged when every cell is finite; row i came from line linenos[i]."""
+def check_finite(data, linenos):
+    """data, a 2-D float array, unchanged when every cell is finite; row i
+    came from line linenos[i]."""
+    import numpy as np
+
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -56,9 +57,10 @@ def check_finite(data: np.ndarray, linenos) -> np.ndarray:
     return data
 
 
-def read_rows(numbered_lines, widths) -> np.ndarray:
+def read_rows(numbered_lines, widths):
     """The data rows among (line number, text) pairs as a 2-D float array; the
-    first row holds one of widths (given in increasing order) cells."""
+    first row holds one of widths (given in increasing order) cells.  numpy is
+    imported after the row loop, so a malformed row is reported without it."""
     rows, linenos, width = [], [], None
     for lineno, text in numbered_lines:
         if not text.strip():
@@ -74,6 +76,8 @@ def read_rows(numbered_lines, widths) -> np.ndarray:
         linenos.append(lineno)
     if not rows:
         raise ValueError("no data rows found")
+    import numpy as np
+
     return check_finite(np.array(rows), linenos)
 
 

@@ -5,6 +5,12 @@ fits), 2 usage error (unknown flags, malformed input files).  All file
 outputs are written atomically (write-then-rename), carry a schema_version
 field and serialize numbers at full precision, so repeated runs with the
 same inputs and seed are byte identical.
+
+Each subcommand imports the numeric modules (and with them numpy) it uses
+when it runs, after it has read and parsed its input file: so ``purcell``,
+``g0`` and ``link-budget`` run on ``math`` alone, and a missing input file,
+or a table with a wrong cell count or a cell that is not a number, is
+reported without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +23,7 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
-from . import coupling, dynamics, fitting, linkbudget, purcell, synthetic
+from . import linkbudget, purcell
 from ._cells import finite_real, format_rows, read_rows, read_text, write_atomic
 
 SCHEMA_VERSION = 1
@@ -38,14 +42,12 @@ class InputFormatError(Exception):
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, known without numpy
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         # keep the JSON strictly standard
         return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
@@ -80,7 +82,7 @@ def _reading(path: str):
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def _read_table(path: str, columns: tuple) -> np.ndarray:
+def _read_table(path: str, columns: tuple):
     """CSV reader: optional '#' comments and one optional header line.
 
     Accepts rows with len(columns) values, or len(columns)-1 when the last
@@ -126,6 +128,10 @@ def _cmd_simulate_decay(args) -> int:
         raise ValueError(f"--t-max-ns must be finite, got {args.t_max_ns!r}")
     if not (0.0 < args.tol < math.inf):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
+    import numpy as np
+
+    from . import dynamics
+
     params = dynamics.AtomCavityParams(
         g0_hz=args.g0_ghz * 1e9, kappa_hz=args.kappa_ghz * 1e9,
         gamma1=1.0 / (args.tau1_ns * 1e-9), gamma_phi=args.gamma_phi_per_s,
@@ -154,7 +160,11 @@ def _cmd_simulate_decay(args) -> int:
 
 def _cmd_fit_decay(args) -> int:
     with _reading(args.data):
-        trace = dynamics.load_decay_trace(args.data)
+        text = read_text(args.data)
+    from . import dynamics, fitting
+
+    with _reading(args.data):
+        trace = dynamics.decay_trace_from_csv(text)
     result = fitting.fit_decay_trace(trace, with_background=args.background,
                                      skip_bins=args.skip_bins)
     return _emit(args, "fit-decay",
@@ -165,6 +175,8 @@ def _cmd_fit_decay(args) -> int:
 
 def _cmd_fit_detuning(args) -> int:
     table = _read_table(args.data, ("delta_hz", "tau_s", "sigma_s?"))
+    from . import fitting
+
     result = fitting.fit_tau_detuning(table)
     return _emit(args, "fit-detuning", {"data": args.data},
                  result.to_json_dict())
@@ -172,6 +184,8 @@ def _cmd_fit_detuning(args) -> int:
 
 def _cmd_fit_spectrum(args) -> int:
     table = _read_table(args.data, ("wavelength_nm", "intensity"))
+    from . import fitting
+
     result = fitting.fit_spectrum(table)
     return _emit(args, "fit-spectrum", {"data": args.data},
                  result.to_json_dict())
@@ -209,7 +223,7 @@ def _cmd_purcell(args) -> int:
 def _cmd_g0(args) -> int:
     entries = []
     for eta_dw in args.eta_dw:
-        est = coupling.ideal_coupling(
+        est = purcell.ideal_coupling(
             tau1_s=args.tau1_ns * 1e-9, nu_hz=args.nu_thz * 1e12,
             eta_dw=eta_dw,
             v_mode_m3=args.vmode_m3,
@@ -218,13 +232,13 @@ def _cmd_g0(args) -> int:
         entries.append({
             "eta_dw": eta_dw,
             "d_perp_cm": est.d_perp_cm,
-            "d_perp_debye": coupling.to_debye(est.d_perp_cm),
+            "d_perp_debye": purcell.to_debye(est.d_perp_cm),
             "d_zpl_cm": est.d_zpl_cm,
-            "d_zpl_debye": coupling.to_debye(est.d_zpl_cm),
+            "d_zpl_debye": purcell.to_debye(est.d_zpl_cm),
             "e_zpf_v_per_m": est.e_zpf_v_per_m,
             "v_mode_m3": est.v_mode_m3,
             "g0_hz": est.g0_hz,
-            "g0_effective_hz": coupling.effective_g0(est.g0_hz, args.weighting),
+            "g0_effective_hz": purcell.effective_g0(est.g0_hz, args.weighting),
         })
     inputs = {"tau1_s": args.tau1_ns * 1e-9, "nu_hz": args.nu_thz * 1e12,
               "eta_dw": list(args.eta_dw), "eps_rel": args.eps,
@@ -234,8 +248,10 @@ def _cmd_g0(args) -> int:
     return _emit(args, "g0", inputs, {"entries": entries})
 
 
-def _load_grid(path: str) -> coupling.FieldGrid:
+def _load_grid(path: str):
     """The grid at path; a warning about it goes to stderr as one line naming the file."""
+    from . import coupling
+
     with _reading(path), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         grid = coupling.load_field_grid(path)
@@ -246,6 +262,8 @@ def _load_grid(path: str) -> coupling.FieldGrid:
 
 def _cmd_ensemble_weight(args) -> int:
     grid = _load_grid(args.grid)
+    from . import coupling
+
     if args.region_nm:
         r = [v * 1e-9 for v in args.region_nm]
         region = ((r[0], r[1]), (r[2], r[3]), (r[4], r[5]))
@@ -262,6 +280,8 @@ def _cmd_ensemble_weight(args) -> int:
 
 def _cmd_mode_volume(args) -> int:
     grid = _load_grid(args.grid)
+    from . import coupling
+
     v = coupling.mode_volume(grid)
     result = {"v_mode_m3": v}
     eps_at_max = float(grid.eps_rel[grid.argmax_energy()])
@@ -321,6 +341,10 @@ def _cmd_gen_synthetic(args) -> int:
     if args.params_json:
         c, kappa_hz, tau1_s = _replayed_params(
             args.params_json, {"c": c, "kappa": kappa_hz, "tau1": tau1_s})
+    import numpy as np
+
+    from . import coupling, dynamics, synthetic
+
     os.makedirs(args.out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     files = {}
@@ -497,7 +521,12 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (ValueError, dynamics.IntegrationError) as exc:
+    except (ValueError, RuntimeError) as exc:
+        if not isinstance(exc, ValueError):
+            # an IntegrationError comes from dynamics, which is loaded by then
+            from .dynamics import IntegrationError
+            if not isinstance(exc, IntegrationError):
+                raise
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -1,10 +1,11 @@
 """Vacuum coupling-rate estimation from sampled cavity field maps.
 
-The chain implemented here goes: field map -> mode volume -> zero-point
-field amplitude, lifetime -> transition dipole moment, and their product
--> ideal vacuum coupling rate g0.  For an emitter ensemble distributed
-over the cavity, a spatially averaged weighting factor F in (0, 1/sqrt(3)]
-rescales the ideal g0.
+The chain goes: field map -> mode volume -> zero-point field amplitude,
+lifetime -> transition dipole moment, and their product -> ideal vacuum
+coupling rate g0.  For an emitter ensemble distributed over the cavity, a
+spatially averaged weighting factor F in (0, 1/sqrt(3)] rescales the ideal
+g0.  The field-map steps are here; the scalar steps, from the mode volume
+on, are pure ``math`` in ``purcell`` and re-exported here.
 
 Field maps are real-valued amplitude snapshots on a regular grid with an
 arbitrary linear scale; every output is built scale invariant, so the
@@ -35,7 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cells import decode, finite_real, format_rows, read_rows, write_atomic
-from .units import C0, DEBYE, EPS0, HBAR, to_angular
+from .purcell import (  # the scalar chain, numpy-free, re-exported here
+    CouplingEstimate, dipole_from_lifetime, effective_g0, g0_ideal,
+    ideal_coupling, normalized_mode_volume, to_debye, zero_point_field,
+)
 
 __all__ = [
     "FieldGrid", "WeightingConfig", "CouplingEstimate",
@@ -213,84 +217,6 @@ def mode_volume(grid: FieldGrid) -> float:
     return total * grid.cell_volume_m3 / w_max
 
 
-def normalized_mode_volume(v_m3: float, wavelength_m: float, n_index: float) -> float:
-    """Mode volume in units of (lambda/n)^3."""
-    if not (0.0 < wavelength_m < math.inf and 0.0 < n_index < math.inf):
-        raise ValueError("wavelength and index must be finite and > 0")
-    try:
-        return v_m3 / (wavelength_m / n_index) ** 3
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"(lambda/n)^3 is out of float64 range for lambda = "
-                         f"{wavelength_m!r} m, n = {n_index!r}") from None
-
-
-def zero_point_field(nu_c_hz: float, eps_rel_at_max: float, v_mode_m3: float) -> float:
-    """E_zpf = sqrt(hbar w_c / (2 eps eps0 V_mode)) in V/m."""
-    if not (nu_c_hz > 0.0 and eps_rel_at_max > 0.0 and v_mode_m3 > 0.0):
-        raise ValueError("frequency, permittivity and mode volume must be > 0")
-    omega = to_angular(nu_c_hz)
-    return math.sqrt(HBAR * omega / (2.0 * eps_rel_at_max * EPS0 * v_mode_m3))
-
-
-def dipole_from_lifetime(tau1_s: float, nu_hz: float) -> float:
-    """Transition dipole moment (C m) from the spontaneous-emission rate.
-
-    d = sqrt(3 pi eps0 hbar c^3 gamma1 / omega^3) with gamma1 = 1/tau1.
-    """
-    if not (tau1_s > 0.0 and nu_hz > 0.0):
-        raise ValueError("lifetime and frequency must be > 0")
-    gamma1 = 1.0 / tau1_s
-    omega = to_angular(nu_hz)
-    return math.sqrt(3.0 * math.pi * EPS0 * HBAR * C0 ** 3 * gamma1 / omega ** 3)
-
-
-def to_debye(d_cm: float) -> float:
-    """Dipole moment C m -> Debye."""
-    return d_cm / DEBYE
-
-
-def g0_ideal(d_zpl_cm: float, e_zpf_v_per_m: float) -> float:
-    """Ideal vacuum coupling rate as an ordinary frequency: d E / (2 pi hbar)."""
-    if d_zpl_cm < 0.0 or e_zpf_v_per_m < 0.0:
-        raise ValueError("dipole moment and field amplitude must be >= 0")
-    return d_zpl_cm * e_zpf_v_per_m / (2.0 * math.pi * HBAR)
-
-
-@dataclass(frozen=True)
-class CouplingEstimate:
-    """Composed dipole -> E_zpf -> g0 chain for one eta_dw value."""
-
-    d_perp_cm: float
-    d_zpl_cm: float
-    e_zpf_v_per_m: float
-    g0_hz: float
-    v_mode_m3: float
-
-
-def ideal_coupling(tau1_s: float, nu_hz: float, eta_dw: float,
-                   v_mode_m3: float | None = None,
-                   v_mode_normalized: float | None = None,
-                   eps_rel_at_max: float = 5.7) -> CouplingEstimate:
-    """Full chain from (lifetime, frequency, eta_dw, mode volume) to g0.
-
-    The mode volume may be given in m^3 or in units of (lambda/n)^3 with
-    n = sqrt(eps_rel_at_max); exactly one of the two must be supplied.
-    """
-    if (v_mode_m3 is None) == (v_mode_normalized is None):
-        raise ValueError("give exactly one of v_mode_m3 or v_mode_normalized")
-    d_perp = dipole_from_lifetime(tau1_s, nu_hz)
-    if not (0.0 < eta_dw <= 1.0):
-        raise ValueError(f"eta_dw must lie in (0, 1], got {eta_dw!r}")
-    d_zpl = math.sqrt(eta_dw) * d_perp  # the ZPL-projected dipole
-    if v_mode_m3 is None:
-        lam = C0 / nu_hz
-        v_mode_m3 = v_mode_normalized * (lam / math.sqrt(eps_rel_at_max)) ** 3
-    e_zpf = zero_point_field(nu_hz, eps_rel_at_max, v_mode_m3)
-    return CouplingEstimate(
-        d_perp_cm=d_perp, d_zpl_cm=d_zpl, e_zpf_v_per_m=e_zpf,
-        g0_hz=g0_ideal(d_zpl, e_zpf), v_mode_m3=v_mode_m3)
-
-
 def ensemble_weighting_factor(grid: FieldGrid, cfg: WeightingConfig) -> float:
     """Spatially averaged coupling reduction F in (0, 1/sqrt(3)].
 
@@ -325,15 +251,6 @@ def ensemble_weighting_factor(grid: FieldGrid, cfg: WeightingConfig) -> float:
     e_mag /= e_max
     w *= np.square(e_mag, out=e_mag)
     return float(math.sqrt(float(np.sum(w)) / 3.0))
-
-
-def effective_g0(g0_hz: float, weighting: float) -> float:
-    """Ensemble-effective coupling rate g0 * F."""
-    if not (0.0 <= weighting <= 1.0):
-        raise ValueError(f"weighting factor must lie in [0, 1], got {weighting!r}")
-    if g0_hz < 0.0:
-        raise ValueError("g0 must be >= 0")
-    return g0_hz * weighting
 
 
 # ---------------------------------------------------------------------------

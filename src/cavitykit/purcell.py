@@ -16,6 +16,17 @@ Note that an intensity-ratio enhancement (peak ZPL intensity on vs off
 resonance) and the lifetime-derived F_ZPL here need not coincide for an
 emitter ensemble: the two observables weight individual emitters
 differently.  Nothing in this module equates them.
+
+The scalar vacuum-coupling chain lives here too: lifetime -> transition
+dipole moment, mode volume -> zero-point field, and their product -> the
+ideal coupling rate g0, which sets C = 4 g0^2 / (kappa gamma1).
+``coupling`` re-exports it next to the field-map steps that feed it a mode
+volume and an ensemble weighting.  This module imports no numpy.
+
+C_ZPL, the dipole, the zero-point field and g0 take finite inputs only
+and must come out finite: an overflow, or a division by a product that
+underflowed to 0, is a ValueError naming the quantity, not an inf in the
+output.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .units import C0, DEBYE, EPS0, HBAR, to_angular
 
 #: Conventional Debye-Waller range for NV centers; used as a reporting
 #: default when the caller supplies no value of their own.
@@ -86,6 +99,18 @@ class PurcellResult:
             raise ValueError("F_ZPL must equal C_ZPL + 1")
 
 
+def _finite(name: str, formula) -> float:
+    """formula(), which must come out finite; an overflow, or a division by
+    a product that underflowed to 0, is a ValueError naming the quantity."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is out of float64 range")
+    return value
+
+
 class CzplEstimate(NamedTuple):
     """ZPL cooperativity with a flag marking lifetime lengthening.
 
@@ -123,20 +148,122 @@ def czpl_from_lifetimes(tau_on_s: float, tau_off_s: float,
     C_ZPL = (tau_off/tau_on - 1) / (eta_QE * eta_DW).  A negative result
     (tau_on > tau_off) is returned with suppressed=True instead of raising.
     """
-    if not (tau_on_s > 0.0 and tau_off_s > 0.0):
-        raise ValueError("lifetimes must be > 0")
+    if not (0.0 < tau_on_s < math.inf and 0.0 < tau_off_s < math.inf):
+        raise ValueError(f"lifetimes must be finite and > 0, got tau_on = "
+                         f"{tau_on_s!r} s, tau_off = {tau_off_s!r} s")
     if not (eta.product > 0.0):
         raise ValueError("eta_QE * eta_DW must be > 0")
-    value = (tau_off_s / tau_on_s - 1.0) / eta.product
+    value = _finite("C_ZPL = (tau_off/tau_on - 1) / (eta_QE * eta_DW)",
+                    lambda: (tau_off_s / tau_on_s - 1.0) / eta.product)
     return CzplEstimate(c_zpl=value, suppressed=value < 0.0)
 
 
 def zpl_quantities_from_c(c: float, eta: EfficiencyFactors) -> PurcellResult:
     """Expand a total-rate cooperativity C into (C, F_P, C_ZPL, F_ZPL)."""
-    if not (c >= 0.0):
-        raise ValueError(f"C must be >= 0, got {c!r}")
+    if not (0.0 <= c < math.inf):
+        raise ValueError(f"C must be finite and >= 0, got {c!r}")
     if not (eta.product > 0.0):
         raise ValueError("eta_QE * eta_DW must be > 0")
-    c_zpl = c / eta.product
+    c_zpl = _finite("C_ZPL = C / (eta_QE * eta_DW)", lambda: c / eta.product)
     return PurcellResult(c=c, f_p=c + 1.0, c_zpl=c_zpl, f_zpl=c_zpl + 1.0)
 
+
+# ---------------------------------------------------------------------------
+# Vacuum coupling: dipole moment, zero-point field and g0
+# ---------------------------------------------------------------------------
+
+def normalized_mode_volume(v_m3: float, wavelength_m: float, n_index: float) -> float:
+    """Mode volume in units of (lambda/n)^3."""
+    if not (0.0 < wavelength_m < math.inf and 0.0 < n_index < math.inf):
+        raise ValueError("wavelength and index must be finite and > 0")
+    try:
+        return v_m3 / (wavelength_m / n_index) ** 3
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"(lambda/n)^3 is out of float64 range for lambda = "
+                         f"{wavelength_m!r} m, n = {n_index!r}") from None
+
+
+def zero_point_field(nu_c_hz: float, eps_rel_at_max: float, v_mode_m3: float) -> float:
+    """E_zpf = sqrt(hbar w_c / (2 eps eps0 V_mode)) in V/m."""
+    if not all(0.0 < v < math.inf for v in (nu_c_hz, eps_rel_at_max, v_mode_m3)):
+        raise ValueError(
+            "frequency, permittivity and mode volume must be finite and > 0, got "
+            f"{nu_c_hz!r} Hz, {eps_rel_at_max!r}, {v_mode_m3!r} m^3")
+    omega = to_angular(nu_c_hz)
+    return _finite("E_zpf", lambda: math.sqrt(
+        HBAR * omega / (2.0 * eps_rel_at_max * EPS0 * v_mode_m3)))
+
+
+def dipole_from_lifetime(tau1_s: float, nu_hz: float) -> float:
+    """Transition dipole moment (C m) from the spontaneous-emission rate.
+
+    d = sqrt(3 pi eps0 hbar c^3 gamma1 / omega^3) with gamma1 = 1/tau1.
+    """
+    if not (0.0 < tau1_s < math.inf and 0.0 < nu_hz < math.inf):
+        raise ValueError(f"lifetime and frequency must be finite and > 0, got "
+                         f"{tau1_s!r} s, {nu_hz!r} Hz")
+    gamma1 = 1.0 / tau1_s
+    omega = to_angular(nu_hz)
+    return _finite("dipole moment", lambda: math.sqrt(
+        3.0 * math.pi * EPS0 * HBAR * C0 ** 3 * gamma1 / omega ** 3))
+
+
+def to_debye(d_cm: float) -> float:
+    """Dipole moment C m -> Debye."""
+    return d_cm / DEBYE
+
+
+def g0_ideal(d_zpl_cm: float, e_zpf_v_per_m: float) -> float:
+    """Ideal vacuum coupling rate as an ordinary frequency: d E / (2 pi hbar)."""
+    if not (0.0 <= d_zpl_cm < math.inf and 0.0 <= e_zpf_v_per_m < math.inf):
+        raise ValueError("dipole moment and field amplitude must be finite and >= 0")
+    return _finite("g0", lambda: d_zpl_cm * e_zpf_v_per_m / (2.0 * math.pi * HBAR))
+
+
+@dataclass(frozen=True)
+class CouplingEstimate:
+    """Composed dipole -> E_zpf -> g0 chain for one eta_dw value."""
+
+    d_perp_cm: float
+    d_zpl_cm: float
+    e_zpf_v_per_m: float
+    g0_hz: float
+    v_mode_m3: float
+
+
+def ideal_coupling(tau1_s: float, nu_hz: float, eta_dw: float,
+                   v_mode_m3: float | None = None,
+                   v_mode_normalized: float | None = None,
+                   eps_rel_at_max: float = 5.7) -> CouplingEstimate:
+    """Full chain from (lifetime, frequency, eta_dw, mode volume) to g0.
+
+    The mode volume may be given in m^3 or in units of (lambda/n)^3 with
+    n = sqrt(eps_rel_at_max); exactly one of the two must be supplied.
+    """
+    if (v_mode_m3 is None) == (v_mode_normalized is None):
+        raise ValueError("give exactly one of v_mode_m3 or v_mode_normalized")
+    d_perp = dipole_from_lifetime(tau1_s, nu_hz)
+    if not (0.0 < eta_dw <= 1.0):
+        raise ValueError(f"eta_dw must lie in (0, 1], got {eta_dw!r}")
+    d_zpl = math.sqrt(eta_dw) * d_perp  # the ZPL-projected dipole
+    if v_mode_m3 is None:
+        if not (0.0 < v_mode_normalized < math.inf and 0.0 < eps_rel_at_max < math.inf):
+            raise ValueError(
+                "normalized mode volume and permittivity must be finite and > 0, "
+                f"got {v_mode_normalized!r}, {eps_rel_at_max!r}")
+        lam = C0 / nu_hz
+        v_mode_m3 = _finite("mode volume", lambda: v_mode_normalized
+                            * (lam / math.sqrt(eps_rel_at_max)) ** 3)
+    e_zpf = zero_point_field(nu_hz, eps_rel_at_max, v_mode_m3)
+    return CouplingEstimate(
+        d_perp_cm=d_perp, d_zpl_cm=d_zpl, e_zpf_v_per_m=e_zpf,
+        g0_hz=g0_ideal(d_zpl, e_zpf), v_mode_m3=v_mode_m3)
+
+
+def effective_g0(g0_hz: float, weighting: float) -> float:
+    """Ensemble-effective coupling rate g0 * F."""
+    if not (0.0 <= weighting <= 1.0):
+        raise ValueError(f"weighting factor must lie in [0, 1], got {weighting!r}")
+    if not (0.0 <= g0_hz < math.inf):
+        raise ValueError(f"g0 must be finite and >= 0, got {g0_hz!r}")
+    return g0_hz * weighting

@@ -532,6 +532,105 @@ def test_cold_start_does_not_import_scipy(tmp_path):
         assert "# method='expm'\n" in Path(path).read_text()
 
 
+def test_scalar_commands_and_rejected_inputs_do_not_import_numpy(tmp_path, capsys):
+    # purcell, g0 and link-budget are pure math, and a missing file or a
+    # table with a wrong cell count or a non-number cell is rejected before
+    # any numeric module loads; each gives the stdout, stderr and exit code
+    # it gives with numpy loaded
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([
+        {"name": "taper", "efficiency": 0.85, "efficiency_err": 0.02},
+        {"name": "wg", "loss_db_per_cm": 1.9, "length_cm": 0.35},
+        {"name": "edge", "loss_db": 7.06, "loss_db_err": 0.3}]))
+    bad_cols = tmp_path / "bad_cols.csv"
+    bad_cols.write_text("delta_hz,tau_s,sigma_s\n0,1e-8,1e-10\n1e11,1.2e-8,1e-10,1.0\n")
+    bad_num = tmp_path / "bad_num.csv"
+    bad_num.write_text("wavelength_nm,intensity\n630,1.0\n631,abc\n")
+    invocations = [
+        (["purcell", "--c", "0.14"], 0),
+        (["purcell", "--tau-on-ns", "13.2", "--tau-off-ns", "15.9"], 0),
+        (["g0", "--tau1-ns", "15.9", "--nu-thz", "470.6",
+          "--vmode-normalized", "0.9", "--weighting", "0.35"], 0),
+        (["link-budget", str(chain), "--measured-total", "0.05"], 0),
+        (["link-budget", "--db-per-cm", "1.9", "--length-cm", "0.35"], 0),
+        (["fit-detuning", str(bad_cols)], 2),
+        (["fit-spectrum", str(bad_num)], 2),
+        (["fit-decay", str(tmp_path / "absent.csv")], 2),
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from cavitykit.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        rc = main(argv)\n"
+        "    runs.append([rc, out.getvalue(), err.getvalue(), 'numpy' in sys.modules])\n"
+        "print(json.dumps(runs))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([argv for argv, _ in invocations])],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    runs = json.loads(proc.stdout)
+    assert len(runs) == len(invocations)
+    for (argv, code), (rc, out, err, numpy_loaded) in zip(invocations, runs):
+        assert not numpy_loaded, argv
+        assert rc == code, (argv, err)
+        run_cli(*argv)  # in this process, where numpy is loaded
+        assert (out, err) == capsys.readouterr(), argv
+    assert runs[5][2].startswith(f"usage error: {bad_cols}: line 3: expected 3")
+    assert runs[6][2].startswith(f"usage error: {bad_num}: line 3, column 2: not a number")
+    assert "No such file or directory" in runs[7][2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["purcell", "--c", "inf"], "C must be finite and >= 0, got inf"),
+    (["purcell", "--tau-on-ns", "13", "--tau-off-ns", "inf"],
+     "lifetimes must be finite and > 0"),
+    (["purcell", "--c", "1e308", "--eta-dw", "0.03"],
+     "C_ZPL = C / (eta_QE * eta_DW) is out of float64 range"),
+])
+def test_purcell_rejects_non_finite_figures(argv, message, capsys):
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
+G0_ARGS = ["g0", "--tau1-ns", "15.9", "--nu-thz", "470.6"]
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--tau1-ns", "lifetime and frequency must be finite and > 0, got inf s"),
+    ("--nu-thz", "lifetime and frequency must be finite and > 0, got 1.59e-08 s, inf Hz"),
+])
+def test_g0_rejects_an_infinite_lifetime_or_frequency(flag, message, capsys):
+    argv = G0_ARGS + ["--vmode-normalized", "0.9"]
+    argv[argv.index(flag) + 1] = "inf"
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_g0_rejects_an_infinite_mode_volume(capsys):
+    assert run_cli(*G0_ARGS, "--vmode-m3", "inf") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "mode volume must be finite and > 0, got 470600000000000.0 Hz, 5.7, inf m^3" in err
+
+
+def test_json_text_of_numpy_values_is_pinned():
+    # numpy arrays and scalars are told apart by their tolist() without
+    # importing numpy; the text is the one isinstance checks on numpy types gave
+    doc = {"f": np.float64(0.1), "i": np.int64(-3), "n": float("nan"),
+           "a": np.array([[1.5, np.nan], [np.inf, -np.inf]]),
+           "p": float("inf"), "t": (np.float32(0.25), 2)}
+    assert cli._json_text(doc) == (
+        '{\n  "a": [\n    [\n      1.5,\n      "nan"\n    ],\n    [\n      "inf",\n'
+        '      "-inf"\n    ]\n  ],\n  "f": 0.1,\n  "i": -3,\n  "n": "nan",\n'
+        '  "p": "inf",\n  "t": [\n    0.25,\n    2\n  ]\n}\n')
+
+
 def test_domain_errors_exit_1(tmp_path, capsys, monkeypatch):
     same = tmp_path / "same.csv"
     same.write_text("delta_hz,tau_s\n" + "".join(

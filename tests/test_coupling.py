@@ -153,6 +153,39 @@ def test_zero_point_field_validation():
         zero_point_field(475e12, 5.7, 0.0)
 
 
+def test_scalar_chain_requires_finite_inputs():
+    with pytest.raises(ValueError, match="lifetime and frequency must be finite and > 0"):
+        dipole_from_lifetime(math.inf, 475e12)
+    with pytest.raises(ValueError, match="lifetime and frequency must be finite and > 0"):
+        dipole_from_lifetime(16e-9, math.inf)
+    with pytest.raises(ValueError, match="mode volume must be finite and > 0"):
+        zero_point_field(475e12, 5.7, math.inf)
+    with pytest.raises(ValueError, match="mode volume must be finite and > 0"):
+        zero_point_field(475e12, math.inf, 1e-20)
+    with pytest.raises(ValueError, match="normalized mode volume and permittivity "
+                                         "must be finite and > 0"):
+        ideal_coupling(16e-9, 475e12, 0.02, v_mode_normalized=math.inf)
+    with pytest.raises(ValueError, match="normalized mode volume and permittivity "
+                                         "must be finite and > 0"):
+        ideal_coupling(16e-9, 475e12, 0.02, v_mode_normalized=0.5, eps_rel_at_max=-1.0)
+    with pytest.raises(ValueError, match="dipole moment and field amplitude must be finite"):
+        g0_ideal(math.inf, 1e5)
+    with pytest.raises(ValueError, match="g0 must be finite and >= 0"):
+        effective_g0(math.inf, 0.5)
+
+
+@pytest.mark.parametrize("args, kwargs, quantity", [
+    ((16e-9, 1e307), {"v_mode_m3": 1e-20}, "dipole moment"),      # omega^3 overflows
+    ((16e-9, 1e-300), {"v_mode_m3": 1e-20}, "dipole moment"),     # omega^3 underflows to 0
+    ((16e-9, 475e12), {"v_mode_m3": 1e-320}, "E_zpf"),            # 2 eps eps0 V underflows
+    ((16e-9, 1e-96), {"v_mode_normalized": 1.0}, "mode volume"),  # (lambda/n)^3 overflows
+])
+def test_scalar_chain_results_out_of_range_are_named(args, kwargs, quantity):
+    # no overflow or ZeroDivisionError escapes, and no inf comes back
+    with pytest.raises(ValueError, match=f"^{quantity} is out of float64 range$"):
+        ideal_coupling(*args, 0.02, **kwargs)
+
+
 def test_dipole_pins():
     d = dipole_from_lifetime(16e-9, 475e12)
     assert d == pytest.approx(2.4e-29, rel=0.03)
@@ -190,7 +223,7 @@ def test_ideal_coupling_argument_check():
         ideal_coupling(16e-9, 475e12, 0.02, v_mode_m3=1e-20,
                        v_mode_normalized=0.5)
     # checked before the normalized mode volume divides by the frequency
-    with pytest.raises(ValueError, match="lifetime and frequency must be > 0"):
+    with pytest.raises(ValueError, match="lifetime and frequency must be finite and > 0"):
         ideal_coupling(16e-9, 0.0, 0.02, v_mode_normalized=0.5)
     with pytest.raises(ValueError, match=r"eta_dw must lie in \(0, 1\], got 0.0"):
         ideal_coupling(16e-9, 475e12, 0.0, v_mode_normalized=0.5)

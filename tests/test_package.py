@@ -1,5 +1,11 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import cavitykit
 
@@ -15,3 +21,61 @@ def test_every_exported_name_resolves():
             checked += 1
     assert checked > 0
 
+
+
+# The public names of the package, by the module that defines or re-exports
+# them; `from cavitykit import *` gives exactly these.
+PUBLIC = {
+    "units": {"CONSTANTS", "PhysicalConstants", "to_angular", "linear_to_db",
+              "db_to_linear"},
+    "purcell": {"RateBudget", "EfficiencyFactors", "PurcellResult", "CzplEstimate",
+                "total_decay_rate", "efficiency_factors", "czpl_from_lifetimes",
+                "zpl_quantities_from_c", "NV_DEBYE_WALLER_RANGE"},
+    "dynamics": {"AtomCavityParams", "DensityState", "DecayTrace", "RateEstimate",
+                 "IntegrationError", "evolve_master_equation", "analytic_total_rate",
+                 "tau_of_detuning", "extract_decay_rate", "load_decay_trace"},
+    "coupling": {"FieldGrid", "WeightingConfig", "CouplingEstimate", "mode_volume",
+                 "normalized_mode_volume", "zero_point_field", "dipole_from_lifetime",
+                 "to_debye", "g0_ideal", "ideal_coupling", "ensemble_weighting_factor",
+                 "effective_g0", "save_field_grid", "load_field_grid"},
+    "fitting": {"DegenerateFitError", "FitModel", "FitResult", "MODEL_KINDS",
+                "get_model", "least_squares_fit", "fit_decay_trace",
+                "fit_tau_detuning", "fit_spectrum"},
+    "linkbudget": {"LinkElement", "LinkChain", "propagation_efficiency",
+                   "chain_efficiency", "budget_report", "format_budget_table"},
+}
+
+
+def test_bare_import_loads_no_numpy_and_resolves_submodules():
+    script = (
+        "import sys, cavitykit as ck\n"
+        "print('numpy' in sys.modules)\n"
+        "print(ck.to_angular(1.0) > 0, ck.ideal_coupling.__name__)\n"
+        "print('numpy' in sys.modules)\n"
+        "for name in ('dynamics', 'fitting', 'coupling', 'cli', 'synthetic'):\n"
+        "    print(getattr(ck, name).__name__)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == [
+        "False", "True", "ideal_coupling", "False", "cavitykit.dynamics",
+        "cavitykit.fitting", "cavitykit.coupling", "cavitykit.cli", "cavitykit.synthetic"]
+
+
+def test_every_public_name_is_its_modules_object():
+    assert set(cavitykit.__all__) == set().union(*PUBLIC.values())
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"cavitykit.{module}")
+        for name in names:
+            assert getattr(cavitykit, name) is getattr(mod, name), name
+    namespace = {}
+    exec("from cavitykit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cavitykit.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'cavitykit' has no attribute 'expm'"):
+        cavitykit.expm
+    assert not hasattr(cavitykit, "liouvillian")
+    assert {"dynamics", "cli", "fit_spectrum"} <= set(dir(cavitykit))

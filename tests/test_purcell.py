@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ def test_czpl_from_lifetimes_validation():
         czpl_from_lifetimes(14e-9, 15.9e-9, EfficiencyFactors(eta_dw=0.0))
 
 
+def test_czpl_from_lifetimes_requires_finite_lifetimes_and_result():
+    eta = EfficiencyFactors(eta_dw=0.02)
+    for tau_on, tau_off in ((13e-9, math.inf), (math.inf, 15.9e-9), (math.nan, 15.9e-9)):
+        with pytest.raises(ValueError, match="lifetimes must be finite and > 0"):
+            czpl_from_lifetimes(tau_on, tau_off, eta)
+    with pytest.raises(ValueError, match=r"C_ZPL = \(tau_off/tau_on - 1\) / "
+                                         r"\(eta_QE \* eta_DW\) is out of float64 range"):
+        czpl_from_lifetimes(1e-300, 1e300, eta)
+
+
 def test_zpl_quantities_pins():
     res = zpl_quantities_from_c(0.14, EfficiencyFactors(eta_dw=0.02))
     assert res.f_zpl == pytest.approx(8.0, rel=1e-12)
@@ -112,6 +124,15 @@ def test_zpl_quantities_validation():
         zpl_quantities_from_c(-0.1, EfficiencyFactors(eta_dw=0.02))
     with pytest.raises(ValueError):
         zpl_quantities_from_c(0.1, EfficiencyFactors(eta_dw=0.0))
+
+
+def test_zpl_quantities_require_finite_c_and_result():
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="C must be finite and >= 0"):
+            zpl_quantities_from_c(c, EfficiencyFactors(eta_dw=0.02))
+    with pytest.raises(ValueError, match=r"C_ZPL = C / \(eta_QE \* eta_DW\) "
+                                         "is out of float64 range"):
+        zpl_quantities_from_c(1e308, EfficiencyFactors(eta_dw=0.03))
 
 
 def test_czpl_general_pure_zpl():
