@@ -58,11 +58,26 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """A path that cannot be written (a missing directory, say) is a usage
+    error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputFormatError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
+def _write(path: str, data):
+    with _writing(path):
+        write_atomic(path, data)
+
+
 def _emit(args, command: str, inputs: dict, result: dict) -> int:
     payload = _json_text({"schema_version": SCHEMA_VERSION, "command": command,
                           "inputs": inputs, "result": result})
     if getattr(args, "out", None):
-        write_atomic(args.out, payload)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0
@@ -149,7 +164,7 @@ def _cmd_simulate_decay(args) -> int:
         "n_points": len(trace),
     }
     if args.trace_csv:
-        write_atomic(args.trace_csv, dynamics.decay_trace_to_csv(trace))
+        _write(args.trace_csv, dynamics.decay_trace_to_csv(trace))
         result["trace_csv"] = args.trace_csv
     inputs = {"g0_hz": params.g0_hz, "kappa_hz": params.kappa_hz,
               "gamma1_per_s": params.gamma1, "gamma_phi_per_s": params.gamma_phi,
@@ -286,8 +301,8 @@ def _cmd_mode_volume(args) -> int:
     result = {"v_mode_m3": v}
     eps_at_max = float(grid.eps_rel[grid.argmax_energy()])
     result["eps_rel_at_max"] = eps_at_max
-    if args.lambda_nm:
-        n_index = args.n_index or math.sqrt(eps_at_max)
+    if args.lambda_nm is not None:
+        n_index = args.n_index if args.n_index is not None else math.sqrt(eps_at_max)
         result["n_index"] = n_index
         result["v_mode_normalized"] = coupling.normalized_mode_volume(
             v, args.lambda_nm * 1e-9, n_index)
@@ -345,7 +360,8 @@ def _cmd_gen_synthetic(args) -> int:
 
     from . import coupling, dynamics, synthetic
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _writing(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     files = {}
     base = synthetic.DEFAULT_ATOM_CAVITY
@@ -356,23 +372,23 @@ def _cmd_gen_synthetic(args) -> int:
             trace = synthetic.synthetic_decay_trace(
                 base.detuned(step * base.kappa_hz), rng=rng)
             name = f"decay_trace_{i:02d}.csv"
-            write_atomic(os.path.join(args.out_dir, name),
-                         dynamics.decay_trace_to_csv(trace))
+            _write(os.path.join(args.out_dir, name),
+                   dynamics.decay_trace_to_csv(trace))
             names.append({"file": name, "delta_hz": step * base.kappa_hz})
         files["decay_traces"] = names
     if what in ("tau-detuning", "all"):
         table = synthetic.synthetic_tau_detuning(
             c=c, kappa_hz=kappa_hz, tau1_s=tau1_s, rng=rng)
         name = "tau_detuning.csv"
-        write_atomic(os.path.join(args.out_dir, name),
-                     _table_text(("delta_hz", "tau_s", "sigma_s"), table))
+        _write(os.path.join(args.out_dir, name),
+               _table_text(("delta_hz", "tau_s", "sigma_s"), table))
         files["tau_detuning"] = name
     if what in ("spectrum", "all"):
         spec = synthetic.synthetic_spectrum(
             noise_frac=0.02 if rng is not None else 0.0, rng=rng)
         name = "spectrum.csv"
-        write_atomic(os.path.join(args.out_dir, name),
-                     _table_text(("wavelength_nm", "intensity"), spec))
+        _write(os.path.join(args.out_dir, name),
+               _table_text(("wavelength_nm", "intensity"), spec))
         files["spectrum"] = name
     if what in ("field-grid", "all"):
         grid = synthetic.synthetic_field_grid()
@@ -390,7 +406,7 @@ def _cmd_gen_synthetic(args) -> int:
                                         "tau1_s": tau1_s}},
         "files": files,
     })
-    write_atomic(os.path.join(args.out_dir, "index.json"), index)
+    _write(os.path.join(args.out_dir, "index.json"), index)
     sys.stdout.write(f"wrote {args.out_dir}/index.json\n")
     return 0
 

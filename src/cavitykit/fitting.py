@@ -14,7 +14,10 @@ test sees only the free parameters.  Convergence: relative step below
 1e-10 or scaled gradient below 1e-12, capped at 500 iterations; hitting
 the cap flags converged=False instead of raising.  The parameter
 covariance is the inverse Gauss-Newton normal matrix scaled by the reduced
-chi-square.
+chi-square.  fit_spectrum's second start is also stopped early, with no
+result, once it is above the first start's cost and could not get below it
+even if every iteration left cut the cost by as much as its last step did
+(the slow linear creep of large-residual Gauss-Newton; see fit_spectrum).
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -395,7 +398,7 @@ def _require_finite(name: str, arr: np.ndarray):
 
 
 def least_squares_fit(model, x, y, sigma=None, init=None,
-                      on_singular: str = "raise") -> FitResult:
+                      on_singular: str = "raise", *, _bound=None) -> FitResult:
     """Minimize sum(((y - model(x; theta)) / sigma)^2) over theta.
 
     sigma, when given, must be positive and supplies absolute weights;
@@ -405,6 +408,11 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     singular normal matrix into DegenerateFitError, "pinv" falls back to a
     pseudo-inverse covariance with inf standard errors on unconstrained
     parameters plus a warning entry.
+
+    _bound (private, for fit_spectrum's second start): the cost of a fit
+    already in hand.  The fit returns None, with no covariance, after an
+    accepted step whose cost is above _bound and could not get below it
+    even if every iteration left cut the cost by as much as that step did.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -510,6 +518,9 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
             r_t = residual(trial)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t < cost:
+                if _bound is not None and cost_t > _bound and (
+                        cost_t - (MAX_ITERATIONS - n_iter) * (cost - cost_t) > _bound):
+                    return None
                 # per-parameter relative step; an aggregate norm would let
                 # the largest-scale parameter mask motion in the others
                 rel_step = float(np.max(
@@ -644,6 +655,18 @@ def fit_spectrum(spectrum) -> FitResult:
     outputs: cavity center, FWHM, Q = center/FWHM and background-subtracted
     peak heights.  Strongly overlapping peaks are flagged via the
     correlation of the two center estimates.
+
+    The fit runs from two starts, the guess and the guess with the two
+    peaks' shapes swapped, and keeps the lower residual (the first on a
+    tie).  The swapped start gets the first fit's cost as a bound: after an
+    accepted step it stops, with no result, if its cost is above the bound
+    and cost - (MAX_ITERATIONS - n) * (last decrease) is still above it.
+    Its cost only falls, so a stopped start would lose the comparison unless
+    its later steps cut the cost by more than the step it stopped on.  In
+    the slow linear tail of large-residual Gauss-Newton they cut less and
+    less, and there the rule cannot change the returned fit.  A start that
+    creeps across a plateau and then speeds up again can be stopped
+    wrongly, and the first fit is returned in place of a lower one.
     """
     spec = np.asarray(spectrum, dtype=float)
     if spec.ndim != 2 or spec.shape[1] != 2:
@@ -660,12 +683,15 @@ def fit_spectrum(spectrum) -> FitResult:
     swapped = np.array([guess[3], guess[4], guess[5] * root2ln2,
                         guess[0], guess[1], guess[2] / root2ln2,
                         guess[6], guess[7]])
-    result = None
-    for init in (guess, swapped):
-        candidate = least_squares_fit("lorentzian-plus-gaussian", lam, inten,
-                                      init=init, on_singular="pinv")
-        if result is None or candidate.residual_norm < result.residual_norm:
-            result = candidate
+    result = least_squares_fit("lorentzian-plus-gaussian", lam, inten,
+                               init=guess, on_singular="pinv")
+    # the swapped start wins only below the first fit's cost, and is
+    # stopped once its creep could not get there (see the docstring)
+    candidate = least_squares_fit("lorentzian-plus-gaussian", lam, inten,
+                                  init=swapped, on_singular="pinv",
+                                  _bound=result.chisq)
+    if candidate is not None and candidate.residual_norm < result.residual_norm:
+        result = candidate
     names = list(result.params)
     i_c, i_z = names.index("x_cav"), names.index("x_zpl")
     cov = result.covariance

@@ -181,6 +181,42 @@ def test_every_subcommand_is_deterministic(fixtures, tmp_path):
     assert dirs[0] == dirs[1]
 
 
+def test_output_into_a_missing_directory_is_a_usage_error(fixtures, tmp_path, capsys):
+    # --out (through _emit) and --trace-csv each name the path they could
+    # not write, and nothing is left behind
+    missing = tmp_path / "missing"
+    out = missing / "fit.json"
+    assert run_cli("fit-decay", str(fixtures / "decay_trace_04.csv"),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {out}: cannot write: No such file or directory\n")
+    trace_csv = missing / "trace.csv"
+    assert run_cli("simulate-decay", "--g0-ghz", "0.57", "--kappa-ghz", "940",
+                   "--tau1-ns", "15.9", "--points", "32",
+                   "--trace-csv", str(trace_csv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: {trace_csv}: cannot write: No such file or directory\n"
+    # an --out-dir that is a file
+    not_dir = tmp_path / "file"
+    not_dir.write_text("")
+    assert run_cli("gen-synthetic", "--what", "spectrum", "--out-dir", str(not_dir)) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {not_dir}: cannot write: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_mode_volume_zero_is_not_a_missing_flag(fixtures, capsys):
+    # a 0 is refused like any other index or wavelength that is not > 0,
+    # not read as "flag not given"
+    grid = str(fixtures / "field_grid.fgrid")
+    for argv in (["--lambda-nm", "637", "--n-index", "0"], ["--lambda-nm", "0"],
+                 ["--lambda-nm", "-637"]):
+        assert run_cli("mode-volume", grid, *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: wavelength and index must be finite and > 0\n"
+
+
 def test_fit_replay_round_trip(fixtures, tmp_path):
     fit1 = tmp_path / "fit1.json"
     assert run_cli("fit-detuning", str(fixtures / "tau_detuning.csv"),
