@@ -411,8 +411,8 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
 
     _bound (private, for fit_spectrum's second start): the cost of a fit
     already in hand.  The fit returns None, with no covariance, after an
-    accepted step whose cost is above _bound and could not get below it
-    even if every iteration left cut the cost by as much as that step did.
+    accepted step whose cost could not get below _bound even if every
+    iteration left cut the cost by as much as that step did.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -518,7 +518,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
             r_t = residual(trial)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t < cost:
-                if _bound is not None and cost_t > _bound and (
+                if _bound is not None and (
                         cost_t - (MAX_ITERATIONS - n_iter) * (cost - cost_t) > _bound):
                     return None
                 # per-parameter relative step; an aggregate norm would let
@@ -659,14 +659,14 @@ def fit_spectrum(spectrum) -> FitResult:
     The fit runs from two starts, the guess and the guess with the two
     peaks' shapes swapped, and keeps the lower residual (the first on a
     tie).  The swapped start gets the first fit's cost as a bound: after an
-    accepted step it stops, with no result, if its cost is above the bound
-    and cost - (MAX_ITERATIONS - n) * (last decrease) is still above it.
-    Its cost only falls, so a stopped start would lose the comparison unless
-    its later steps cut the cost by more than the step it stopped on.  In
-    the slow linear tail of large-residual Gauss-Newton they cut less and
-    less, and there the rule cannot change the returned fit.  A start that
-    creeps across a plateau and then speeds up again can be stopped
-    wrongly, and the first fit is returned in place of a lower one.
+    accepted step n it stops, with no result, if its cost minus
+    (MAX_ITERATIONS - n) times that step's decrease is still above the
+    bound.  A stopped start would lose the comparison unless its later
+    steps cut the cost by more than the step it stopped on.  In the slow
+    linear tail of large-residual Gauss-Newton they cut less and less, and
+    there the rule cannot change the returned fit.  A start that creeps
+    across a plateau and then speeds up again can be stopped wrongly, and
+    the first fit is returned in place of a lower one.
     """
     spec = np.asarray(spectrum, dtype=float)
     if spec.ndim != 2 or spec.shape[1] != 2:

@@ -373,17 +373,22 @@ def _noisy_spectrum(rng, w_cav, sep, sigma_zpl):
     return np.column_stack([SPECTRUM_X, y + rng.normal(0.0, 2.0, SPECTRUM_X.size)])
 
 
+def _spectrum_starts(lam, inten):
+    """fit_spectrum's two starts: the guess, and the guess with the peaks'
+    shapes swapped."""
+    guess = fitting._guess_spectrum(lam, inten)
+    r = np.sqrt(2.0 * np.log(2.0))
+    return guess, np.array([guess[3], guess[4], guess[5] * r,
+                            guess[0], guess[1], guess[2] / r, guess[6], guess[7]])
+
+
 def _both_starts_unbounded(spec):
     """fit_spectrum's two starts, each run to its end with no bound, and
     whether the swapped one wins (a lower residual; a tie keeps the first)."""
     lam, inten = spec[:, 0], spec[:, 1]
-    guess = fitting._guess_spectrum(lam, inten)
-    r = np.sqrt(2.0 * np.log(2.0))
-    swapped = np.array([guess[3], guess[4], guess[5] * r,
-                        guess[0], guess[1], guess[2] / r, guess[6], guess[7]])
     kept, other = (least_squares_fit("lorentzian-plus-gaussian", lam, inten,
                                      init=init, on_singular="pinv")
-                   for init in (guess, swapped))
+                   for init in _spectrum_starts(lam, inten))
     won = other.residual_norm < kept.residual_norm
     return (other if won else kept), won
 
@@ -415,6 +420,8 @@ def test_stopping_the_losing_start_changes_no_fit(monkeypatch):
     lsq = fitting.least_squares_fit
 
     def spy(*args, **kwargs):
+        # the second start is bounded by the first fit's cost
+        assert kwargs.get("_bound") == (returned[-1].chisq if len(returned) % 2 else None)
         returned.append(lsq(*args, **kwargs))
         return returned[-1]
 
@@ -424,6 +431,47 @@ def test_stopping_the_losing_start_changes_no_fit(monkeypatch):
     assert len(returned) == 2 * len(specs)
     assert all(r is not None for r in returned[0::2])
     assert all(r is None for r in returned[1::2])
+
+
+def test_the_losing_start_stops_at_the_first_step_that_cannot_catch_up():
+    # the costs after each accepted step of the unbounded run, read off the
+    # points where the Jacobian is taken, give the iteration the rule stops at
+    spec = _noisy_spectrum(np.random.default_rng(1403), 0.6, 1.2, 0.12)
+    lam, inten = spec[:, 0], spec[:, 1]
+    model = get_model("lorentzian-plus-gaussian")
+    points = []
+
+    def jacobian(x, th):
+        if not points or not np.array_equal(points[-1], th):
+            points.append(th.copy())
+        return model.jacobian(x, th)
+
+    recording = dataclasses.replace(model, jacobian=jacobian)
+    guess, swapped = _spectrum_starts(lam, inten)
+    bound = least_squares_fit(model, lam, inten, init=guess, on_singular="pinv").chisq
+    least_squares_fit(recording, lam, inten, init=swapped, on_singular="pinv")
+    cost = [float(r @ r) for r in (inten - model.fn(lam, th) for th in points)]
+    stop = next(n for n in range(1, len(cost)) if (
+        cost[n] - (fitting.MAX_ITERATIONS - n) * (cost[n - 1] - cost[n]) > bound))
+    assert 1 < stop < len(cost) - 1
+    points.clear()
+    assert least_squares_fit(recording, lam, inten, init=swapped,
+                             on_singular="pinv", _bound=bound) is None
+    assert len(points) == stop
+
+
+def test_a_losing_start_that_ends_on_its_own_still_loses(monkeypatch):
+    # a swapped start that converges, stalls or hits the cap above the first
+    # fit's cost, unstopped, is left to the residual comparison
+    spec = _noisy_spectrum(np.random.default_rng(1403), 0.6, 1.2, 0.12)
+    lam, inten = spec[:, 0], spec[:, 1]
+    fits = [least_squares_fit("lorentzian-plus-gaussian", lam, inten, init=init,
+                              on_singular="pinv")
+            for init in _spectrum_starts(lam, inten)]
+    assert fits[1].residual_norm > fits[0].residual_norm
+    calls = iter(fits)
+    monkeypatch.setattr(fitting, "least_squares_fit", lambda *args, **kwargs: next(calls))
+    assert fit_spectrum(spec) is fits[0]
 
 
 def test_swapped_start_still_wins_where_it_should():
