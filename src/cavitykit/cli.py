@@ -393,7 +393,9 @@ def _cmd_gen_synthetic(args) -> int:
     if what in ("field-grid", "all"):
         grid = synthetic.synthetic_field_grid()
         name = "field_grid.fgrid"
-        coupling.save_field_grid(grid, os.path.join(args.out_dir, name))
+        path = os.path.join(args.out_dir, name)
+        with _writing(path):
+            coupling.save_field_grid(grid, path)
         files["field_grid"] = name
 
     index = _json_text({

@@ -203,6 +203,14 @@ def test_output_into_a_missing_directory_is_a_usage_error(fixtures, tmp_path, ca
     assert run_cli("gen-synthetic", "--what", "spectrum", "--out-dir", str(not_dir)) == 2
     assert capsys.readouterr().err.startswith(f"usage error: {not_dir}: cannot write: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    # the field grid goes through its own writer; a directory in the way of
+    # its file is reported the same way
+    blocked = tmp_path / "blocked"
+    (blocked / "field_grid.fgrid").mkdir(parents=True)
+    assert run_cli("gen-synthetic", "--what", "field-grid", "--out-dir", str(blocked)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"usage error: {blocked / 'field_grid.fgrid'}: cannot write: ")
+    assert sorted(p.name for p in blocked.iterdir()) == ["field_grid.fgrid"]
 
 
 def test_mode_volume_zero_is_not_a_missing_flag(fixtures, capsys):

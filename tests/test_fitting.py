@@ -407,7 +407,7 @@ def _assert_same_fit(res, ref):
 def test_stopping_the_losing_start_changes_no_fit(monkeypatch):
     # fit-batch-like spectra: a broad cavity next to a narrow ZPL, 1.0-1.4 nm
     # apart or overlapping at 0.5-0.8 nm.  The swapped start loses on every
-    # one, and is stopped once its creep could not catch up
+    # one, and on half or more it is stopped once its creep could not catch up
     rng = np.random.default_rng(1401)
     specs = [_noisy_spectrum(rng, rng.uniform(0.5, 0.8),
                              rng.uniform(*(1.0, 1.4) if i % 2 else (0.5, 0.8)),
@@ -430,31 +430,57 @@ def test_stopping_the_losing_start_changes_no_fit(monkeypatch):
         _assert_same_fit(fit_spectrum(spec), ref)
     assert len(returned) == 2 * len(specs)
     assert all(r is not None for r in returned[0::2])
-    assert all(r is None for r in returned[1::2])
+    assert sum(r is None for r in returned[1::2]) >= 10
 
 
-def test_the_losing_start_stops_at_the_first_step_that_cannot_catch_up():
-    # the costs after each accepted step of the unbounded run, read off the
-    # points where the Jacobian is taken, give the iteration the rule stops at
+def test_the_losing_start_stops_after_two_creeping_steps():
+    # the unbounded run, read off its calls, gives the iteration the rule
+    # stops at: the Jacobian is taken once per iteration at the accepted
+    # point, and the model once per trial step, so an iteration with one
+    # model call took its step at the first damping tried
     spec = _noisy_spectrum(np.random.default_rng(1403), 0.6, 1.2, 0.12)
     lam, inten = spec[:, 0], spec[:, 1]
     model = get_model("lorentzian-plus-gaussian")
-    points = []
+    points, trials = [], []
 
     def jacobian(x, th):
         if not points or not np.array_equal(points[-1], th):
             points.append(th.copy())
+            trials.append(0)
         return model.jacobian(x, th)
 
-    recording = dataclasses.replace(model, jacobian=jacobian)
+    def fn(x, th):
+        if trials:
+            trials[-1] += 1
+        return model.fn(x, th)
+
+    recording = dataclasses.replace(model, fn=fn, jacobian=jacobian)
     guess, swapped = _spectrum_starts(lam, inten)
     bound = least_squares_fit(model, lam, inten, init=guess, on_singular="pinv").chisq
     least_squares_fit(recording, lam, inten, init=swapped, on_singular="pinv")
+    # no parameter reaches a bound, so none is held and no step is clipped
+    assert all(np.all((th > model.lower) & (th < model.upper)) for th in points)
+
+    def predicted(th, step):
+        # the undamped Gauss-Newton decrease for `step` from th, in the
+        # fit's unit-column scaling
+        jac = model.jacobian(lam, th)
+        scale = np.sqrt(np.sum(jac ** 2, axis=0))
+        js, ds = jac / scale, step * scale
+        return ds @ (2.0 * js.T @ (inten - model.fn(lam, th)) - js.T @ js @ ds)
+
     cost = [float(r @ r) for r in (inten - model.fn(lam, th) for th in points)]
-    stop = next(n for n in range(1, len(cost)) if (
-        cost[n] - (fitting.MAX_ITERATIONS - n) * (cost[n - 1] - cost[n]) > bound))
-    assert 1 < stop < len(cost) - 1
+    # accepted step n moves points[n - 1] to points[n], in iteration n
+    drop = [0.0] + [cost[n - 1] - cost[n] for n in range(1, len(cost))]
+    creeping = [trials[n - 1] == 1
+                and drop[n] <= predicted(points[n - 1], points[n] - points[n - 1])
+                and drop[n] <= 0.3 * drop[n - 1]
+                and cost[n] - (fitting.MAX_ITERATIONS - n) * drop[n] > bound
+                for n in range(1, len(cost))]
+    stop = next(n for n in range(2, len(cost)) if creeping[n - 2] and creeping[n - 1])
+    assert 2 < stop < len(cost) - 1
     points.clear()
+    trials.clear()
     assert least_squares_fit(recording, lam, inten, init=swapped,
                              on_singular="pinv", _bound=bound) is None
     assert len(points) == stop
@@ -472,6 +498,43 @@ def test_a_losing_start_that_ends_on_its_own_still_loses(monkeypatch):
     calls = iter(fits)
     monkeypatch.setattr(fitting, "least_squares_fit", lambda *args, **kwargs: next(calls))
     assert fit_spectrum(spec) is fits[0]
+
+
+def _wide_family_spectrum(seed, index):
+    """The index-th spectrum drawn from numpy seed `seed` over a wide family:
+    heights 50-300, cavity half width and ZPL sigma 0.05-1.5 nm, centers
+    within 2 nm of each other, baseline 0-50 with slope up to 0.1/nm, noise
+    0.5-10 counts."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        a_c, x_c, w_c = rng.uniform(50, 300), 638.2 + rng.uniform(-1, 1), rng.uniform(0.05, 1.5)
+        a_z, x_z, s_z = rng.uniform(50, 300), x_c - rng.uniform(-2, 2), rng.uniform(0.05, 1.5)
+        truth = np.array([a_c, x_c, w_c, a_z, x_z, s_z,
+                          rng.uniform(0.0, 50.0), rng.uniform(-0.1, 0.1)])
+        y = get_model("lorentzian-plus-gaussian").fn(SPECTRUM_X, truth)
+        y = y + rng.normal(0.0, rng.uniform(0.5, 10.0), SPECTRUM_X.size)
+    return np.column_stack([SPECTRUM_X, y])
+
+
+# (seed, index) of wide-family spectra whose swapped start slows down far
+# above the first fit's cost and then goes on to win.  Weaker stop rules
+# returned the first fit on one or more of these: the cost test alone, or
+# with the first-damping and 0.3x-shrink tests over two or three steps but
+# no Gauss-Newton prediction test, or with a 0.5x shrink
+SLOW_THEN_WINNING = [
+    (10, 404), (11, 21), (11, 265), (11, 518), (12, 94), (12, 150), (12, 228),
+    (12, 239), (12, 411), (13, 83), (13, 416), (13, 548), (20, 142), (21, 196),
+    (21, 348), (22, 184), (23, 26), (23, 457), (23, 582), (24, 85), (24, 256),
+    (24, 305), (24, 364), (26, 101), (27, 214), (27, 524),
+]
+
+
+def test_a_swapped_start_that_slows_down_and_then_wins_is_kept():
+    for seed, index in SLOW_THEN_WINNING:
+        spec = _wide_family_spectrum(seed, index)
+        ref, won = _both_starts_unbounded(spec)
+        assert won, (seed, index)
+        _assert_same_fit(fit_spectrum(spec), ref)
 
 
 def test_swapped_start_still_wins_where_it_should():
