@@ -533,12 +533,12 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
             if np.isfinite(cost_t) and cost_t < cost:
                 if _bound is not None:
                     drop = cost - cost_t
-                    # the decrease the undamped Gauss-Newton model predicts
-                    predicted = float(delta_s @ (2.0 * g - a @ delta_s))
+                    # the last test: no more than the decrease the undamped
+                    # Gauss-Newton model predicts
                     creeping = creeping + 1 if (
-                        lam == lam_start and drop <= predicted
-                        and drop <= _CREEP_SHRINK * last_drop
-                        and cost_t - (MAX_ITERATIONS - n_iter) * drop > _bound) else 0
+                        lam == lam_start and drop <= _CREEP_SHRINK * last_drop
+                        and cost_t - (MAX_ITERATIONS - n_iter) * drop > _bound
+                        and drop <= float(delta_s @ (2.0 * g - a @ delta_s))) else 0
                     if creeping == _CREEP_STEPS:
                         return None
                     last_drop = drop
@@ -693,10 +693,11 @@ def fit_spectrum(spectrum) -> FitResult:
     have lost the comparison.  The rule tests for that pattern; it is not
     a proof.  A start that slows down near a saddle and then speeds up
     again could be stopped wrongly, and the first fit returned in place of
-    a lower one.  (a)-(c) are there for that case: with (d) alone, with
-    (a), (c) and (d) over two or three steps, or without (b), starts that
-    went on to win were stopped on a wide random family of two-peak
-    spectra.  With all four, none of about 12,000 such starts was.
+    a lower one.  (a)-(c) are there for that case.  On a wide random
+    family of two-peak spectra (tests/test_fitting.py), starts that went on
+    to win were stopped with (d) alone, and with every test but (b) over
+    two or three steps.  With all four, none of 16,737 swapped starts
+    there was.
     """
     spec = np.asarray(spectrum, dtype=float)
     if spec.ndim != 2 or spec.shape[1] != 2:
