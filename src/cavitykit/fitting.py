@@ -18,9 +18,10 @@ chi-square.  fit_spectrum's second start is also stopped early, with no
 result, once it settles into the slow linear creep of large-residual
 Gauss-Newton far above the first start's cost: two accepted steps in a
 row taken at the first damping tried, each cutting the cost by no more
-than the Gauss-Newton model predicted and by at most 0.3 times the step
-before, and each leaving the cost above the first start's even if every
-iteration left cut it by as much (see fit_spectrum).
+than the undamped Gauss-Newton model predicted and by at most 0.3 times
+the step before, and each leaving the cost above the first start's even
+if every iteration left cut it by as much.  A stopped start would have
+lost to the first; see fit_spectrum for why, and for the limits of that.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -419,8 +420,8 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     _bound (private, for fit_spectrum's second start): the cost of a fit
     already in hand.  The fit returns None, with no covariance, after
     _CREEP_STEPS accepted steps in a row that were each taken at the first
-    damping tried, cut the cost by no more than the Gauss-Newton model
-    predicted and by at most _CREEP_SHRINK times the step before, and left
+    damping tried, cut the cost by no more than the undamped Gauss-Newton
+    model predicted and by at most _CREEP_SHRINK times the step before, and left
     a cost that could not get below _bound even if every iteration left
     cut it by as much.  Without _bound it never returns None.
     """
