@@ -294,6 +294,8 @@ def _cmd_ensemble_weight(args) -> int:
 
 
 def _cmd_mode_volume(args) -> int:
+    if args.n_index is not None and args.lambda_nm is None:
+        raise InputFormatError("--n-index requires --lambda-nm")
     grid = _load_grid(args.grid)
     from . import coupling
 

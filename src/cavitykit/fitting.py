@@ -11,17 +11,13 @@ each one against central differences.
 Steps are clipped to the box bounds; a parameter on a bound that the
 gradient pushes outward is held there for that iteration, so the gradient
 test sees only the free parameters.  Convergence: relative step below
-1e-10 or scaled gradient below 1e-12, capped at 500 iterations; hitting
-the cap flags converged=False instead of raising.  The parameter
-covariance is the inverse Gauss-Newton normal matrix scaled by the reduced
-chi-square.  fit_spectrum's second start is also stopped early, with no
-result, once it settles into the slow linear creep of large-residual
-Gauss-Newton far above the first start's cost: two accepted steps in a
-row taken at the first damping tried, each cutting the cost by no more
-than the undamped Gauss-Newton model predicted and by at most 0.3 times
-the step before, and each leaving the cost above the first start's even
-if every iteration left cut it by as much.  A stopped start would have
-lost to the first; see fit_spectrum for why, and for the limits of that.
+1e-10, scaled gradient below 1e-12, or MINPACK's relative-reduction test
+(an accepted step whose actual and Gauss-Newton-predicted decreases of the
+sum of squares are both at most 1e-10 of it, the actual no more than twice
+the predicted), which ends the slow linear tail of large-residual
+Gauss-Newton; capped at 500 iterations, where hitting the cap flags
+converged=False instead of raising.  The parameter covariance is the
+inverse Gauss-Newton normal matrix scaled by the reduced chi-square.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -56,10 +52,7 @@ __all__ = [
 MAX_ITERATIONS = 500
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
-# fit_spectrum's stop rule for its second start: this many accepted steps in
-# a row, each cutting the cost by at most _CREEP_SHRINK times the one before
-_CREEP_STEPS = 2
-_CREEP_SHRINK = 0.3
+FTOL = 1e-10
 
 
 class DegenerateFitError(ValueError):
@@ -406,7 +399,7 @@ def _require_finite(name: str, arr: np.ndarray):
 
 
 def least_squares_fit(model, x, y, sigma=None, init=None,
-                      on_singular: str = "raise", *, _bound=None) -> FitResult | None:
+                      on_singular: str = "raise") -> FitResult:
     """Minimize sum(((y - model(x; theta)) / sigma)^2) over theta.
 
     sigma, when given, must be positive and supplies absolute weights;
@@ -417,13 +410,13 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     pseudo-inverse covariance with inf standard errors on unconstrained
     parameters plus a warning entry.
 
-    _bound (private, for fit_spectrum's second start): the cost of a fit
-    already in hand.  The fit returns None, with no covariance, after
-    _CREEP_STEPS accepted steps in a row that were each taken at the first
-    damping tried, cut the cost by no more than the undamped Gauss-Newton
-    model predicted and by at most _CREEP_SHRINK times the step before, and left
-    a cost that could not get below _bound even if every iteration left
-    cut it by as much.  Without _bound it never returns None.
+    The fit has converged once an iteration's relative step is below
+    STEP_TOL, its scaled gradient below GRAD_TOL, or an accepted step passes
+    MINPACK's relative-reduction test: the actual decrease of the sum of
+    squares and the decrease the Gauss-Newton model predicted for the step
+    are both at most FTOL times the sum of squares, and the actual is at
+    most twice the predicted.  A variance that overflows gets an inf
+    standard error, noted as unconstrained like a dead parameter's.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -483,8 +476,6 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     converged = False
     notes = []
     n_iter = 0
-    # the _bound stop rule: creeping steps in a row, and the last decrease
-    creeping, last_drop = 0, 0.0
 
     while n_iter < MAX_ITERATIONS:
         n_iter += 1
@@ -515,7 +506,6 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
 
         accepted = False
         no_step_left = False
-        lam_start = lam
         while lam <= 1e14:
             try:
                 delta_s = np.linalg.solve(a + lam * eye, g)
@@ -532,26 +522,20 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
             r_t = residual(trial)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t < cost:
-                if _bound is not None:
-                    drop = cost - cost_t
-                    # the last test: no more than the decrease the undamped
-                    # Gauss-Newton model predicts
-                    creeping = creeping + 1 if (
-                        lam == lam_start and drop <= _CREEP_SHRINK * last_drop
-                        and cost_t - (MAX_ITERATIONS - n_iter) * drop > _bound
-                        and drop <= float(delta_s @ (2.0 * g - a @ delta_s))) else 0
-                    if creeping == _CREEP_STEPS:
-                        return None
-                    last_drop = drop
                 # per-parameter relative step; an aggregate norm would let
                 # the largest-scale parameter mask motion in the others
                 rel_step = float(np.max(
                     np.abs(trial - theta) / np.maximum(np.abs(theta), typical)))
+                # MINPACK's relative-reduction test, against the decrease
+                # the Gauss-Newton model predicted for this step
+                drop = cost - cost_t
+                pred = float(delta_s @ (2.0 * g - a @ delta_s))
+                if rel_step < STEP_TOL or (drop <= FTOL * cost and pred <= FTOL * cost
+                                           and drop <= 2.0 * pred):
+                    converged = True
                 theta, r, cost = trial, r_t, cost_t
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
-                if rel_step < STEP_TOL:
-                    converged = True
                 break
             lam *= 10.0
         if no_step_left:
@@ -596,9 +580,11 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
         notes.append("singular normal matrix; covariance from pseudo-inverse")
     else:
         cov_s = np.linalg.inv(a)
-    cov = cov_s / np.outer(scale, scale) * red_chisq
+    # a start that ran off to huge parameters can overflow its variances
+    with np.errstate(over="ignore"):
+        cov = cov_s / np.outer(scale, scale) * red_chisq
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    for j in np.nonzero(dead)[0]:
+    for j in np.nonzero(dead | ~np.isfinite(errs))[0]:
         errs[j] = math.inf
         notes.append(f"parameter {model.param_names[j]!r} is unconstrained "
                      "by the data")
@@ -680,25 +666,9 @@ def fit_spectrum(spectrum) -> FitResult:
 
     The fit runs from two starts, the guess and the guess with the two
     peaks' shapes swapped, and keeps the lower residual (the first on a
-    tie).  The swapped start gets the first fit's cost as a bound and is
-    stopped, with no result, once it creeps: two accepted steps in a row,
-    each
-      (a) taken at the first damping tried, so the damping keeps falling;
-      (b) cutting the cost by no more than the undamped Gauss-Newton model
-          predicted, so the cost curves up at least as much as the model;
-      (c) cutting the cost by at most 0.3 times the step before;
-      (d) leaving a cost that could not get below the bound even if every
-          iteration left under MAX_ITERATIONS cut it by as much.
-    That is the slow linear tail of large-residual Gauss-Newton towards a
-    minimum, whose later steps cut less and less, so a stopped start would
-    have lost the comparison.  The rule tests for that pattern; it is not
-    a proof.  A start that slows down near a saddle and then speeds up
-    again could be stopped wrongly, and the first fit returned in place of
-    a lower one.  (a)-(c) are there for that case.  On a wide random
-    family of two-peak spectra (tests/test_fitting.py), starts that went on
-    to win were stopped with (d) alone, and with every test but (b) over
-    two or three steps.  With all four, none of 16,737 swapped starts
-    there was.
+    tie).  Each start ends by least_squares_fit's own tests; the FTOL
+    relative-reduction test ends a start's slow large-residual tail once
+    its steps cut the cost by less than 1e-10 of it.
     """
     spec = np.asarray(spectrum, dtype=float)
     if spec.ndim != 2 or spec.shape[1] != 2:
@@ -715,14 +685,10 @@ def fit_spectrum(spectrum) -> FitResult:
     swapped = np.array([guess[3], guess[4], guess[5] * root2ln2,
                         guess[0], guess[1], guess[2] / root2ln2,
                         guess[6], guess[7]])
-    result = least_squares_fit("lorentzian-plus-gaussian", lam, inten,
-                               init=guess, on_singular="pinv")
-    # the swapped start wins only below the first fit's cost, and is
-    # stopped once its creep could not get there (see the docstring)
-    candidate = least_squares_fit("lorentzian-plus-gaussian", lam, inten,
-                                  init=swapped, on_singular="pinv",
-                                  _bound=result.chisq)
-    if candidate is not None and candidate.residual_norm < result.residual_norm:
+    result, candidate = (least_squares_fit("lorentzian-plus-gaussian", lam, inten,
+                                           init=init, on_singular="pinv")
+                         for init in (guess, swapped))
+    if candidate.residual_norm < result.residual_norm:
         result = candidate
     names = list(result.params)
     i_c, i_z = names.index("x_cav"), names.index("x_zpl")

@@ -225,6 +225,14 @@ def test_mode_volume_zero_is_not_a_missing_flag(fixtures, capsys):
         assert err == "error: wavelength and index must be finite and > 0\n"
 
 
+def test_mode_volume_n_index_requires_lambda(fixtures, capsys):
+    grid = str(fixtures / "field_grid.fgrid")
+    assert run_cli("mode-volume", grid, "--n-index", "2.4") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: --n-index requires --lambda-nm\n"
+
+
 def test_fit_replay_round_trip(fixtures, tmp_path):
     fit1 = tmp_path / "fit1.json"
     assert run_cli("fit-detuning", str(fixtures / "tau_detuning.csv"),

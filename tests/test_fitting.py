@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 import zlib
 
 import numpy as np
@@ -382,9 +383,28 @@ def _spectrum_starts(lam, inten):
                             guess[0], guess[1], guess[2] / r, guess[6], guess[7]])
 
 
-def _both_starts_unbounded(spec):
-    """fit_spectrum's two starts, each run to its end with no bound, and
-    whether the swapped one wins (a lower residual; a tie keeps the first)."""
+def _fit_batch_like_spectra(seed, n):
+    """A broad cavity next to a narrow ZPL, 1.0-1.4 nm apart or overlapping
+    at 0.5-0.8 nm, as in the fit-batch benchmark."""
+    rng = np.random.default_rng(seed)
+    return [_noisy_spectrum(rng, rng.uniform(0.5, 0.8),
+                            rng.uniform(*(1.0, 1.4) if i % 2 else (0.5, 0.8)),
+                            rng.uniform(0.1, 0.15))
+            for i in range(n)]
+
+
+def _high_q_spectra(seed, n):
+    """A high-Q cavity (half width 0.1-0.2 nm) over a broad room-temperature
+    ZPL (sigma 0.8-1.5 nm)."""
+    rng = np.random.default_rng(seed)
+    return [_noisy_spectrum(rng, rng.uniform(0.1, 0.2), rng.uniform(0.3, 1.4),
+                            rng.uniform(0.8, 1.5))
+            for _ in range(n)]
+
+
+def _both_starts(spec):
+    """fit_spectrum's two starts, each run on its own, and whether the
+    swapped one wins (a lower residual; a tie keeps the first)."""
     lam, inten = spec[:, 0], spec[:, 1]
     kept, other = (least_squares_fit("lorentzian-plus-gaussian", lam, inten,
                                      init=init, on_singular="pinv")
@@ -404,24 +424,16 @@ def _assert_same_fit(res, ref):
     assert all("correlated" in w for w in res.warnings[len(ref.warnings):])
 
 
-def test_stopping_the_losing_start_changes_no_fit(monkeypatch):
-    # fit-batch-like spectra: a broad cavity next to a narrow ZPL, 1.0-1.4 nm
-    # apart or overlapping at 0.5-0.8 nm.  The swapped start loses on every
-    # one, and on half or more it is stopped once its creep could not catch up
-    rng = np.random.default_rng(1401)
-    specs = [_noisy_spectrum(rng, rng.uniform(0.5, 0.8),
-                             rng.uniform(*(1.0, 1.4) if i % 2 else (0.5, 0.8)),
-                             rng.uniform(0.1, 0.15))
-             for i in range(20)]
-    refs = [_both_starts_unbounded(spec) for spec in specs]
+def test_fit_spectrum_keeps_the_lower_of_its_two_starts(monkeypatch):
+    # the swapped start loses on every one of these
+    specs = _fit_batch_like_spectra(1401, 20)
+    refs = [_both_starts(spec) for spec in specs]
     assert not any(won for _, won in refs)
 
     returned = []
     lsq = fitting.least_squares_fit
 
     def spy(*args, **kwargs):
-        # the second start is bounded by the first fit's cost
-        assert kwargs.get("_bound") == (returned[-1].chisq if len(returned) % 2 else None)
         returned.append(lsq(*args, **kwargs))
         return returned[-1]
 
@@ -429,66 +441,11 @@ def test_stopping_the_losing_start_changes_no_fit(monkeypatch):
     for spec, (ref, _) in zip(specs, refs):
         _assert_same_fit(fit_spectrum(spec), ref)
     assert len(returned) == 2 * len(specs)
-    assert all(r is not None for r in returned[0::2])
-    assert sum(r is None for r in returned[1::2]) >= 10
-
-
-def test_the_losing_start_stops_after_two_creeping_steps():
-    # the unbounded run, read off its calls, gives the iteration the rule
-    # stops at: the Jacobian is taken once per iteration at the accepted
-    # point, and the model once per trial step, so an iteration with one
-    # model call took its step at the first damping tried
-    spec = _noisy_spectrum(np.random.default_rng(1403), 0.6, 1.2, 0.12)
-    lam, inten = spec[:, 0], spec[:, 1]
-    model = get_model("lorentzian-plus-gaussian")
-    points, trials = [], []
-
-    def jacobian(x, th):
-        if not points or not np.array_equal(points[-1], th):
-            points.append(th.copy())
-            trials.append(0)
-        return model.jacobian(x, th)
-
-    def fn(x, th):
-        if trials:
-            trials[-1] += 1
-        return model.fn(x, th)
-
-    recording = dataclasses.replace(model, fn=fn, jacobian=jacobian)
-    guess, swapped = _spectrum_starts(lam, inten)
-    bound = least_squares_fit(model, lam, inten, init=guess, on_singular="pinv").chisq
-    least_squares_fit(recording, lam, inten, init=swapped, on_singular="pinv")
-    # no parameter reaches a bound, so none is held and no step is clipped
-    assert all(np.all((th > model.lower) & (th < model.upper)) for th in points)
-
-    def predicted(th, step):
-        # the undamped Gauss-Newton decrease for `step` from th, in the
-        # fit's unit-column scaling
-        jac = model.jacobian(lam, th)
-        scale = np.sqrt(np.sum(jac ** 2, axis=0))
-        js, ds = jac / scale, step * scale
-        return ds @ (2.0 * js.T @ (inten - model.fn(lam, th)) - js.T @ js @ ds)
-
-    cost = [float(r @ r) for r in (inten - model.fn(lam, th) for th in points)]
-    # accepted step n moves points[n - 1] to points[n], in iteration n
-    drop = [0.0] + [cost[n - 1] - cost[n] for n in range(1, len(cost))]
-    creeping = [trials[n - 1] == 1
-                and drop[n] <= predicted(points[n - 1], points[n] - points[n - 1])
-                and drop[n] <= 0.3 * drop[n - 1]
-                and cost[n] - (fitting.MAX_ITERATIONS - n) * drop[n] > bound
-                for n in range(1, len(cost))]
-    stop = next(n for n in range(2, len(cost)) if creeping[n - 2] and creeping[n - 1])
-    assert 2 < stop < len(cost) - 1
-    points.clear()
-    trials.clear()
-    assert least_squares_fit(recording, lam, inten, init=swapped,
-                             on_singular="pinv", _bound=bound) is None
-    assert len(points) == stop
 
 
 def test_a_losing_start_that_ends_on_its_own_still_loses(monkeypatch):
-    # a swapped start that converges, stalls or hits the cap above the first
-    # fit's cost, unstopped, is left to the residual comparison
+    # a swapped start that ends above the first fit's cost, however it ends,
+    # loses the residual comparison
     spec = _noisy_spectrum(np.random.default_rng(1403), 0.6, 1.2, 0.12)
     lam, inten = spec[:, 0], spec[:, 1]
     fits = [least_squares_fit("lorentzian-plus-gaussian", lam, inten, init=init,
@@ -532,24 +489,75 @@ SLOW_THEN_WINNING = [
 def test_a_swapped_start_that_slows_down_and_then_wins_is_kept():
     for seed, index in SLOW_THEN_WINNING:
         spec = _wide_family_spectrum(seed, index)
-        ref, won = _both_starts_unbounded(spec)
+        ref, won = _both_starts(spec)
         assert won, (seed, index)
         _assert_same_fit(fit_spectrum(spec), ref)
 
 
 def test_swapped_start_still_wins_where_it_should():
-    # a high-Q cavity (half width 0.1-0.2 nm) over a broad room-temperature
-    # ZPL (sigma 0.8-1.5 nm): the guess takes the broad ZPL for the cavity,
-    # and the swapped start wins on most of these
-    rng = np.random.default_rng(1402)
+    # the guess takes the broad ZPL for the cavity, and the swapped start
+    # wins on most of these
     wins = 0
-    for _ in range(20):
-        spec = _noisy_spectrum(rng, rng.uniform(0.1, 0.2), rng.uniform(0.3, 1.4),
-                               rng.uniform(0.8, 1.5))
-        ref, won = _both_starts_unbounded(spec)
+    for spec in _high_q_spectra(1402, 20):
+        ref, won = _both_starts(spec)
         _assert_same_fit(fit_spectrum(spec), ref)
         wins += won
     assert wins >= 5
+
+
+def _fit_spectrum_at_ftol(monkeypatch, spec, ftol):
+    """fit_spectrum's fit with fitting.FTOL set to ftol, and whether the
+    swapped start won."""
+    starts = []
+    lsq = fitting.least_squares_fit
+
+    def spy(*args, **kwargs):
+        starts.append(lsq(*args, **kwargs))
+        return starts[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(fitting, "FTOL", ftol)
+        m.setattr(fitting, "least_squares_fit", spy)
+        res = fit_spectrum(spec)
+    return res, res is starts[1]
+
+
+def test_the_relative_reduction_test_changes_no_fit(monkeypatch):
+    # FTOL = 0 turns the test off, and each start runs on to the step or
+    # gradient test or the cap.  The 1e-3 SE bound is not met on every
+    # spectrum of these families: a few high-Q fits with a tail of 150 or
+    # more iterations move by up to ~6e-3 SE
+    specs = (_fit_batch_like_spectra(1401, 20) + _high_q_spectra(1402, 20)
+             + [_wide_family_spectrum(seed, index) for seed, index in SLOW_THEN_WINNING])
+    for spec in specs:
+        ref, ref_won = _fit_spectrum_at_ftol(monkeypatch, spec, 0.0)
+        res, won = _fit_spectrum_at_ftol(monkeypatch, spec, fitting.FTOL)
+        assert won == ref_won
+        assert res.residual_norm == pytest.approx(ref.residual_norm, rel=1e-8, abs=0.0)
+        if not any("singular" in w for w in ref.warnings):
+            for name, se in ref.standard_errors.items():
+                assert abs(res.params[name] - ref.params[name]) <= 1e-3 * se, name
+
+
+# a high-Q spectrum whose swapped start runs off to x_zpl ~ 1e150 and
+# sigma_zpl ~ 1e155, where its variances overflow float64
+RUNAWAY_TRUTH = np.array([149.28, 637.9348, 0.1306, 213.64, 637.0493, 1.4909, 33.38, -0.049])
+
+
+@pytest.mark.parametrize("seed", [87, 4])
+def test_an_overflowing_variance_is_unconstrained(seed):
+    y = (get_model("lorentzian-plus-gaussian").fn(SPECTRUM_X, RUNAWAY_TRUTH)
+         + np.random.default_rng(seed).normal(0.0, 2.0, SPECTRUM_X.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runaway = least_squares_fit("lorentzian-plus-gaussian", SPECTRUM_X, y,
+                                    init=_spectrum_starts(SPECTRUM_X, y)[1],
+                                    on_singular="pinv")
+        res = fit_spectrum(np.column_stack([SPECTRUM_X, y]))
+    assert runaway.params["sigma_zpl"] > 1e150
+    assert runaway.standard_errors["sigma_zpl"] == np.inf
+    assert "parameter 'sigma_zpl' is unconstrained by the data" in runaway.warnings
+    assert res.residual_norm < runaway.residual_norm
 
 
 def test_tau_detuning_noisy_band_recovery():
