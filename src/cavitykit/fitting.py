@@ -583,8 +583,9 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     # a start that ran off to huge parameters can overflow its variances
     with np.errstate(over="ignore"):
         cov = cov_s / np.outer(scale, scale) * red_chisq
-    errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    for j in np.nonzero(dead | ~np.isfinite(errs))[0]:
+    var = np.diag(cov)
+    errs = np.sqrt(np.maximum(var, 0.0))
+    for j in np.nonzero(dead | ~np.isfinite(var))[0]:
         errs[j] = math.inf
         notes.append(f"parameter {model.param_names[j]!r} is unconstrained "
                      "by the data")
