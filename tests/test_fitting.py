@@ -530,8 +530,8 @@ def test_the_relative_reduction_test_changes_no_fit(monkeypatch):
                 assert abs(res.params[name] - ref.params[name]) <= 1e-3 * se, name
 
 
-# a high-Q spectrum whose swapped start runs off to x_zpl ~ 1e150 and
-# sigma_zpl ~ 1e155, where its variances overflow float64
+# a high-Q spectrum whose swapped start runs off to |x_zpl| > 1e140 on many
+# noise seeds, where the covariance overflows float64
 RUNAWAY_TRUTH = np.array([149.28, 637.9348, 0.1306, 213.64, 637.0493, 1.4909, 33.38, -0.049])
 
 
