@@ -153,8 +153,7 @@ def _cmd_simulate_decay(args) -> int:
         delta_hz=args.delta_ghz * 1e9)
     t_max = (args.t_max_ns * 1e-9) if args.t_max_ns is not None else 5.0 * params.tau1_s
     t_grid = np.linspace(0.0, t_max, args.points)
-    trace = dynamics.evolve_master_equation(
-        params, n_max=args.nmax, t_grid=t_grid, rel_tol=args.tol)
+    trace = dynamics.evolve_master_equation(params, t_grid=t_grid, rel_tol=args.tol)
     estimate = dynamics.extract_decay_rate(trace)
     result = {
         "analytic_rate_per_s": dynamics.analytic_total_rate(params),
@@ -168,8 +167,8 @@ def _cmd_simulate_decay(args) -> int:
         result["trace_csv"] = args.trace_csv
     inputs = {"g0_hz": params.g0_hz, "kappa_hz": params.kappa_hz,
               "gamma1_per_s": params.gamma1, "gamma_phi_per_s": params.gamma_phi,
-              "delta_hz": params.delta_hz, "n_max": args.nmax,
-              "rel_tol": args.tol, "t_max_s": t_max, "points": args.points}
+              "delta_hz": params.delta_hz, "rel_tol": args.tol,
+              "t_max_s": t_max, "points": args.points}
     return _emit(args, "simulate-decay", inputs, result)
 
 
@@ -432,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau1-ns", type=float, required=True)
     p.add_argument("--gamma-phi-per-s", type=float, default=0.0)
     p.add_argument("--delta-ghz", type=float, default=0.0)
-    p.add_argument("--nmax", type=int, default=1)
     p.add_argument("--t-max-ns", type=float, default=None)
     p.add_argument("--points", type=int, default=251)
     p.add_argument("--tol", type=float, default=1e-8)

@@ -16,8 +16,8 @@ test sees only the free parameters.  Convergence: relative step below
 sum of squares are both at most 1e-10 of it, the actual no more than twice
 the predicted), which ends the slow linear tail of large-residual
 Gauss-Newton; capped at 500 iterations, where hitting the cap flags
-converged=False instead of raising.  The parameter covariance is the
-inverse Gauss-Newton normal matrix scaled by the reduced chi-square.
+converged=False instead of raising.  The covariance comes from a truncated
+SVD of the column-scaled Jacobian; a singular one is noted, never raised.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -56,7 +56,8 @@ FTOL = 1e-10
 
 
 class DegenerateFitError(ValueError):
-    """The data cannot constrain the model (singular normal matrix)."""
+    """The Jacobian is not finite at the fit's end, or the data cannot be
+    fit (one detuning; both spectrum starts fail).  Not a singular fit."""
 
 
 @dataclass(frozen=True)
@@ -398,25 +399,27 @@ def _require_finite(name: str, arr: np.ndarray):
         raise ValueError(f"{name} must be finite; {name}[{i}] = {float(arr[i])!r}")
 
 
-def least_squares_fit(model, x, y, sigma=None, init=None,
-                      on_singular: str = "raise") -> FitResult:
+def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     """Minimize sum(((y - model(x; theta)) / sigma)^2) over theta.
 
     sigma, when given, must be positive and supplies absolute weights;
     without it the fit is unweighted and the covariance is scaled by the
     residual variance either way (reduced chi-square scaling).  init
-    defaults to the model's guess policy.  on_singular: "raise" turns a
-    singular normal matrix into DegenerateFitError, "pinv" falls back to a
-    pseudo-inverse covariance with inf standard errors on unconstrained
-    parameters plus a warning entry.
+    defaults to the model's guess policy.
 
     The fit has converged once an iteration's relative step is below
     STEP_TOL, its scaled gradient below GRAD_TOL, or an accepted step passes
     MINPACK's relative-reduction test: the actual decrease of the sum of
     squares and the decrease the Gauss-Newton model predicted for the step
     are both at most FTOL times the sum of squares, and the actual is at
-    most twice the predicted.  A variance that overflows gets an inf
-    standard error, noted as unconstrained like a dead parameter's.
+    most twice the predicted.
+
+    The covariance is V_k diag(1/s_k^2) V_k^T, unscaled, times the reduced
+    chi-square, from the SVD of the column-scaled Jacobian with singular
+    values at or below 1e-6 of the largest truncated (a "singular normal
+    matrix" note).  A parameter that is dead, has a component above 1e-3 in
+    a truncated singular vector or whose variance overflows is noted as
+    unconstrained, with an inf variance and SE.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -458,9 +461,16 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
         with np.errstate(all="ignore"):
             return (y - model.fn(x, th)) * inv_sigma
 
-    def jac_at(th):
+    # the weighted Jacobian with unit-norm columns (parameters of any raw
+    # scale enter on an equal footing), the column norms and the dead
+    # columns (norm <= 1e-280, left unscaled)
+    def scaled_jacobian(th):
         with np.errstate(all="ignore"):
-            return model.jacobian(x, th)
+            jw = model.jacobian(x, th) * inv_sigma[:, None]
+            col = np.sqrt(np.sum(jw ** 2, axis=0))
+            dead = col <= 1e-280
+            scale = np.where(dead, 1.0, col)
+            return jw / scale, scale, dead
 
     r = residual(theta)
     cost = float(r @ r)
@@ -479,19 +489,10 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
 
     while n_iter < MAX_ITERATIONS:
         n_iter += 1
-        jw = jac_at(theta) * inv_sigma[:, None]
-        col = np.sqrt(np.sum(jw ** 2, axis=0))
-        if not np.any(col > 0.0):
-            if on_singular == "raise":
-                raise DegenerateFitError(
-                    f"{model.kind}: model is flat in every parameter at the "
-                    "current point")
+        js, scale, dead = scaled_jacobian(theta)
+        if dead.all():
             notes.append("model flat in all parameters; fit abandoned")
             break
-        # normalize columns to unit norm; parameters of any raw scale then
-        # enter the normal equations on an equal footing
-        scale = np.where(col > 0.0, col, 1.0)
-        js = jw / scale
         g = js.T @ r
         # a parameter on a bound that the gradient pushes out of the box is
         # held there: with its column zeroed its step is 0, like a dead one's
@@ -550,50 +551,33 @@ def least_squares_fit(model, x, y, sigma=None, init=None,
     if n_iter >= MAX_ITERATIONS and not converged:
         notes.append(f"iteration cap of {MAX_ITERATIONS} reached before convergence")
 
-    # covariance from the (unscaled) normal matrix at the optimum; a column
-    # that is exactly zero marks a structurally unconstrained parameter
-    jw = jac_at(theta) * inv_sigma[:, None]
-    col = np.sqrt(np.sum(jw ** 2, axis=0))
-    dead = col <= 1e-280
-    scale = np.where(dead, 1.0, col)
-    js = jw / scale
-    a = js.T @ js
-    if not np.all(np.isfinite(a)):
+    js, scale, dead = scaled_jacobian(theta)
+    if not np.all(np.isfinite(js)):
         at = ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
         raise DegenerateFitError(
-            f"{model.kind}: the normal matrix is not finite at the fitted "
+            f"{model.kind}: the Jacobian is not finite at the fitted "
             f"parameters ({at}); the fit ran off to where the model's "
             "derivatives overflow or are undefined")
-    dof = max(len(x) - p, 1)
-    red_chisq = cost / dof
-    try:
-        cond = float(np.linalg.cond(a))
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    singular = bool(np.any(dead)) or not math.isfinite(cond) or cond > 1e12
-    if singular:
-        if on_singular == "raise":
-            raise DegenerateFitError(
-                f"{model.kind}: singular normal matrix; the data do not "
-                "constrain all parameters")
-        cov_s = np.linalg.pinv(a)
+    _, s, vt = np.linalg.svd(js, full_matrices=False)
+    cut = s <= 1e-6 * s[0]
+    if cut.any():
         notes.append("singular normal matrix; covariance from pseudo-inverse")
-    else:
-        cov_s = np.linalg.inv(a)
+    unconstrained = dead | np.any(np.abs(vt[cut]) > 1e-3, axis=0)
     # a start that ran off to huge parameters can overflow its variances
-    with np.errstate(over="ignore"):
-        cov = cov_s / np.outer(scale, scale) * red_chisq
-    var = np.diag(cov)
-    errs = np.sqrt(np.maximum(var, 0.0))
-    for j in np.nonzero(dead | ~np.isfinite(var))[0]:
-        errs[j] = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = ((vt[~cut].T / s[~cut] ** 2) @ vt[~cut] / np.outer(scale, scale)
+               * (cost / max(len(x) - p, 1)))
+    unconstrained |= ~np.isfinite(np.diag(cov))
+    for j in np.nonzero(unconstrained)[0]:
+        cov[j, j] = math.inf
         notes.append(f"parameter {model.param_names[j]!r} is unconstrained "
                      "by the data")
 
     return FitResult(
         model=model.kind,
         params=dict(zip(model.param_names, (float(v) for v in theta))),
-        standard_errors=dict(zip(model.param_names, (float(e) for e in errs))),
+        standard_errors=dict(zip(model.param_names,
+                                 (math.sqrt(v) for v in np.diag(cov)))),
         covariance=cov, residual_norm=math.sqrt(cost), n_points=len(x),
         n_iterations=n_iter, converged=converged, warnings=tuple(notes))
 
@@ -643,8 +627,7 @@ def fit_tau_detuning(points) -> FitResult:
         raise DegenerateFitError("all points share one detuning; "
                                  "tau(Delta) cannot be constrained")
     sigma = pts[:, 2] if pts.shape[1] == 3 else None
-    result = least_squares_fit("tau-detuning", delta, tau, sigma=sigma,
-                               on_singular="pinv")
+    result = least_squares_fit("tau-detuning", delta, tau, sigma=sigma)
     c, kappa = result.params["c"], result.params["kappa"]
     c_err = result.standard_errors["c"]
     kappa_err = result.standard_errors["kappa"]
@@ -667,9 +650,9 @@ def fit_spectrum(spectrum) -> FitResult:
 
     The fit runs from two starts, the guess and the guess with the two
     peaks' shapes swapped, and keeps the lower residual (the first on a
-    tie).  Each start ends by least_squares_fit's own tests; the FTOL
-    relative-reduction test ends a start's slow large-residual tail once
-    its steps cut the cost by less than 1e-10 of it.
+    tie; a start that raises DegenerateFitError loses).  A fitted width
+    below the mean sample spacing, or a centre at or beyond an end of the
+    sampled range, is noted.
     """
     spec = np.asarray(spectrum, dtype=float)
     if spec.ndim != 2 or spec.shape[1] != 2:
@@ -686,19 +669,33 @@ def fit_spectrum(spectrum) -> FitResult:
     swapped = np.array([guess[3], guess[4], guess[5] * root2ln2,
                         guess[0], guess[1], guess[2] / root2ln2,
                         guess[6], guess[7]])
-    result, candidate = (least_squares_fit("lorentzian-plus-gaussian", lam, inten,
-                                           init=init, on_singular="pinv")
-                         for init in (guess, swapped))
-    if candidate.residual_norm < result.residual_norm:
-        result = candidate
-    names = list(result.params)
-    i_c, i_z = names.index("x_cav"), names.index("x_zpl")
-    cov = result.covariance
-    denom = math.sqrt(abs(cov[i_c, i_c] * cov[i_z, i_z]))
-    if denom > 0.0 and abs(cov[i_c, i_z]) / denom > 0.99:
-        result.warnings = result.warnings + (
-            "peak centers are >99% correlated; the two features may not be "
-            "independently resolvable",)
+    fits, causes = [], []
+    for name, init in (("guess", guess), ("swapped", swapped)):
+        try:
+            fits.append(least_squares_fit("lorentzian-plus-gaussian", lam, inten,
+                                          init=init))
+        except DegenerateFitError as exc:
+            causes.append(f"{name} start: {exc}")
+    if not fits:
+        raise DegenerateFitError("both starts failed; " + "; ".join(causes))
+    result = min(fits, key=lambda fit: fit.residual_norm)
+    par, se = result.params, result.standard_errors
+    names = list(par)
+    cov_cz = float(result.covariance[names.index("x_cav"), names.index("x_zpl")])
+    se_cz = se["x_cav"] * se["x_zpl"]
+    notes = []
+    if 0.0 < se_cz < math.inf and abs(cov_cz) > 0.99 * se_cz:
+        notes.append("peak centers are >99% correlated; the two features may "
+                     "not be independently resolvable")
+    lo, hi = float(np.min(lam)), float(np.max(lam))
+    spacing = (hi - lo) / (len(lam) - 1)
+    notes += [f"{n} = {par[n]:.3g} is below the sample spacing {spacing:.3g}; "
+              "the peak is not resolved"
+              for n in ("w_cav", "sigma_zpl") if par[n] < spacing]
+    notes += [f"{n} = {par[n]:.6g} lies at or beyond the edge of the sampled "
+              f"range [{lo:.6g}, {hi:.6g}]"
+              for n in ("x_cav", "x_zpl") if not lo < par[n] < hi]
+    result.warnings += tuple(notes)
     w_cav = result.params["w_cav"]
     result.derived.update({
         "lambda_cav": result.params["x_cav"],

@@ -552,36 +552,30 @@ def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
 
 
 def test_cold_start_does_not_import_scipy(tmp_path):
-    # a default run of these subcommands, at n_max=1 or 2, imports no
-    # scipy; and with scipy blocked, the exceptional point (g = |kappa -
-    # gamma1|/4, angular), where the numpy expm fallback runs, still works
-    traces = [str(tmp_path / f"ep{n}.csv") for n in (1, 2)]
+    # a default run of these subcommands imports no scipy; and with scipy
+    # blocked, the exceptional point (g = |kappa - gamma1|/4, angular),
+    # where the numpy expm fallback runs, still works
+    trace = tmp_path / "ep.csv"
     script = (
         "import sys, cavitykit\n"
         "print('scipy' in sys.modules)\n"
         "from cavitykit.cli import main\n"
         "main(['purcell', '--c', '0.14', '--out', sys.argv[1]])\n"
         "print('scipy' in sys.modules)\n"
-        "args = ['simulate-decay', '--g0-ghz', '0.57', '--kappa-ghz', '940',\n"
-        "        '--tau1-ns', '15.9', '--out', sys.argv[1]]\n"
-        "main(args)\n"
-        "print('scipy' in sys.modules)\n"
-        "main(args + ['--nmax', '2'])\n"
+        "main(['simulate-decay', '--g0-ghz', '0.57', '--kappa-ghz', '940',\n"
+        "      '--tau1-ns', '15.9', '--out', sys.argv[1]])\n"
         "print('scipy' in sys.modules)\n"
         "sys.modules['scipy'] = None\n"
-        "ep = ['simulate-decay', '--g0-ghz', '0.24960211264227028',\n"
-        "      '--kappa-ghz', '1', '--tau1-ns', '100', '--t-max-ns', '10',\n"
-        "      '--out', sys.argv[1]]\n"
-        "print(main(ep + ['--nmax', '1', '--trace-csv', sys.argv[2]]))\n"
-        "print(main(ep + ['--nmax', '2', '--trace-csv', sys.argv[3]]))\n")
+        "print(main(['simulate-decay', '--g0-ghz', '0.24960211264227028',\n"
+        "            '--kappa-ghz', '1', '--tau1-ns', '100', '--t-max-ns', '10',\n"
+        "            '--out', sys.argv[1], '--trace-csv', sys.argv[2]]))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script, os.devnull, *traces],
+    out = subprocess.run([sys.executable, "-c", script, os.devnull, str(trace)],
                          env=env, capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["False"] * 4 + ["0", "0"]
-    for path in traces:
-        assert "# method='expm'\n" in Path(path).read_text()
+    assert out.stdout.split() == ["False"] * 3 + ["0"]
+    assert "# method='expm'\n" in trace.read_text()
 
 
 def test_scalar_commands_and_rejected_inputs_do_not_import_numpy(tmp_path, capsys):
@@ -683,18 +677,16 @@ def test_json_text_of_numpy_values_is_pinned():
         '  "p": "inf",\n  "t": [\n    0.25,\n    2\n  ]\n}\n')
 
 
-def test_domain_errors_exit_1(tmp_path, capsys, monkeypatch):
+def test_domain_errors_exit_1(tmp_path, capsys):
     same = tmp_path / "same.csv"
     same.write_text("delta_hz,tau_s\n" + "".join(
         f"1e11,{15e-9 + i * 1e-10!r}\n" for i in range(6)))
     assert run_cli("fit-detuning", str(same)) == 1
     assert "error" in capsys.readouterr().err
     assert run_cli("purcell", "--c", "-1.0") == 1
-    # simulate-decay: a Fock cutoff below 1, and a zero time span, which
-    # is not taken as "use the default"
+    # simulate-decay: a zero time span, which is not taken as "use the
+    # default"
     sim = ["simulate-decay", "--g0-ghz", "0.57", "--kappa-ghz", "940", "--tau1-ns", "15.9"]
-    assert run_cli(*sim, "--nmax", "-1") == 1
-    assert "n_max must be >= 1, got -1" in capsys.readouterr().err
     assert run_cli(*sim, "--t-max-ns", "0") == 1
     assert "t_grid must be strictly increasing" in capsys.readouterr().err
     # a time span or a tolerance that is not a finite number, and a
@@ -715,11 +707,3 @@ def test_domain_errors_exit_1(tmp_path, capsys, monkeypatch):
     for points in ("1", "0", "-1"):
         assert run_cli(*sim, "--points", points) == 1
         assert f"--points must be >= 2, got {points}" in capsys.readouterr().err
-    # an n_max whose Liouvillian would not fit the memory bound is refused
-    # before anything is built
-    def no_kron(*args):
-        raise AssertionError("np.kron called")
-
-    monkeypatch.setattr(np, "kron", no_kron)
-    assert run_cli(*sim, "--nmax", "400") == 1
-    assert "n_max must be <= 15, got 400" in capsys.readouterr().err

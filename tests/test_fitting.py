@@ -103,6 +103,27 @@ def test_analytic_jacobian_matches_central_differences(kind):
             assert err <= 1e-5 * float(np.max(np.abs(jac[:, j]))), (kind, j, theta)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_covariance_matches_the_inverse_normal_matrix(kind):
+    # a well-conditioned noisy fit: the covariance equals inv(J^T J) times
+    # the reduced chi-square, with J the model's weighted Jacobian at the
+    # fitted parameters in raw units
+    x, ranges = ROUND_TRIP_CASES[kind]
+    model = get_model(kind)
+    rng = np.random.default_rng(zlib.crc32(b"covariance:" + kind.encode()))
+    truth = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+    sigma = np.full(x.size, 0.01 * np.max(np.abs(model.fn(x, truth))))
+    y = model.fn(x, truth) + rng.normal(0.0, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = least_squares_fit(model, x, y, sigma=sigma, init=truth)
+    assert res.converged and res.warnings == ()
+    jac = model.jacobian(x, np.array(list(res.params.values()))) / sigma[:, None]
+    oracle = np.linalg.inv(jac.T @ jac) * res.chisq / (x.size - len(truth))
+    np.testing.assert_allclose(res.covariance, oracle, rtol=1e-9, atol=0.0)
+    assert list(res.standard_errors.values()) == list(np.sqrt(np.diag(res.covariance)))
+
+
 def test_every_fit_model_needs_a_jacobian():
     with pytest.raises(TypeError):
         fitting.FitModel(kind="line", param_names=("a", "b"),
@@ -230,21 +251,18 @@ def _tau_detuning_jac_0_over_0(delta, th):
 
 def test_non_finite_normal_matrix_is_a_degenerate_fit():
     # the shallow dip's first step puts kappa where this model's kappa
-    # column is 0/0.  The covariance stage handed that to pinv, which
-    # raised LinAlgError
+    # column is 0/0, and no covariance can be formed there
     delta, tau, noisy, init = _shallow_dip()
     model = dataclasses.replace(get_model("tau-detuning"),
                                 jacobian=_tau_detuning_jac_0_over_0)
-    for on_singular in ("raise", "pinv"):
-        with pytest.raises(DegenerateFitError, match="not finite"):
-            least_squares_fit(model, delta, noisy, sigma=0.01 * tau,
-                              init=init, on_singular=on_singular)
+    with pytest.raises(DegenerateFitError, match="not finite"):
+        least_squares_fit(model, delta, noisy, sigma=0.01 * tau, init=init)
 
 
 def test_tau_detuning_jacobian_is_finite_at_the_kappa_bound():
     # d f / d kappa is 0 at delta = 0, where the quotient is 0/0 at this
-    # kappa, and the shallow dip's fit now ends on a dead kappa column (a
-    # singular normal matrix), not on NaN.  The model is evaluated as
+    # kappa, and the shallow dip's fit ends on a dead kappa column (a
+    # singular normal matrix, reported), not on NaN.  The model is evaluated as
     # least_squares_fit does, with numpy's warnings off: delta / kappa
     # overflows at 1e11 / 1e-300, which makes f 0 there
     with np.errstate(all="ignore"):
@@ -253,9 +271,13 @@ def test_tau_detuning_jacobian_is_finite_at_the_kappa_bound():
     assert np.all(np.isfinite(jac))
     assert jac[0, 1] == 0.0
     delta, tau, noisy, init = _shallow_dip()
-    with pytest.raises(DegenerateFitError, match="singular normal matrix"):
-        least_squares_fit("tau-detuning", delta, noisy, sigma=0.01 * tau,
-                          init=init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = least_squares_fit("tau-detuning", delta, noisy, sigma=0.01 * tau,
+                                init=init)
+    assert any(w.startswith("singular normal matrix") for w in res.warnings)
+    assert res.standard_errors["kappa"] == np.inf
+    assert "parameter 'kappa' is unconstrained by the data" in res.warnings
 
 
 def test_tau_detuning_flat_data_flags_kappa():
@@ -352,8 +374,7 @@ def test_peak_height_held_at_its_bound_converges():
     core = (150.0 / (1.0 + ((lam - 637.0) / 0.55) ** 2)
             + 140.0 * np.exp(-0.5 * ((lam - 637.0) / 0.50) ** 2) + 5.0)
     res = least_squares_fit("lorentzian-plus-gaussian", lam, core,
-                            init=fitting._guess_spectrum(lam, core),
-                            on_singular="pinv")
+                            init=fitting._guess_spectrum(lam, core))
     assert res.params["a_zpl"] == 0.0
     assert res.converged
     assert res.n_iterations < 50
@@ -407,7 +428,7 @@ def _both_starts(spec):
     swapped one wins (a lower residual; a tie keeps the first)."""
     lam, inten = spec[:, 0], spec[:, 1]
     kept, other = (least_squares_fit("lorentzian-plus-gaussian", lam, inten,
-                                     init=init, on_singular="pinv")
+                                     init=init)
                    for init in _spectrum_starts(lam, inten))
     won = other.residual_norm < kept.residual_norm
     return (other if won else kept), won
@@ -419,9 +440,11 @@ def _assert_same_fit(res, ref):
     assert res.residual_norm == ref.residual_norm
     assert res.n_iterations == ref.n_iterations
     assert res.converged == ref.converged
-    # fit_spectrum may add its center-correlation note after the fit's own
+    # fit_spectrum may add its own notes after the fit's: the centers'
+    # correlation, a width below the sample spacing, a center at an edge
     assert res.warnings[:len(ref.warnings)] == ref.warnings
-    assert all("correlated" in w for w in res.warnings[len(ref.warnings):])
+    assert all(any(k in w for k in ("correlated", "sample spacing", "sampled range"))
+               for w in res.warnings[len(ref.warnings):])
 
 
 def _fit_spectrum_at_ftol(monkeypatch, spec, ftol):
@@ -458,8 +481,7 @@ def test_a_losing_start_that_ends_on_its_own_still_loses(monkeypatch):
     # loses the residual comparison
     spec = _noisy_spectrum(np.random.default_rng(1403), 0.6, 1.2, 0.12)
     lam, inten = spec[:, 0], spec[:, 1]
-    fits = [least_squares_fit("lorentzian-plus-gaussian", lam, inten, init=init,
-                              on_singular="pinv")
+    fits = [least_squares_fit("lorentzian-plus-gaussian", lam, inten, init=init)
             for init in _spectrum_starts(lam, inten)]
     assert fits[1].residual_norm > fits[0].residual_norm
     calls = iter(fits)
@@ -542,15 +564,74 @@ def test_an_overflowing_variance_is_unconstrained(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runaway = least_squares_fit("lorentzian-plus-gaussian", SPECTRUM_X, y,
-                                    init=_spectrum_starts(SPECTRUM_X, y)[1],
-                                    on_singular="pinv")
+                                    init=_spectrum_starts(SPECTRUM_X, y)[1])
         res = fit_spectrum(np.column_stack([SPECTRUM_X, y]))
-    # x_zpl's column is tiny but not zero, and its variance overflows: to
-    # +inf on seed 87, to -inf through the pseudo-inverse on seed 4
+    # x_zpl's column is tiny but not zero, and its variance overflows.  Out
+    # there the Gaussian is a constant, so the a_zpl and base_offset columns
+    # coincide and only their sum is known: each is unconstrained, where the
+    # pseudo-inverse gave seed 4 variances of -2.6e13 and SEs of 0
     assert abs(runaway.params["x_zpl"]) > 1e140
-    assert runaway.standard_errors["x_zpl"] == np.inf
-    assert "parameter 'x_zpl' is unconstrained by the data" in runaway.warnings
+    for name in ("a_zpl", "x_zpl", "sigma_zpl", "base_offset"):
+        assert runaway.standard_errors[name] == np.inf
+        assert f"parameter {name!r} is unconstrained by the data" in runaway.warnings
+    for name in ("a_cav", "x_cav", "w_cav", "base_slope"):
+        assert 0.0 < runaway.standard_errors[name] < np.inf
     assert res.residual_norm < runaway.residual_norm
+
+
+def test_a_fit_with_no_cavity_left_is_unconstrained_in_it():
+    # the first high-Q spectrum ends with its cavity run off far below the
+    # window; the pseudo-inverse gave it finite SEs of up to 2.6e7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_spectrum(_high_q_spectra(1402, 1)[0])
+    assert res.params["x_cav"] < SPECTRUM_X[0]
+    for name in ("a_cav", "x_cav", "w_cav", "base_offset", "base_slope"):
+        assert res.standard_errors[name] == np.inf
+        assert f"parameter {name!r} is unconstrained by the data" in res.warnings
+    assert any(w.startswith("x_cav = ") and "edge of the sampled range" in w
+               for w in res.warnings)
+
+
+@pytest.mark.parametrize("index, residual", [(36, 109.2), (93, 124.5), (99, 150.6),
+                                             (173, 143.4)])
+def test_a_start_that_raises_loses(index, residual):
+    # the first start runs off to where the Jacobian is not finite; the
+    # swapped start's fit is returned
+    spec = _wide_family_spectrum(61, index)
+    guess = _spectrum_starts(spec[:, 0], spec[:, 1])[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFitError, match="not finite"):
+            least_squares_fit("lorentzian-plus-gaussian", spec[:, 0], spec[:, 1],
+                              init=guess)
+        res = fit_spectrum(spec)
+    assert res.residual_norm == pytest.approx(residual, abs=0.05)
+
+
+def test_two_starts_that_raise_name_both_causes(monkeypatch):
+    def fail(*args, init, **kwargs):
+        raise DegenerateFitError(f"start at a_cav={init[0]:.6g}")
+
+    monkeypatch.setattr(fitting, "least_squares_fit", fail)
+    spec = synthetic_spectrum()
+    guess, swapped = _spectrum_starts(spec[:, 0], spec[:, 1])
+    with pytest.raises(DegenerateFitError) as err:
+        fit_spectrum(spec)
+    assert str(err.value) == (f"both starts failed; guess start: start at a_cav={guess[0]:.6g}; "
+                              f"swapped start: start at a_cav={swapped[0]:.6g}")
+
+
+def test_a_peak_narrower_than_the_sample_spacing_is_noted():
+    # high-Q spectrum 63 ends converged with its cavity on one sample at
+    # the window's edge: w_cav 0.0021 nm against a spacing of 0.063 nm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_spectrum(_high_q_spectra(60, 64)[63])
+    assert res.converged
+    assert res.params["w_cav"] < 0.01
+    assert "w_cav = 0.00209 is below the sample spacing 0.0628; the peak is not resolved" \
+        in res.warnings
 
 
 def test_tau_detuning_noisy_band_recovery():
@@ -626,7 +707,7 @@ def test_least_squares_fit_rejects_non_finite_inputs(name):
         least_squares_fit("single-exponential", **args)
 
 
-def test_zero_valued_guess_gets_a_usable_fd_step():
+def test_a_start_at_exactly_zero_converges():
     # the grid holds x = 0, so the guessed center is exactly 0: a start with
     # no scale of its own must still converge
     model = get_model("asymmetric-lorentzian")
