@@ -28,10 +28,6 @@ from ._cells import finite_real, format_rows, read_rows, read_text, write_atomic
 
 SCHEMA_VERSION = 1
 
-SUBCOMMANDS = ("simulate-decay", "fit-decay", "fit-detuning", "fit-spectrum",
-               "purcell", "g0", "ensemble-weight", "mode-volume",
-               "link-budget", "gen-synthetic")
-
 
 class InputFormatError(Exception):
     """Malformed input file; reported as a usage error (exit 2)."""

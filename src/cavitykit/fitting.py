@@ -8,16 +8,17 @@ is 1, so Marquardt's diagonal scaling is the identity and the damping term
 is lam * I.  Every model kind carries an analytic Jacobian; the tests check
 each one against central differences.
 
-Steps are clipped to the box bounds; a parameter on a bound that the
-gradient pushes outward is held there for that iteration, so the gradient
-test sees only the free parameters.  Convergence: relative step below
-1e-10, scaled gradient below 1e-12, or MINPACK's relative-reduction test
-(an accepted step whose actual and Gauss-Newton-predicted decreases of the
-sum of squares are both at most 1e-10 of it, the actual no more than twice
-the predicted), which ends the slow linear tail of large-residual
-Gauss-Newton; capped at 500 iterations, where hitting the cap flags
-converged=False instead of raising.  The covariance comes from a truncated
-SVD of the column-scaled Jacobian; a singular one is noted, never raised.
+Parameters have lower bounds only, and a step is raised to them; a
+parameter on its bound that the gradient pushes below it is held there for
+that iteration, so the gradient test sees only the free parameters.
+Convergence: relative step below 1e-10, scaled gradient below 1e-12, or
+MINPACK's relative-reduction test (an accepted step whose actual and
+Gauss-Newton-predicted decreases of the sum of squares are both at most
+1e-10 of it, the actual no more than twice the predicted), which ends the
+slow linear tail of large-residual Gauss-Newton; capped at 500 iterations,
+where hitting the cap flags converged=False instead of raising.  The
+covariance comes from a truncated SVD of the column-scaled Jacobian; a
+singular one is noted, never raised.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -62,8 +63,9 @@ class DegenerateFitError(ValueError):
 
 @dataclass(frozen=True)
 class FitModel:
-    """A fittable model: vectorized function, its analytic Jacobian, box
-    bounds (may be infinite) and an initial-guess policy."""
+    """A fittable model: vectorized function, its analytic Jacobian, lower
+    bounds (may be -inf; parameters have no other bound) and an
+    initial-guess policy."""
 
     kind: str
     param_names: tuple
@@ -71,16 +73,13 @@ class FitModel:
     guess: Callable
     jacobian: Callable
     lower: tuple = ()
-    upper: tuple = ()
 
     def __post_init__(self):
         p = len(self.param_names)
         lower = self.lower or (-math.inf,) * p
-        upper = self.upper or (math.inf,) * p
-        if len(lower) != p or len(upper) != p:
+        if len(lower) != p:
             raise ValueError("bounds must match the parameter count")
         object.__setattr__(self, "lower", tuple(lower))
-        object.__setattr__(self, "upper", tuple(upper))
 
 
 @dataclass
@@ -130,9 +129,16 @@ def _exp_fn(t, th):
     return th[0] * np.exp(-t / th[1])
 
 
+def _exp_cols(t, a, tau):
+    """exp(-t/tau) and d/d tau of a exp(-t/tau), with u = t/tau: 0, not 0/0
+    (tau^2 underflows), once tau sits at its 1e-300 bound."""
+    u = t / tau
+    e = np.exp(-u)
+    return e, a * u * e / tau
+
+
 def _exp_jac(t, th):
-    e = np.exp(-t / th[1])
-    return np.column_stack([e, th[0] * t * e / th[1] ** 2])
+    return np.column_stack(_exp_cols(t, th[0], th[1]))
 
 
 def _exp_bg_fn(t, th):
@@ -140,8 +146,7 @@ def _exp_bg_fn(t, th):
 
 
 def _exp_bg_jac(t, th):
-    e = np.exp(-t / th[1])
-    return np.column_stack([e, th[0] * t * e / th[1] ** 2, np.ones_like(t)])
+    return np.column_stack([*_exp_cols(t, th[0], th[1]), np.ones_like(t)])
 
 
 def _guess_exponential(t, y, with_background):
@@ -263,12 +268,13 @@ def _guess_spectrum(x, y):
         i2 = int(np.argmax(resid2))
     h2, hw2 = float(max(resid2[i2], 0.05 * h1)), _half_width(xs, resid2, i2)
     peaks = [(h1, float(xs[i1]), hw1), (h2, float(xs[i2]), hw2)]
-    # the broader peak is taken as the Lorentzian (cavity), the narrower as
-    # the Gaussian (ZPL); sigma = HWHM / sqrt(2 ln 2)
-    cav, zpl = (peaks[0], peaks[1]) if hw1 >= hw2 else (peaks[1], peaks[0])
-    return np.array([cav[0], cav[1], cav[2],
-                     zpl[0], zpl[1], zpl[2] / math.sqrt(2.0 * math.log(2.0)),
-                     b0, b1])
+    if hw1 < hw2:
+        peaks.reverse()
+    # both assignments of the peaks to the Lorentzian (cavity) and the
+    # Gaussian (ZPL), the broader peak as the Lorentzian first;
+    # sigma = HWHM / sqrt(2 ln 2)
+    return [np.array([*cav, h, x0, hw / math.sqrt(2.0 * math.log(2.0)), b0, b1])
+            for cav, (h, x0, hw) in (peaks, peaks[::-1])]
 
 
 def _tanh_fn(x, th):
@@ -300,8 +306,8 @@ def _satur_fn(x, th):
 
 
 def _satur_jac(x, th):
-    e = np.exp(-x / th[1])
-    return np.column_stack([1.0 - e, -th[0] * x * e / th[1] ** 2])
+    e, d_l0 = _exp_cols(x, th[0], th[1])
+    return np.column_stack([1.0 - e, -d_l0])
 
 
 def _guess_satur(x, y):
@@ -341,40 +347,40 @@ _MODELS = {
         kind="single-exponential", param_names=("amplitude", "tau"),
         fn=_exp_fn, jacobian=_exp_jac,
         guess=lambda t, y: _guess_exponential(t, y, False),
-        lower=(-math.inf, _TINY), upper=(math.inf, math.inf)),
+        lower=(-math.inf, _TINY)),
     "single-exponential-background": FitModel(
         kind="single-exponential-background",
         param_names=("amplitude", "tau", "background"),
         fn=_exp_bg_fn, jacobian=_exp_bg_jac,
         guess=lambda t, y: _guess_exponential(t, y, True),
-        lower=(-math.inf, _TINY, -math.inf), upper=(math.inf,) * 3),
+        lower=(-math.inf, _TINY, -math.inf)),
     "tau-detuning": FitModel(
         kind="tau-detuning", param_names=("c", "kappa", "tau1"),
         fn=_tau_detuning_fn, jacobian=_tau_detuning_jac,
         guess=_guess_tau_detuning,
-        lower=(0.0, _TINY, _TINY), upper=(math.inf,) * 3),
+        lower=(0.0, _TINY, _TINY)),
     "lorentzian-plus-gaussian": FitModel(
         kind="lorentzian-plus-gaussian",
         param_names=("a_cav", "x_cav", "w_cav", "a_zpl", "x_zpl", "sigma_zpl",
                      "base_offset", "base_slope"),
-        fn=_spectrum_fn, jacobian=_spectrum_jac, guess=_guess_spectrum,
+        fn=_spectrum_fn, jacobian=_spectrum_jac,
+        guess=lambda x, y: _guess_spectrum(x, y)[0],
         lower=(0.0, -math.inf, _TINY, 0.0, -math.inf, _TINY,
-               -math.inf, -math.inf),
-        upper=(math.inf,) * 8),
+               -math.inf, -math.inf)),
     "tanh-transmission": FitModel(
         kind="tanh-transmission", param_names=("t0", "x0", "s"),
         fn=_tanh_fn, jacobian=_tanh_jac, guess=_guess_tanh,
-        lower=(_TINY, _TINY, _TINY), upper=(math.inf,) * 3),
+        lower=(_TINY, _TINY, _TINY)),
     "exponential-saturation": FitModel(
         kind="exponential-saturation", param_names=("t_inf", "l0"),
         fn=_satur_fn, jacobian=_satur_jac, guess=_guess_satur,
-        lower=(-math.inf, _TINY), upper=(math.inf, math.inf)),
+        lower=(-math.inf, _TINY)),
     "asymmetric-lorentzian": FitModel(
         kind="asymmetric-lorentzian",
         param_names=("amplitude", "center", "w_left", "w_right"),
         fn=_asym_lorentz_fn, jacobian=_asym_lorentz_jac,
         guess=_guess_asym_lorentz,
-        lower=(-math.inf, -math.inf, _TINY, _TINY), upper=(math.inf,) * 4),
+        lower=(-math.inf, -math.inf, _TINY, _TINY)),
 }
 
 MODEL_KINDS = tuple(sorted(_MODELS))
@@ -442,15 +448,14 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         inv_sigma = np.ones_like(y)
 
     lower = np.array(model.lower)
-    upper = np.array(model.upper)
     theta = np.array(model.guess(x, y) if init is None else init, dtype=float)
     if theta.shape != (p,):
         raise ValueError(f"init must supply {p} parameters for {model.kind}")
     if init is not None:
         _require_finite("init", theta)
-    theta = np.clip(theta, lower, upper)
+    theta = np.maximum(theta, lower)
     # per-parameter scale of the relative-step test; a parameter starting
-    # at (or clipped to) ~0 has no scale of its own, and the span of x
+    # at (or raised to) ~0 has no scale of its own, and the span of x
     # stands in
     typical = np.abs(theta)
     unscaled = typical <= _TINY
@@ -458,120 +463,114 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         typical[unscaled] = max(float(np.ptp(x)), _TINY)
 
     def residual(th):
-        with np.errstate(all="ignore"):
-            return (y - model.fn(x, th)) * inv_sigma
+        return (y - model.fn(x, th)) * inv_sigma
 
     # the weighted Jacobian with unit-norm columns (parameters of any raw
     # scale enter on an equal footing), the column norms and the dead
     # columns (norm <= 1e-280, left unscaled)
     def scaled_jacobian(th):
-        with np.errstate(all="ignore"):
-            jw = model.jacobian(x, th) * inv_sigma[:, None]
-            col = np.sqrt(np.sum(jw ** 2, axis=0))
-            dead = col <= 1e-280
-            scale = np.where(dead, 1.0, col)
-            return jw / scale, scale, dead
+        jw = model.jacobian(x, th) * inv_sigma[:, None]
+        col = np.sqrt(np.sum(jw ** 2, axis=0))
+        dead = col <= 1e-280
+        scale = np.where(dead, 1.0, col)
+        return jw / scale, scale, dead
 
-    r = residual(theta)
-    cost = float(r @ r)
-    # scale for the gradient test: with unit-norm Jacobian columns the
-    # gradient is linear in the weighted residual, so normalizing by the
-    # weighted data norm makes the 1e-12 threshold dimensionless
-    yw = y * inv_sigma
-    grad_scale = max(math.sqrt(float(yw @ yw)), math.sqrt(cost), _TINY)
-    # the normalized columns make diag(J^T J) 1 (0 for a dead column, whose
-    # gradient entry and so its step are 0 anyway): Marquardt's scaling is I
-    eye = np.eye(p)
-    lam = 1e-3
-    converged = False
-    notes = []
-    n_iter = 0
+    # models overflow far from the data and a runaway start's variances
+    # overflow; the checks below handle both.  A context, so that an
+    # exception cannot leak the setting
+    with np.errstate(all="ignore"):
+        r = residual(theta)
+        cost = float(r @ r)
+        # scale for the gradient test: with unit-norm Jacobian columns the
+        # gradient is linear in the weighted residual, so normalizing by the
+        # weighted data norm makes the 1e-12 threshold dimensionless
+        yw = y * inv_sigma
+        grad_scale = max(math.sqrt(float(yw @ yw)), math.sqrt(cost), _TINY)
+        # the normalized columns make diag(J^T J) 1 (0 for a dead column,
+        # whose gradient and step are 0 anyway): Marquardt's scaling is I
+        eye = np.eye(p)
+        lam = 1e-3
+        converged = False
+        notes = []
+        n_iter = 0
 
-    while n_iter < MAX_ITERATIONS:
-        n_iter += 1
-        js, scale, dead = scaled_jacobian(theta)
-        if dead.all():
-            notes.append("model flat in all parameters; fit abandoned")
-            break
-        g = js.T @ r
-        # a parameter on a bound that the gradient pushes out of the box is
-        # held there: with its column zeroed its step is 0, like a dead one's
-        held = ((theta <= lower) & (g < 0.0)) | ((theta >= upper) & (g > 0.0))
-        if held.any():
-            js[:, held] = 0.0
-            g[held] = 0.0
-        a = js.T @ js
-        if float(np.max(np.abs(g))) < GRAD_TOL * grad_scale:
-            converged = True
-            break
-
-        accepted = False
-        no_step_left = False
-        while lam <= 1e14:
-            try:
-                delta_s = np.linalg.solve(a + lam * eye, g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            delta = delta_s / scale
-            trial = np.clip(theta + delta, lower, upper)
-            if np.array_equal(trial, theta):
-                # damping has shrunk the proposal below float resolution;
-                # nothing representable improves the cost any more
-                no_step_left = True
+        while n_iter < MAX_ITERATIONS:
+            n_iter += 1
+            js, scale, dead = scaled_jacobian(theta)
+            if dead.all():
+                notes.append("model flat in all parameters; fit abandoned")
                 break
-            r_t = residual(trial)
-            cost_t = float(r_t @ r_t)
-            if np.isfinite(cost_t) and cost_t < cost:
-                # per-parameter relative step; an aggregate norm would let
-                # the largest-scale parameter mask motion in the others
-                rel_step = float(np.max(
-                    np.abs(trial - theta) / np.maximum(np.abs(theta), typical)))
-                # MINPACK's relative-reduction test, against the decrease
-                # the Gauss-Newton model predicted for this step
-                drop = cost - cost_t
-                pred = float(delta_s @ (2.0 * g - a @ delta_s))
-                if rel_step < STEP_TOL or (drop <= FTOL * cost and pred <= FTOL * cost
-                                           and drop <= 2.0 * pred):
+            g = js.T @ r
+            # a parameter on its bound that the gradient pushes below it is
+            # held there: its column zeroed, its step is 0, like a dead one's
+            held = (theta <= lower) & (g < 0.0)
+            if held.any():
+                js[:, held] = 0.0
+                g[held] = 0.0
+            a = js.T @ js
+            if float(np.max(np.abs(g))) < GRAD_TOL * grad_scale:
+                converged = True
+                break
+
+            while lam <= 1e14:
+                try:
+                    delta_s = np.linalg.solve(a + lam * eye, g)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                delta = delta_s / scale
+                trial = np.maximum(theta + delta, lower)
+                if np.array_equal(trial, theta):
+                    # damping has shrunk the proposal below float
+                    # resolution; nothing representable improves the cost
                     converged = True
-                theta, r, cost = trial, r_t, cost_t
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
+                    break
+                r_t = residual(trial)
+                cost_t = float(r_t @ r_t)
+                if np.isfinite(cost_t) and cost_t < cost:
+                    # per-parameter relative step; an aggregate norm would
+                    # let the largest parameter mask motion in the others
+                    rel_step = float(np.max(np.abs(trial - theta)
+                                            / np.maximum(np.abs(theta), typical)))
+                    # MINPACK's relative-reduction test, against the
+                    # decrease the Gauss-Newton model predicted for this step
+                    drop = cost - cost_t
+                    pred = float(delta_s @ (2.0 * g - a @ delta_s))
+                    if rel_step < STEP_TOL or (drop <= FTOL * cost and pred <= FTOL * cost
+                                               and drop <= 2.0 * pred):
+                        converged = True
+                    theta, r, cost = trial, r_t, cost_t
+                    lam = max(lam / 10.0, 1e-14)
+                    break
+                lam *= 10.0
+            else:
+                notes.append("stalled: damping exhausted without cost reduction")
                 break
-            lam *= 10.0
-        if no_step_left:
-            converged = True
-            break
-        if not accepted:
-            notes.append("stalled: damping exhausted without cost reduction")
-            break
-        if converged:
-            break
+            if converged:
+                break
 
-    if n_iter >= MAX_ITERATIONS and not converged:
-        notes.append(f"iteration cap of {MAX_ITERATIONS} reached before convergence")
+        if n_iter >= MAX_ITERATIONS and not converged:
+            notes.append(f"iteration cap of {MAX_ITERATIONS} reached before convergence")
 
-    js, scale, dead = scaled_jacobian(theta)
-    if not np.all(np.isfinite(js)):
-        at = ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
-        raise DegenerateFitError(
-            f"{model.kind}: the Jacobian is not finite at the fitted "
-            f"parameters ({at}); the fit ran off to where the model's "
-            "derivatives overflow or are undefined")
-    _, s, vt = np.linalg.svd(js, full_matrices=False)
-    cut = s <= 1e-6 * s[0]
-    if cut.any():
-        notes.append("singular normal matrix; covariance from pseudo-inverse")
-    unconstrained = dead | np.any(np.abs(vt[cut]) > 1e-3, axis=0)
-    # a start that ran off to huge parameters can overflow its variances
-    with np.errstate(over="ignore", invalid="ignore"):
+        js, scale, dead = scaled_jacobian(theta)
+        if not np.all(np.isfinite(js)):
+            at = ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
+            raise DegenerateFitError(
+                f"{model.kind}: the Jacobian is not finite at the fitted "
+                f"parameters ({at}); the fit ran off to where the model's "
+                "derivatives overflow or are undefined")
+        _, s, vt = np.linalg.svd(js, full_matrices=False)
+        cut = s <= 1e-6 * s[0]
+        if cut.any():
+            notes.append("singular normal matrix; covariance from pseudo-inverse")
+        unconstrained = dead | np.any(np.abs(vt[cut]) > 1e-3, axis=0)
         cov = ((vt[~cut].T / s[~cut] ** 2) @ vt[~cut] / np.outer(scale, scale)
                * (cost / max(len(x) - p, 1)))
-    unconstrained |= ~np.isfinite(np.diag(cov))
-    for j in np.nonzero(unconstrained)[0]:
-        cov[j, j] = math.inf
-        notes.append(f"parameter {model.param_names[j]!r} is unconstrained "
-                     "by the data")
+        unconstrained |= ~np.isfinite(np.diag(cov))
+        for j in np.nonzero(unconstrained)[0]:
+            cov[j, j] = math.inf
+            notes.append(f"parameter {model.param_names[j]!r} is unconstrained "
+                         "by the data")
 
     return FitResult(
         model=model.kind,
@@ -648,9 +647,10 @@ def fit_spectrum(spectrum) -> FitResult:
     peak heights.  Strongly overlapping peaks are flagged via the
     correlation of the two center estimates.
 
-    The fit runs from two starts, the guess and the guess with the two
-    peaks' shapes swapped, and keeps the lower residual (the first on a
-    tie; a start that raises DegenerateFitError loses).  A fitted width
+    The fit runs from the guess's two assignments of its peaks to the
+    Lorentzian and the Gaussian, the broader as the Lorentzian first, and
+    keeps the lower residual (the first on a tie; a start that raises
+    DegenerateFitError loses).  A fitted width
     below the mean sample spacing, or a centre at or beyond an end of the
     sampled range, is noted.
     """
@@ -660,17 +660,12 @@ def fit_spectrum(spectrum) -> FitResult:
     if len(spec) < 20:
         raise ValueError("need at least 20 spectral samples")
     lam, inten = spec[:, 0], spec[:, 1]
-    # the guess ranks the broader peak as the Lorentzian; with noisy or
-    # overlapping peaks that ranking can be wrong, so fit both assignments
+    # with noisy or overlapping peaks the guess's ranking of the broader
+    # peak as the Lorentzian can be wrong, so fit both of its assignments
     # and keep the better one.  A vanishing peak leaves its center/width
     # unconstrained, which is reported as a warning rather than an error.
-    guess = _guess_spectrum(lam, inten)
-    root2ln2 = math.sqrt(2.0 * math.log(2.0))
-    swapped = np.array([guess[3], guess[4], guess[5] * root2ln2,
-                        guess[0], guess[1], guess[2] / root2ln2,
-                        guess[6], guess[7]])
     fits, causes = [], []
-    for name, init in (("guess", guess), ("swapped", swapped)):
+    for name, init in zip(("guess", "swapped"), _guess_spectrum(lam, inten)):
         try:
             fits.append(least_squares_fit("lorentzian-plus-gaussian", lam, inten,
                                           init=init))

@@ -5,8 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from cavitykit import fitting
-from cavitykit.dynamics import DecayTrace
+from cavitykit import cli, fitting
+from cavitykit.dynamics import DecayTrace, decay_trace_to_csv
 from cavitykit.fitting import (
     DegenerateFitError, MODEL_KINDS, fit_decay_trace, fit_spectrum,
     fit_tau_detuning, get_model, least_squares_fit,
@@ -259,6 +259,19 @@ def test_non_finite_normal_matrix_is_a_degenerate_fit():
         least_squares_fit(model, delta, noisy, sigma=0.01 * tau, init=init)
 
 
+def test_a_fit_leaves_numpy_error_state_as_it_found_it():
+    before = np.geterr()
+    res = fit_tau_detuning(synthetic_tau_detuning())
+    assert res.converged
+    assert np.geterr() == before
+    delta, tau, noisy, init = _shallow_dip()
+    model = dataclasses.replace(get_model("tau-detuning"),
+                                jacobian=_tau_detuning_jac_0_over_0)
+    with pytest.raises(DegenerateFitError):
+        least_squares_fit(model, delta, noisy, sigma=0.01 * tau, init=init)
+    assert np.geterr() == before
+
+
 def test_tau_detuning_jacobian_is_finite_at_the_kappa_bound():
     # d f / d kappa is 0 at delta = 0, where the quotient is 0/0 at this
     # kappa, and the shallow dip's fit ends on a dead kappa column (a
@@ -318,6 +331,36 @@ def test_fit_decay_trace_validation():
         fit_decay_trace(zero)
 
 
+# trace 92 of 1000 low-count Poisson traces (40 1-ns bins, amplitude
+# 0.5-20 counts, tau 0.1-30 ns, background 0-3, numpy seed 5): the fit runs
+# tau down to its 1e-300 bound, with and without a background
+LOW_COUNT_TRACE = [0, 3, 0, 1, 1, 1, 0, 2, 2, 5, 4, 2, 1, 2, 3, 1, 1, 2, 1, 4,
+                   3, 1, 3, 3, 3, 1, 3, 1, 1, 1, 3, 0, 2, 1, 0, 2, 0, 4, 1, 3]
+
+
+@pytest.mark.parametrize("kind", ["single-exponential", "single-exponential-background",
+                                  "exponential-saturation"])
+def test_exponential_jacobians_are_finite_at_the_decay_length_bound(kind):
+    # t exp(-t/tau) / tau^2 is 0/0 once tau^2 underflows
+    model = get_model(kind)
+    theta = np.array([2.0, 1e-300, 1.0])[:len(model.param_names)]
+    jac = model.jacobian(np.arange(40) * 1e-9, theta)
+    assert np.all(jac[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("with_background", [False, True])
+def test_a_decay_fit_on_the_tau_bound_is_unconstrained_in_tau(with_background, tmp_path):
+    trace = DecayTrace(times=np.arange(40) * 1e-9, values=np.array(LOW_COUNT_TRACE, float),
+                       kind="measured", bin_width_s=1e-9)
+    res = fit_decay_trace(trace, with_background=with_background)
+    assert res.params["tau"] == 1e-300
+    assert res.standard_errors["tau"] == np.inf
+    assert "parameter 'tau' is unconstrained by the data" in res.warnings
+    path = tmp_path / "trace.csv"
+    path.write_text(decay_trace_to_csv(trace))
+    assert cli.main(["fit-decay", str(path)] + ["--background"] * with_background) == 0
+
+
 def test_fit_spectrum_two_peaks():
     spec = synthetic_spectrum()
     res = fit_spectrum(spec)
@@ -374,7 +417,7 @@ def test_peak_height_held_at_its_bound_converges():
     core = (150.0 / (1.0 + ((lam - 637.0) / 0.55) ** 2)
             + 140.0 * np.exp(-0.5 * ((lam - 637.0) / 0.50) ** 2) + 5.0)
     res = least_squares_fit("lorentzian-plus-gaussian", lam, core,
-                            init=fitting._guess_spectrum(lam, core))
+                            init=fitting._guess_spectrum(lam, core)[0])
     assert res.params["a_zpl"] == 0.0
     assert res.converged
     assert res.n_iterations < 50
@@ -393,15 +436,6 @@ def _noisy_spectrum(rng, w_cav, sep, sigma_zpl):
                       rng.uniform(30.0, 50.0), rng.uniform(-0.06, -0.04)])
     y = get_model("lorentzian-plus-gaussian").fn(SPECTRUM_X, truth)
     return np.column_stack([SPECTRUM_X, y + rng.normal(0.0, 2.0, SPECTRUM_X.size)])
-
-
-def _spectrum_starts(lam, inten):
-    """fit_spectrum's two starts: the guess, and the guess with the peaks'
-    shapes swapped."""
-    guess = fitting._guess_spectrum(lam, inten)
-    r = np.sqrt(2.0 * np.log(2.0))
-    return guess, np.array([guess[3], guess[4], guess[5] * r,
-                            guess[0], guess[1], guess[2] / r, guess[6], guess[7]])
 
 
 def _fit_batch_like_spectra(seed, n):
@@ -429,7 +463,7 @@ def _both_starts(spec):
     lam, inten = spec[:, 0], spec[:, 1]
     kept, other = (least_squares_fit("lorentzian-plus-gaussian", lam, inten,
                                      init=init)
-                   for init in _spectrum_starts(lam, inten))
+                   for init in fitting._guess_spectrum(lam, inten))
     won = other.residual_norm < kept.residual_norm
     return (other if won else kept), won
 
@@ -482,7 +516,7 @@ def test_a_losing_start_that_ends_on_its_own_still_loses(monkeypatch):
     spec = _noisy_spectrum(np.random.default_rng(1403), 0.6, 1.2, 0.12)
     lam, inten = spec[:, 0], spec[:, 1]
     fits = [least_squares_fit("lorentzian-plus-gaussian", lam, inten, init=init)
-            for init in _spectrum_starts(lam, inten)]
+            for init in fitting._guess_spectrum(lam, inten)]
     assert fits[1].residual_norm > fits[0].residual_norm
     calls = iter(fits)
     monkeypatch.setattr(fitting, "least_squares_fit", lambda *args, **kwargs: next(calls))
@@ -564,7 +598,7 @@ def test_an_overflowing_variance_is_unconstrained(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runaway = least_squares_fit("lorentzian-plus-gaussian", SPECTRUM_X, y,
-                                    init=_spectrum_starts(SPECTRUM_X, y)[1])
+                                    init=fitting._guess_spectrum(SPECTRUM_X, y)[1])
         res = fit_spectrum(np.column_stack([SPECTRUM_X, y]))
     # x_zpl's column is tiny but not zero, and its variance overflows.  Out
     # there the Gaussian is a constant, so the a_zpl and base_offset columns
@@ -599,7 +633,7 @@ def test_a_start_that_raises_loses(index, residual):
     # the first start runs off to where the Jacobian is not finite; the
     # swapped start's fit is returned
     spec = _wide_family_spectrum(61, index)
-    guess = _spectrum_starts(spec[:, 0], spec[:, 1])[0]
+    guess = fitting._guess_spectrum(spec[:, 0], spec[:, 1])[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateFitError, match="not finite"):
@@ -615,7 +649,7 @@ def test_two_starts_that_raise_name_both_causes(monkeypatch):
 
     monkeypatch.setattr(fitting, "least_squares_fit", fail)
     spec = synthetic_spectrum()
-    guess, swapped = _spectrum_starts(spec[:, 0], spec[:, 1])
+    guess, swapped = fitting._guess_spectrum(spec[:, 0], spec[:, 1])
     with pytest.raises(DegenerateFitError) as err:
         fit_spectrum(spec)
     assert str(err.value) == (f"both starts failed; guess start: start at a_cav={guess[0]:.6g}; "
