@@ -133,6 +133,8 @@ def _table_text(header: tuple, rows) -> str:
 def _cmd_simulate_decay(args) -> int:
     if not (0.0 < args.tau1_ns < math.inf):
         raise ValueError(f"--tau1-ns must be finite and > 0, got {args.tau1_ns!r}")
+    if not (0.0 < args.kappa_ghz < math.inf):
+        raise ValueError(f"--kappa-ghz must be finite and > 0, got {args.kappa_ghz!r}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     if args.t_max_ns is not None and not math.isfinite(args.t_max_ns):
@@ -155,7 +157,7 @@ def _cmd_simulate_decay(args) -> int:
         "analytic_rate_per_s": dynamics.analytic_total_rate(params),
         "extracted_rate_per_s": estimate.rate,
         "extracted_rate_stderr": estimate.stderr,
-        "cooperativity": params.cooperativity if params.kappa_hz > 0 else None,
+        "cooperativity": params.cooperativity,
         "n_points": len(trace),
     }
     if args.trace_csv:
@@ -535,12 +537,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (ValueError, RuntimeError) as exc:
-        if not isinstance(exc, ValueError):
-            # an IntegrationError comes from dynamics, which is loaded by then
-            from .dynamics import IntegrationError
-            if not isinstance(exc, IntegrationError):
-                raise
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ValueError):
     """Raised when a propagated state fails its validity check.
 
     ``last_time`` holds the output time at which the check failed.

@@ -63,23 +63,21 @@ class DegenerateFitError(ValueError):
 
 @dataclass(frozen=True)
 class FitModel:
-    """A fittable model: vectorized function, its analytic Jacobian, lower
-    bounds (may be -inf; parameters have no other bound) and an
-    initial-guess policy."""
+    """A fittable model: vectorized function, its analytic Jacobian, an
+    initial-guess policy and one lower bound per parameter (may be -inf;
+    parameters have no other bound)."""
 
     kind: str
     param_names: tuple
     fn: Callable
     guess: Callable
     jacobian: Callable
-    lower: tuple = ()
+    lower: tuple
 
     def __post_init__(self):
-        p = len(self.param_names)
-        lower = self.lower or (-math.inf,) * p
-        if len(lower) != p:
+        if len(self.lower) != len(self.param_names):
             raise ValueError("bounds must match the parameter count")
-        object.__setattr__(self, "lower", tuple(lower))
+        object.__setattr__(self, "lower", tuple(self.lower))
 
 
 @dataclass

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitykit import _cells, cli
+from cavitykit import _cells, cli, coupling, dynamics, purcell
 from cavitykit.cli import main
 from cavitykit.coupling import FieldGrid, save_field_grid
 from cavitykit.dynamics import DecayTrace, decay_trace_to_csv, load_decay_trace
@@ -80,6 +80,20 @@ def test_simulate_decay(tmp_path):
     ext = doc["result"]["extracted_rate_per_s"]
     assert abs(ext - ana) / ana < 0.02
     assert trace_csv.exists()
+    # a detuning and pure dephasing reach the model
+    assert run_cli("simulate-decay", "--g0-ghz", "0.57", "--kappa-ghz", "940",
+                   "--tau1-ns", "15.9", "--points", "64", "--delta-ghz", "300",
+                   "--gamma-phi-per-s", "1e9", "--out", str(out)) == 0
+    doc = read_json(out)
+    params = dynamics.AtomCavityParams(
+        g0_hz=0.57 * 1e9, kappa_hz=940 * 1e9, gamma1=1.0 / (15.9 * 1e-9),
+        gamma_phi=1e9, delta_hz=300 * 1e9)
+    trace = dynamics.evolve_master_equation(
+        params, t_grid=np.linspace(0.0, 5.0 * params.tau1_s, 64))
+    assert doc["inputs"]["delta_hz"] == 300e9
+    assert doc["inputs"]["gamma_phi_per_s"] == 1e9
+    assert doc["result"]["analytic_rate_per_s"] == dynamics.analytic_total_rate(params)
+    assert doc["result"]["extracted_rate_per_s"] == dynamics.extract_decay_rate(trace).rate
 
 
 def test_purcell_subcommand(tmp_path):
@@ -93,6 +107,18 @@ def test_purcell_subcommand(tmp_path):
                    "--eta-dw", "0.02", "--out", str(out)) == 0
     doc = read_json(out)
     assert doc["result"]["entries"][0]["suppressed"] is True
+    # --eta-qe, and the --C and --cooperativity spellings of --c
+    eta = purcell.EfficiencyFactors(eta_dw=0.02, eta_qe=0.5)
+    res = purcell.zpl_quantities_from_c(0.14, eta)
+    for spelling in ("--C", "--cooperativity"):
+        assert run_cli("purcell", spelling, "0.14", "--eta-dw", "0.02",
+                       "--eta-qe", "0.5", "--out", str(out)) == 0
+        entry = read_json(out)["result"]["entries"][0]
+        assert (entry["eta_qe"], entry["c_zpl"], entry["f_zpl"]) == (0.5, res.c_zpl, res.f_zpl)
+    assert run_cli("purcell", "--tau-on-ns", "15", "--tau-off-ns", "15.9",
+                   "--eta-dw", "0.02", "--eta-qe", "0.5", "--out", str(out)) == 0
+    est = purcell.czpl_from_lifetimes(15 * 1e-9, 15.9 * 1e-9, eta)
+    assert read_json(out)["result"]["entries"][0]["c_zpl"] == est.c_zpl
 
 
 def test_g0_subcommand(tmp_path):
@@ -103,6 +129,14 @@ def test_g0_subcommand(tmp_path):
     lo, hi = doc["result"]["entries"]
     assert lo["g0_hz"] == pytest.approx(2.9e9, rel=0.05)
     assert hi["g0_hz"] == pytest.approx(3.5e9, rel=0.05)
+    # --eps sets the permittivity at the field maximum
+    assert run_cli("g0", "--tau1-ns", "16", "--nu-thz", "475", "--eta-dw", "0.03",
+                   "--vmode-normalized", "0.5", "--eps", "2.0", "--out", str(out)) == 0
+    doc = read_json(out)
+    est = purcell.ideal_coupling(tau1_s=16 * 1e-9, nu_hz=475 * 1e12, eta_dw=0.03,
+                                 v_mode_normalized=0.5, eps_rel_at_max=2.0)
+    assert doc["inputs"]["eps_rel"] == 2.0
+    assert doc["result"]["entries"][0]["g0_hz"] == est.g0_hz
 
 
 def test_mode_volume_and_ensemble_weight(fixtures, tmp_path):
@@ -118,6 +152,16 @@ def test_mode_volume_and_ensemble_weight(fixtures, tmp_path):
                    "--out", str(out2)) == 0
     doc2 = read_json(out2)
     assert 0.0 < doc2["result"]["weighting_factor"] <= 1.0 / np.sqrt(3.0) + 1e-12
+    # --region-nm replaces the default averaging box
+    assert run_cli("ensemble-weight", grid, "--threshold", "0.2", "--region-nm",
+                   "-200", "200", "-50", "50", "-40", "40", "--out", str(out2)) == 0
+    region = ((-200 * 1e-9, 200 * 1e-9), (-50 * 1e-9, 50 * 1e-9), (-40 * 1e-9, 40 * 1e-9))
+    factor = coupling.ensemble_weighting_factor(
+        coupling.load_field_grid(grid),
+        coupling.WeightingConfig(threshold_fraction=0.2, region_m=region))
+    doc3 = read_json(out2)
+    assert doc3["inputs"]["region_m"] == [list(b) for b in region]
+    assert doc3["result"]["weighting_factor"] == factor != doc2["result"]["weighting_factor"]
 
 
 def test_link_budget_quick_form(tmp_path, capsys):
@@ -694,11 +738,17 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     # runs, so numpy warns about nothing
     for flag, values, message in (
             ("--t-max-ns", ("nan", "inf", "-inf"), "--t-max-ns must be finite"),
-            ("--tol", ("0", "-1", "nan", "inf"), "--tol must be finite and > 0")):
+            ("--tol", ("0", "-1", "nan", "inf"), "--tol must be finite and > 0"),
+            ("--kappa-ghz", ("0", "-1", "nan", "inf"),
+             "--kappa-ghz must be finite and > 0")):
         for value in values:
             assert run_cli(*sim, f"{flag}={value}") == 1
             out, err = capsys.readouterr()
             assert out == "" and message in err and "Warning" not in err
+    # a tolerance below what double precision can hold fails the state
+    # check during the propagation
+    assert run_cli(*sim, "--tol", "1e-300") == 1
+    assert "error: rho not Hermitian: deviation " in capsys.readouterr().err
     # a lifetime that is not a positive finite number, and fewer than two
     # output times, are named by their flags
     for tau1 in ("0", "-1", "nan", "inf"):

@@ -206,7 +206,7 @@ def test_standard_errors_scale_as_inverse_sqrt_n():
 
 
 def test_tau_detuning_reflection_invariance():
-    pts = synthetic_tau_detuning(rng=11)
+    pts = synthetic_tau_detuning(rng=np.random.default_rng(11))
     reflected = pts.copy()
     reflected[:, 0] = -reflected[:, 0]
     a = fit_tau_detuning(pts)
