@@ -32,7 +32,7 @@ print("lifetimes: %.2f ns on resonance, %.2f ns detuned" %
 for eta_dw in NV_DEBYE_WALLER_RANGE:
     est = czpl_from_lifetimes(tau_on, tau_off, EfficiencyFactors(eta_dw=eta_dw))
     print("  eta_DW = %.2f -> C_ZPL = %.2f, F_ZPL = %.2f" %
-          (eta_dw, est.c_zpl, est.c_zpl + 1.0))
+          (eta_dw, est.c_zpl, est.f_zpl))
 print()
 
 # the same expansion starting from a fitted total cooperativity C = 0.14

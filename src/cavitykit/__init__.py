@@ -22,7 +22,7 @@ _EXPORTS = {
         "CONSTANTS", "PhysicalConstants", "to_angular", "linear_to_db", "db_to_linear",
     ),
     "purcell": (
-        "RateBudget", "EfficiencyFactors", "PurcellResult", "CzplEstimate",
+        "RateBudget", "EfficiencyFactors", "PurcellResult",
         "total_decay_rate", "efficiency_factors", "czpl_from_lifetimes",
         "zpl_quantities_from_c", "NV_DEBYE_WALLER_RANGE",
         # the scalar coupling chain, also re-exported by coupling

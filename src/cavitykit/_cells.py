@@ -15,10 +15,6 @@ import contextlib
 import math
 import numbers
 import os
-import tempfile
-
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
 
 
 def finite_real(v) -> bool:
@@ -104,14 +100,14 @@ def read_text(path) -> str:
 
 
 def write_atomic(path, data):
-    """Write through a unique temp file in the target's directory, so that
-    concurrent writers never share one and a failed write leaves none."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".")
+    """Write through a new temp file under a random name in the target's
+    directory, so that concurrent writers never share one and a failed write
+    leaves none; the file gets the mode open() would give under the umask."""
+    tmp = f"{path}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
-        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates 0600
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -204,27 +204,26 @@ def _cmd_fit_spectrum(args) -> int:
 
 
 def _cmd_purcell(args) -> int:
-    if (args.cooperativity is None) == (args.tau_on_ns is None):
+    from_c = args.cooperativity is not None
+    if from_c == (args.tau_on_ns is not None or args.tau_off_ns is not None):
         raise InputFormatError(
             "give either --c or the pair --tau-on-ns/--tau-off-ns")
-    if args.tau_on_ns is not None and args.tau_off_ns is None:
+    if not from_c and args.tau_off_ns is None:
         raise InputFormatError("--tau-on-ns requires --tau-off-ns")
+    if not from_c and args.tau_on_ns is None:
+        raise InputFormatError("--tau-off-ns requires --tau-on-ns")
     entries = []
     for eta_dw in args.eta_dw:
         eta = purcell.EfficiencyFactors(eta_dw=eta_dw, eta_qe=args.eta_qe)
-        if args.cooperativity is not None:
+        if from_c:
             res = purcell.zpl_quantities_from_c(args.cooperativity, eta)
-            entry = {"eta_dw": eta_dw, "eta_qe": args.eta_qe,
-                     "c": res.c, "f_p": res.f_p,
-                     "c_zpl": res.c_zpl, "f_zpl": res.f_zpl}
         else:
-            est = purcell.czpl_from_lifetimes(
+            res = purcell.czpl_from_lifetimes(
                 args.tau_on_ns * 1e-9, args.tau_off_ns * 1e-9, eta)
-            entry = {"eta_dw": eta_dw, "eta_qe": args.eta_qe,
-                     "c_zpl": est.c_zpl, "f_zpl": est.c_zpl + 1.0,
-                     "c": est.c_zpl * eta.product,
-                     "f_p": est.c_zpl * eta.product + 1.0,
-                     "suppressed": est.suppressed}
+        entry = {"eta_dw": eta_dw, "eta_qe": args.eta_qe, "c": res.c,
+                 "f_p": res.f_p, "c_zpl": res.c_zpl, "f_zpl": res.f_zpl}
+        if not from_c:
+            entry["suppressed"] = res.suppressed
         entries.append(entry)
     inputs = {"cooperativity": args.cooperativity,
               "tau_on_ns": args.tau_on_ns, "tau_off_ns": args.tau_off_ns,
@@ -309,17 +308,19 @@ def _cmd_mode_volume(args) -> int:
 
 
 def _cmd_link_budget(args) -> int:
+    if bool(args.chain) == (args.db_per_cm is not None or args.length_cm is not None):
+        raise InputFormatError("give a chain JSON file or --db-per-cm/--length-cm")
     if args.chain:
         with _reading(args.chain):
             chain = linkbudget.chain_from_json_obj(json.loads(read_text(args.chain)))
-    elif args.db_per_cm is not None:
+    else:
         if args.length_cm is None:
             raise InputFormatError("--db-per-cm requires --length-cm")
+        if args.db_per_cm is None:
+            raise InputFormatError("--length-cm requires --db-per-cm")
         chain = linkbudget.LinkChain((linkbudget.LinkElement(
             name="propagation", loss_db_per_cm=args.db_per_cm,
             length_cm=args.length_cm),))
-    else:
-        raise InputFormatError("give a chain JSON file or --db-per-cm/--length-cm")
     report = linkbudget.budget_report(chain, measured_total=args.measured_total)
     if not args.quiet:
         sys.stdout.write(linkbudget.format_budget_table(report) + "\n")
@@ -350,6 +351,8 @@ def _replayed_params(path: str, defaults: dict) -> list:
 
 
 def _cmd_gen_synthetic(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     what = args.what
     c, kappa_hz, tau1_s = 0.14, 940e9, 15.9e-9
     if args.params_json:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .units import C0, DEBYE, EPS0, HBAR, to_angular
 
@@ -85,18 +84,23 @@ class EfficiencyFactors:
 
 @dataclass(frozen=True)
 class PurcellResult:
-    """Total-rate and ZPL-projected cooperativity / Purcell factors."""
+    """Total-rate and ZPL-projected cooperativities, with F = C + 1 for each;
+    C < 0 (suppressed) means the decay is inhibited, as near a bandgap."""
 
     c: float
-    f_p: float
     c_zpl: float
-    f_zpl: float
 
-    def __post_init__(self):
-        if abs(self.f_p - (self.c + 1.0)) > 1e-9 * max(1.0, abs(self.f_p)):
-            raise ValueError("F_P must equal C + 1")
-        if abs(self.f_zpl - (self.c_zpl + 1.0)) > 1e-9 * max(1.0, abs(self.f_zpl)):
-            raise ValueError("F_ZPL must equal C_ZPL + 1")
+    @property
+    def f_p(self) -> float:
+        return self.c + 1.0
+
+    @property
+    def f_zpl(self) -> float:
+        return self.c_zpl + 1.0
+
+    @property
+    def suppressed(self) -> bool:
+        return self.c < 0.0
 
 
 def _finite(name: str, formula) -> float:
@@ -109,18 +113,6 @@ def _finite(name: str, formula) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} is out of float64 range")
     return value
-
-
-class CzplEstimate(NamedTuple):
-    """ZPL cooperativity with a flag marking lifetime lengthening.
-
-    ``suppressed`` is True when tau_on > tau_off, i.e. the environment
-    suppresses rather than enhances the decay (physical near a bandgap);
-    the value is then negative.
-    """
-
-    c_zpl: float
-    suppressed: bool
 
 
 def total_decay_rate(budget: RateBudget) -> float:
@@ -141,31 +133,29 @@ def efficiency_factors(budget: RateBudget) -> EfficiencyFactors:
     return EfficiencyFactors(eta_dw=eta_dw, eta_qe=eta_qe)
 
 
-def czpl_from_lifetimes(tau_on_s: float, tau_off_s: float,
-                        eta: EfficiencyFactors) -> CzplEstimate:
-    """ZPL cooperativity from on/off-resonance lifetimes.
+def _projected(c: float, eta: EfficiencyFactors, formula: str) -> PurcellResult:
+    """C and C_ZPL = C / (eta_QE * eta_DW); formula names C_ZPL if it overflows."""
+    if not (eta.product > 0.0):
+        raise ValueError("eta_QE * eta_DW must be > 0")
+    return PurcellResult(c=c, c_zpl=_finite(formula, lambda: c / eta.product))
 
-    C_ZPL = (tau_off/tau_on - 1) / (eta_QE * eta_DW).  A negative result
-    (tau_on > tau_off) is returned with suppressed=True instead of raising.
-    """
+
+def czpl_from_lifetimes(tau_on_s: float, tau_off_s: float,
+                        eta: EfficiencyFactors) -> PurcellResult:
+    """C = tau_off/tau_on - 1 and C_ZPL = C / (eta_QE * eta_DW) from on/off-resonance
+    lifetimes; tau_on > tau_off gives suppressed=True, not an error."""
     if not (0.0 < tau_on_s < math.inf and 0.0 < tau_off_s < math.inf):
         raise ValueError(f"lifetimes must be finite and > 0, got tau_on = "
                          f"{tau_on_s!r} s, tau_off = {tau_off_s!r} s")
-    if not (eta.product > 0.0):
-        raise ValueError("eta_QE * eta_DW must be > 0")
-    value = _finite("C_ZPL = (tau_off/tau_on - 1) / (eta_QE * eta_DW)",
-                    lambda: (tau_off_s / tau_on_s - 1.0) / eta.product)
-    return CzplEstimate(c_zpl=value, suppressed=value < 0.0)
+    return _projected(tau_off_s / tau_on_s - 1.0, eta,
+                      "C_ZPL = (tau_off/tau_on - 1) / (eta_QE * eta_DW)")
 
 
 def zpl_quantities_from_c(c: float, eta: EfficiencyFactors) -> PurcellResult:
-    """Expand a total-rate cooperativity C into (C, F_P, C_ZPL, F_ZPL)."""
+    """Expand a total-rate cooperativity C into (C, C_ZPL)."""
     if not (0.0 <= c < math.inf):
         raise ValueError(f"C must be finite and >= 0, got {c!r}")
-    if not (eta.product > 0.0):
-        raise ValueError("eta_QE * eta_DW must be > 0")
-    c_zpl = _finite("C_ZPL = C / (eta_QE * eta_DW)", lambda: c / eta.product)
-    return PurcellResult(c=c, f_p=c + 1.0, c_zpl=c_zpl, f_zpl=c_zpl + 1.0)
+    return _projected(c, eta, "C_ZPL = C / (eta_QE * eta_DW)")
 
 
 # ---------------------------------------------------------------------------

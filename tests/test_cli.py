@@ -118,7 +118,11 @@ def test_purcell_subcommand(tmp_path):
     assert run_cli("purcell", "--tau-on-ns", "15", "--tau-off-ns", "15.9",
                    "--eta-dw", "0.02", "--eta-qe", "0.5", "--out", str(out)) == 0
     est = purcell.czpl_from_lifetimes(15 * 1e-9, 15.9 * 1e-9, eta)
-    assert read_json(out)["result"]["entries"][0]["c_zpl"] == est.c_zpl
+    entry = read_json(out)["result"]["entries"][0]
+    assert entry["c_zpl"] == est.c_zpl
+    # C is the lifetime contrast itself, and F_P = C + 1
+    assert entry["c"] == 15.9 * 1e-9 / (15 * 1e-9) - 1.0
+    assert entry["f_p"] == entry["c"] + 1.0
 
 
 def test_g0_subcommand(tmp_path):
@@ -303,6 +307,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "usage error" in err
     assert run_cli("purcell") == 2  # neither --c nor lifetimes
     assert run_cli("link-budget") == 2
+    # conflicting flags
+    for flag in ("--tau-on-ns", "--tau-off-ns"):
+        assert run_cli("purcell", "--c", "0.14", flag, "15") == 2
+        assert "usage error: give either --c or the pair" in capsys.readouterr().err
+    chain = tmp_path / "one.json"
+    chain.write_text('[{"name": "a", "efficiency": 0.5}]')
+    for flag in ("--db-per-cm", "--length-cm"):
+        assert run_cli("link-budget", str(chain), flag, "3") == 2
+        assert "usage error: give a chain JSON file or" in capsys.readouterr().err
+    assert run_cli("link-budget", "--length-cm", "1") == 2
+    assert "usage error: --length-cm requires --db-per-cm" in capsys.readouterr().err
+    assert run_cli("purcell", "--tau-off-ns", "15") == 2
+    assert "usage error: --tau-off-ns requires --tau-on-ns" in capsys.readouterr().err
     # a byte that is not UTF-8 is reported with the file and its line
     rows = "".join(f"{d}e11,{15e-9 - d * 1e-10!r}\n" for d in range(-3, 4))
     for cmd, name, text in (
@@ -588,11 +605,16 @@ def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
     assert grid_path.read_bytes() == b"old grid\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.fgrid", "out.json"]
     monkeypatch.undo()
-    _cells.write_atomic(str(target), "new\n")  # keeps the mode open() would give
+    # the mode open() would give under the umask at write time
+    umask = os.umask(0o077)
+    try:
+        _cells.write_atomic(str(target), "new\n")
+        save_field_grid(grid, grid_path)
+    finally:
+        os.umask(umask)
     assert target.read_text() == "new\n"
-    assert os.stat(target).st_mode & 0o777 == 0o666 & ~_cells._UMASK
-    save_field_grid(grid, grid_path)
-    assert os.stat(grid_path).st_mode & 0o777 == 0o666 & ~_cells._UMASK
+    assert os.stat(target).st_mode & 0o777 == 0o600
+    assert os.stat(grid_path).st_mode & 0o777 == 0o600
 
 
 def test_cold_start_does_not_import_scipy(tmp_path):
@@ -757,3 +779,8 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     for points in ("1", "0", "-1"):
         assert run_cli(*sim, "--points", points) == 1
         assert f"--points must be >= 2, got {points}" in capsys.readouterr().err
+    # a negative seed is named by its flag, before the output directory is made
+    out_dir = tmp_path / "neg-seed"
+    assert run_cli("gen-synthetic", "--seed", "-1", "--out-dir", str(out_dir)) == 1
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()

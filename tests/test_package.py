@@ -28,7 +28,7 @@ def test_every_exported_name_resolves():
 PUBLIC = {
     "units": {"CONSTANTS", "PhysicalConstants", "to_angular", "linear_to_db",
               "db_to_linear"},
-    "purcell": {"RateBudget", "EfficiencyFactors", "PurcellResult", "CzplEstimate",
+    "purcell": {"RateBudget", "EfficiencyFactors", "PurcellResult",
                 "total_decay_rate", "efficiency_factors", "czpl_from_lifetimes",
                 "zpl_quantities_from_c", "NV_DEBYE_WALLER_RANGE"},
     "dynamics": {"AtomCavityParams", "DensityState", "DecayTrace", "RateEstimate",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavitykit.purcell import (
-    CzplEstimate, EfficiencyFactors, RateBudget, czpl_from_lifetimes,
+    EfficiencyFactors, PurcellResult, RateBudget, czpl_from_lifetimes,
     efficiency_factors, total_decay_rate, zpl_quantities_from_c,
 )
 
@@ -88,7 +88,7 @@ def test_czpl_suppression_flag():
     est = czpl_from_lifetimes(20e-9, 15.9e-9, EfficiencyFactors(eta_dw=0.02))
     assert est.c_zpl < 0.0
     assert est.suppressed
-    assert isinstance(est, CzplEstimate)
+    assert isinstance(est, PurcellResult)
 
 
 def test_czpl_from_lifetimes_validation():
@@ -175,4 +175,5 @@ def test_lifetime_and_c_routes_agree():
     c = tau_off / tau_on - 1.0
     from_c = zpl_quantities_from_c(c, eta)
     from_tau = czpl_from_lifetimes(tau_on, tau_off, eta)
-    assert from_c.c_zpl == pytest.approx(from_tau.c_zpl, rel=1e-12)
+    assert from_tau == from_c  # the same result, bit for bit
+    assert from_tau.f_p == c + 1.0 and from_tau.f_zpl == from_tau.c_zpl + 1.0
