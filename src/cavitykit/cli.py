@@ -137,8 +137,8 @@ def _cmd_simulate_decay(args) -> int:
         raise ValueError(f"--kappa-ghz must be finite and > 0, got {args.kappa_ghz!r}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    if args.t_max_ns is not None and not math.isfinite(args.t_max_ns):
-        raise ValueError(f"--t-max-ns must be finite, got {args.t_max_ns!r}")
+    if args.t_max_ns is not None and not (0.0 < args.t_max_ns < math.inf):
+        raise ValueError(f"--t-max-ns must be finite and > 0, got {args.t_max_ns!r}")
     if not (0.0 < args.tol < math.inf):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
     import numpy as np
@@ -362,6 +362,8 @@ def _cmd_gen_synthetic(args) -> int:
 
     from . import coupling, dynamics, synthetic
 
+    with _reading(args.params_json):  # replayed values fail here, before any write
+        dynamics.tau_of_detuning(c, kappa_hz, tau1_s, 0.0)
     with _writing(args.out_dir):
         os.makedirs(args.out_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None

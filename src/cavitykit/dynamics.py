@@ -150,15 +150,10 @@ class DecayTrace:
             raise ValueError("times and values must be equal-length 1-D arrays")
         if np.any(~np.isfinite(t)) or np.any(~np.isfinite(v)):
             raise ValueError("times and values must be finite")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
         if self.kind not in ("simulated", "measured"):
             raise ValueError(f"kind must be 'simulated' or 'measured', got {self.kind!r}")
-        if np.any(v < -1e-9 * max(1.0, float(np.max(np.abs(v))))):
-            raise ValueError("values must be >= 0")
+        _check_samples(t, v, self.kind)
         v = np.maximum(v, 0.0)
-        if self.kind == "simulated" and np.any(v > 1.0 + 1e-6):
-            raise ValueError("simulated populations must be <= 1")
         if self.bin_width_s is not None and not (self.bin_width_s > 0.0):
             raise ValueError("bin_width_s must be > 0 when given")
         t.flags.writeable = False
@@ -168,6 +163,17 @@ class DecayTrace:
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+def _check_samples(t, v, kind, linenos=None):
+    """Raise on the first sample a DecayTrace rejects; sample i is on line linenos[i]."""
+    for bad, message in (
+            (np.diff(t, prepend=-np.inf) <= 0.0, "times must be strictly increasing"),
+            (v < -1e-9 * max(1.0, float(np.max(np.abs(v)))), "values must be >= 0"),
+            ((v > 1.0 + 1e-6) & (kind == "simulated"), "simulated populations must be <= 1")):
+        if bad.any():
+            where = f"line {linenos[bad.argmax()]}: " if linenos else ""
+            raise ValueError(where + message)
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +418,19 @@ class RateEstimate(NamedTuple):
     warnings: tuple = ()
 
 
-def _log_fits(u, ly, w):
-    """Weighted least-squares fits of ly on [1, u] and on [1, u, u^2].
+def _log_fits(u, ly):
+    """Least-squares fits of ly on [1, u] and on [1, u, u^2].
 
     Returns the linear fit's slope and the quadratic fit's u^2 coefficient,
     each with its standard error (covariance scaled by chi^2/dof).  One QR
-    of sqrt(w) [1, u, u^2] serves both fits, because the first two columns
-    of Q span the linear model.  R is triangular, so the last coefficient of
-    each fit is (Q^T b)_k / r_kk, and its variance, the kk entry of
+    of [1, u, u^2] serves both fits, because the first two columns of Q
+    span the linear model.  R is triangular, so the last coefficient of
+    each fit is (Q^T ly)_k / r_kk, and its variance, the kk entry of
     R^-1 R^-T, is 1 / r_kk^2.
     """
-    sw = np.sqrt(w)
-    q, r = np.linalg.qr(sw[:, None] * np.vander(u, 3, increasing=True))
-    b = sw * ly
-    qb = q.T @ b
-    resid_lin = b - q[:, :2] @ qb[:2]
+    q, r = np.linalg.qr(np.vander(u, 3, increasing=True))
+    qb = q.T @ ly
+    resid_lin = ly - q[:, :2] @ qb[:2]
     resid_quad = resid_lin - q[:, 2] * qb[2]
     n = len(u)
     scale_lin = math.sqrt(float(resid_lin @ resid_lin) / max(n - 2, 1))
@@ -436,7 +440,7 @@ def _log_fits(u, ly, w):
 
 
 def _coarse_lifetime(t, y):
-    pos = y > max(1e-3 * float(np.max(y)), 0.0)
+    pos = y > 1e-3 * float(np.max(y))
     if pos.sum() < 3:
         pos = y > 0
     if pos.sum() < 2:
@@ -450,22 +454,21 @@ def _coarse_lifetime(t, y):
     return min(-1.0 / slope, (t[-1] - t[0]))
 
 
-def extract_decay_rate(trace: DecayTrace, window=None) -> RateEstimate:
-    """Decay rate from a weighted linear regression of log(values).
+def extract_decay_rate(trace: DecayTrace) -> RateEstimate:
+    """Decay rate of a simulated trace from a linear regression of log(values).
 
-    The default window is [0.5, 3] times a coarse single-exponential
-    lifetime estimate.  Measured traces get Poisson-motivated weights
-    (w = counts, since var log y ~ 1/y); simulated traces are unweighted.
-    Non-positive samples inside the window are dropped with a warning.  A
-    significant quadratic term in the log-residuals sets ``curved``
-    (single-exponential model inadequate).
+    The window is [0.5, 3] times a coarse single-exponential lifetime
+    estimate, counted from the first sample.  Non-positive samples inside it
+    are dropped with a warning.  A significant quadratic term in the
+    log-residuals sets ``curved`` (single-exponential model inadequate).
+    Measured counts need weights: fitting.fit_decay_trace fits them.
     """
-    t = trace.times
-    y = trace.values
-    if window is None:
-        tau_est = _coarse_lifetime(t, y)
-        window = (t[0] + 0.5 * tau_est, t[0] + 3.0 * tau_est)
-    t0, t1 = float(window[0]), float(window[1])
+    if trace.kind != "simulated":
+        raise ValueError(f"extract_decay_rate reads simulated traces, got kind={trace.kind!r}; "
+                         "fit measured counts with fitting.fit_decay_trace")
+    t, y = trace.times, trace.values
+    tau_est = _coarse_lifetime(t, y)
+    t0, t1 = float(t[0] + 0.5 * tau_est), float(t[0] + 3.0 * tau_est)
     sel = (t >= t0) & (t <= t1)
     notes = []
     bad = sel & (y <= 0.0)
@@ -473,18 +476,18 @@ def extract_decay_rate(trace: DecayTrace, window=None) -> RateEstimate:
         notes.append(f"dropped {int(bad.sum())} non-positive samples in window")
         sel &= y > 0.0
     if int(sel.sum()) < 10:
-        raise ValueError("window must contain at least 10 positive samples")
+        raise ValueError(f"window [{t0:.4g}, {t1:.4g}] s holds {int(sel.sum())} positive "
+                         "samples, fewer than 10: sample the decay more finely")
 
     tt = t[sel]
     ly = np.log(y[sel])
-    w = y[sel] if trace.kind == "measured" else np.ones(int(sel.sum()))
 
     # center and scale the abscissa so the quadratic fit stays conditioned
     t_mid = 0.5 * (tt[0] + tt[-1])
     t_scale = max(0.5 * (tt[-1] - tt[0]), 1e-300)
     u = (tt - t_mid) / t_scale
 
-    slope, slope_err, c2, c2_err = _log_fits(u, ly, w)
+    slope, slope_err, c2, c2_err = _log_fits(u, ly)
     slope, slope_err = slope / t_scale, slope_err / t_scale
     c2, c2_err = c2 / t_scale ** 2, c2_err / t_scale ** 2
     span = tt[-1] - tt[0]
@@ -545,9 +548,10 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
                         meta[key] = ast.literal_eval(val.strip())
                     except (ValueError, TypeError, SyntaxError, RecursionError):
                         meta[key] = val.strip()  # not a literal: kept as text
-        elif not line.lower().startswith("time_s"):
-            rows.append((lineno, line))
+        elif line and (rows or not line.lower().startswith("time_s")):
+            rows.append((lineno, line))  # a header only before the first data row
     data = read_rows(rows, (2,))
+    _check_samples(data[:, 0], data[:, 1], kind, [lineno for lineno, _ in rows])
     return DecayTrace(times=data[:, 0], values=data[:, 1],
                       kind=kind, bin_width_s=bin_width, meta=meta)
 

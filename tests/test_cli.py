@@ -341,16 +341,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ('{"params": {"c": "abc"}}', 2, "params['c'] must be a finite number, got 'abc'"),
     ('{"result": {"params": {"kappa": NaN}}}', 2, "params['kappa'] must be a finite number"),
     ('{"params": {"tau1": null}}', 2, "params['tau1'] must be a finite number"),
-    ('{"params": {"c": -1}}', 1, "C must be >= 0"),  # out of range: a domain error
+    ('{"params": {"c": -1}}', 2, "C must be >= 0"),  # out of the generator's range
+    ('{"result": {"params": {"kappa": 0}}}', 2, "kappa must be > 0, got 0.0"),
 ])
 def test_params_json_must_hold_finite_params(doc, code, message, tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(doc)
-    assert run_cli("gen-synthetic", "--what", "tau-detuning", "--params-json",
-                   str(params), "--out-dir", str(tmp_path / "out")) == code
-    err = capsys.readouterr().err
-    assert message in err
-    assert (f"usage error: {params}: " in err) == (code == 2)
+    assert run_cli("gen-synthetic", "--params-json", str(params),
+                   "--out-dir", str(tmp_path / "out")) == code
+    assert f"usage error: {params}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_link_budget_non_finite_values(tmp_path, capsys):
@@ -507,6 +507,23 @@ def test_skip_bins_drops_exactly_the_leading_bins(fixtures, tmp_path, capsys):
     # a negative count is an error, not a tail slice
     assert run_cli("fit-decay", str(path), "--skip-bins", "-150") == 1
     assert "skip_bins must be >= 0, got -150" in capsys.readouterr().err
+
+
+def test_decay_trace_content_errors_name_their_line(fixtures, tmp_path, capsys):
+    text = (fixtures / "decay_trace_04.csv").read_text()
+    lines = text.splitlines(keepends=True)
+    h = lines.index("time_s,value\n") + 1  # the header's line number
+    swapped = lines[:h + 2] + [lines[h + 3], lines[h + 2]] + lines[h + 4:]
+    negative = lines[:h + 4] + [lines[h + 4].split(",")[0] + ",-3\n"] + lines[h + 5:]
+    for body, message in (
+            ("".join(swapped), f"line {h + 4}: times must be strictly increasing"),
+            ("".join(negative), f"line {h + 5}: values must be >= 0"),
+            # a header after the first data row is a data row
+            (text + text, f"line {len(lines) + h}, column 1: not a number: 'time_s'")):
+        path = tmp_path / "trace.csv"
+        path.write_text(body)
+        assert run_cli("fit-decay", str(path)) == 2
+        assert capsys.readouterr().err == f"usage error: {path}: {message}\n"
 
 
 GOOD_FGRID_HEADER = {"dims": [2, 2, 2], "spacing_m": [1e-9, 1e-9, 1e-9],
@@ -750,16 +767,13 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert run_cli("fit-detuning", str(same)) == 1
     assert "error" in capsys.readouterr().err
     assert run_cli("purcell", "--c", "-1.0") == 1
-    # simulate-decay: a zero time span, which is not taken as "use the
-    # default"
+    # simulate-decay: a time span or a tolerance that is not a finite
+    # number > 0 (a zero span is not taken as "use the default") is named by
+    # its flag before anything runs, so numpy warns about nothing
     sim = ["simulate-decay", "--g0-ghz", "0.57", "--kappa-ghz", "940", "--tau1-ns", "15.9"]
-    assert run_cli(*sim, "--t-max-ns", "0") == 1
-    assert "t_grid must be strictly increasing" in capsys.readouterr().err
-    # a time span or a tolerance that is not a finite number, and a
-    # tolerance that is not > 0, are named by their flags before anything
-    # runs, so numpy warns about nothing
     for flag, values, message in (
-            ("--t-max-ns", ("nan", "inf", "-inf"), "--t-max-ns must be finite"),
+            ("--t-max-ns", ("0", "-3", "nan", "inf", "-inf"),
+             "--t-max-ns must be finite and > 0"),
             ("--tol", ("0", "-1", "nan", "inf"), "--tol must be finite and > 0"),
             ("--kappa-ghz", ("0", "-1", "nan", "inf"),
              "--kappa-ghz must be finite and > 0")):

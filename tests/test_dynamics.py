@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -532,38 +533,35 @@ def test_extract_rate_flags_background_curvature():
 
 
 def test_extract_rate_window_handling():
+    # exp(-t/8 ns) on 40 1-ns bins: the window is [4, 24] ns
     t = np.arange(40) * 1e-9
     vals = np.exp(-t / 8e-9)
-    vals[25:] = 0.0  # dead tail
-    trace = DecayTrace(times=t, values=vals, kind="measured")
-    est = extract_decay_rate(trace, window=(0.0, 39e-9))
-    assert est.warnings and "non-positive" in est.warnings[0]
-    with pytest.raises(ValueError):
-        extract_decay_rate(trace, window=(26e-9, 39e-9))  # < 10 usable samples
+    vals[20:] = 0.0  # a dead tail inside the window is dropped with a warning
+    est = extract_decay_rate(DecayTrace(times=t, values=vals))
+    assert (est.n_points, est.warnings) == (16, ("dropped 5 non-positive samples in window",))
+    assert est.rate == pytest.approx(1.0 / 8e-9, rel=1e-9)
+    vals[12:] = 0.0  # 8 positive samples left in the window
+    with pytest.raises(ValueError, match="holds 8 positive samples, fewer than 10: sample the"):
+        extract_decay_rate(DecayTrace(times=t, values=vals))
 
 
-def test_extract_rate_poisson_counts():
-    rng = np.random.default_rng(5)
-    tau = 14e-9
-    t = np.arange(220) * 1.28e-9
-    counts = rng.poisson(2e4 * np.exp(-t / tau)).astype(float)
-    trace = DecayTrace(times=t, values=counts, kind="measured")
-    est = extract_decay_rate(trace)
-    assert est.rate == pytest.approx(1.0 / tau, rel=0.03)
+def test_extract_rate_reads_simulated_traces_only():
+    assert list(inspect.signature(extract_decay_rate).parameters) == ["trace"]
+    t = np.arange(200) * 1.28e-9
+    counts = DecayTrace(times=t, values=np.round(1e4 * np.exp(-t / 14e-9)), kind="measured")
+    with pytest.raises(ValueError, match="fitting.fit_decay_trace"):
+        extract_decay_rate(counts)
 
 
 def _reference_extract(trace):
     """The rate extraction before it shared one QR between its two fits:
     lstsq per fit, pinv for the covariance, np.polyfit for the coarse
-    lifetime.  Kept as the reference for extract_decay_rate's default call."""
-    def weighted_polyfit(u, ly, w, order):
+    lifetime.  Kept as the reference for extract_decay_rate."""
+    def polyfit(u, ly, order):
         x = np.vander(u, order + 1, increasing=True)
-        sw = np.sqrt(w)
-        coeffs, *_ = np.linalg.lstsq(sw[:, None] * x, sw * ly, rcond=None)
-        resid = ly - x @ coeffs
-        chisq = float(np.sum(w * resid ** 2))
-        dof = max(len(u) - (order + 1), 1)
-        cov = np.linalg.pinv(x.T @ (w[:, None] * x)) * (chisq / dof)
+        coeffs, *_ = np.linalg.lstsq(x, ly, rcond=None)
+        chisq = float(np.sum((ly - x @ coeffs) ** 2))
+        cov = np.linalg.pinv(x.T @ x) * (chisq / max(len(u) - (order + 1), 1))
         return coeffs, np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     t, y = trace.times, trace.values
@@ -575,11 +573,10 @@ def _reference_extract(trace):
     window = (t[0] + 0.5 * tau_est, t[0] + 3.0 * tau_est)
     sel = (t >= window[0]) & (t <= window[1]) & (y > 0.0)
     tt, ly = t[sel], np.log(y[sel])
-    w = y[sel].copy() if trace.kind == "measured" else np.ones(int(sel.sum()))
     t_scale = max(0.5 * (tt[-1] - tt[0]), 1e-300)
     u = (tt - 0.5 * (tt[0] + tt[-1])) / t_scale
-    lin, lin_err = weighted_polyfit(u, ly, w, order=1)
-    quad, quad_err = weighted_polyfit(u, ly, w, order=2)
+    lin, lin_err = polyfit(u, ly, order=1)
+    quad, quad_err = polyfit(u, ly, order=2)
     slope, c2, c2_err = lin[1] / t_scale, quad[2] / t_scale ** 2, quad_err[2] / t_scale ** 2
     curved = (abs(2.0 * c2 * (tt[-1] - tt[0])) > 0.05 * abs(slope)
               and abs(c2) > 3.0 * c2_err)
@@ -605,33 +602,18 @@ def _sweep_style_traces():
                     yield evolve_master_equation(p, n_max=n_max, t_grid=t)
 
 
-def _poisson_traces(n=300):
-    rng = np.random.default_rng(31)
-    t = np.arange(200) * 1.28e-9
-    for _ in range(n):
-        mean = (10.0 ** rng.uniform(2.0, 5.0) * np.exp(-t / rng.uniform(5e-9, 30e-9))
-                + rng.uniform(0.0, 20.0))
-        yield DecayTrace(times=t, values=rng.poisson(mean).astype(float),
-                         kind="measured")
-
-
 def test_rate_extraction_matches_lstsq_pinv_reference():
-    # one QR serves both nested fits; rate, window and, on counted traces,
-    # stderr agree to 1e-12 relative.  A simulated trace's stderr sits at
-    # roundoff (~2e-16 of the rate), so there it is bounded absolutely
-    n_sim = 0
-    for trace in [*_sweep_style_traces(), *_poisson_traces()]:
+    # one QR serves both nested fits; rate and window agree to 1e-12 relative,
+    # and the stderr, at roundoff (~2e-16 of the rate), to 1e-12 of the rate
+    traces = list(_sweep_style_traces())
+    for trace in traces:
         est = extract_decay_rate(trace)
         rate, stderr, window, n_points, curved = _reference_extract(trace)
         assert est.rate == pytest.approx(rate, rel=1e-12, abs=0.0)
         assert est.window == pytest.approx(window, rel=1e-12, abs=0.0)
         assert (est.n_points, est.curved) == (n_points, curved)
-        if trace.kind == "measured":
-            assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
-        else:
-            n_sim += 1
-            assert abs(est.stderr - stderr) <= 1e-12 * rate
-    assert n_sim == 108
+        assert abs(est.stderr - stderr) <= 1e-12 * rate
+    assert len(traces) == 108
 
 
 def test_default_grid_runs_five_lifetimes():
@@ -648,16 +630,16 @@ def test_default_grid_runs_five_lifetimes():
 
 def test_decay_trace_validation():
     t = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        DecayTrace(times=np.array([0.0, 1.0, 1.0]), values=np.ones(3))
-    with pytest.raises(ValueError):
-        DecayTrace(times=t, values=np.array([1.0, -0.5, 0.0]))
-    with pytest.raises(ValueError):
-        DecayTrace(times=t, values=np.array([1.0, 1.5, 0.5]))  # simulated > 1
-    with pytest.raises(ValueError):
-        DecayTrace(times=t, values=np.ones(3), kind="other")
-    # measured counts above 1 are fine
+    for times, values, kind, message in (
+            ([0.0, 1.0, 1.0], np.ones(3), "simulated", "^times must be strictly increasing$"),
+            (t, [1.0, -0.5, 0.0], "simulated", "^values must be >= 0$"),
+            (t, [1.0, 1.5, 0.5], "simulated", "^simulated populations must be <= 1$"),
+            (t, np.ones(3), "other", "^kind must be 'simulated' or 'measured'")):
+        with pytest.raises(ValueError, match=message):
+            DecayTrace(times=times, values=values, kind=kind)
+    # measured counts above 1 are fine, and roundoff below 0 is clipped
     DecayTrace(times=t, values=np.array([100.0, 30.0, 7.0]), kind="measured")
+    assert DecayTrace(times=t, values=[1.0, -1e-10, 0.0]).values[1] == 0.0
 
 
 def test_decay_trace_csv_round_trip():
@@ -675,3 +657,5 @@ def test_decay_trace_csv_round_trip():
 def test_decay_trace_csv_reports_bad_line():
     with pytest.raises(ValueError, match="line 3"):
         decay_trace_from_csv("# kind=measured\ntime_s,value\n0.0,oops\n")
+    with pytest.raises(ValueError, match="^line 4: simulated populations must be <= 1$"):
+        decay_trace_from_csv("time_s,value\n0.0,1.0\n\n1e-9,1.5\n")
