@@ -28,12 +28,15 @@ evaluates exp(gen (t - t0)) on the whole time grid at once, at the same cost
 for uniform and log-spaced grids.  Near the exceptional point
 g = |kappa - gamma1|/4 (angular) the eigenvector basis is defective and the
 eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM Rev. 45(1),
-2003); when cond(V) exceeds _EIG_COND_LIMIT the matrix exponentials are
-taken directly instead, by a scaling-and-squaring Pade exponential in numpy
-(Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  The trace's
-meta["method"] names the propagation that ran, "eig" or "expm".  Every
-propagated state is checked for conjugate coherences, real non-negative
-populations, unit trace and P_e(t0) = 1, each to 10*rel_tol.
+2003).  cond(V) is taken in the 1-norm, |V|_1 |V^-1|_1, from the one
+inverse that also gives the expansion coefficients; it is 3e9 to 5e10
+within 1e-9 of the exceptional point and ~3e3 at 1e-3 from it.  When it
+exceeds _EIG_COND_LIMIT = 1e5, or V is exactly singular, the matrix
+exponentials are taken directly instead, by a scaling-and-squaring Pade
+exponential in numpy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+The trace's meta["method"] names the propagation that ran, "eig" or
+"expm".  Every propagated state is checked for conjugate coherences, real
+non-negative populations, unit trace and P_e(t0) = 1, each to 10*rel_tol.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cells import format_rows, read_rows, read_text
+from ._cells import finite_real, format_rows, read_rows, read_text
 from .units import to_angular
 
 __all__ = [
@@ -144,18 +147,20 @@ class DecayTrace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)  # a copy: the caller's array stays writeable
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
             raise ValueError("times and values must be equal-length 1-D arrays")
-        if np.any(~np.isfinite(t)) or np.any(~np.isfinite(v)):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValueError("times and values must be finite")
         if self.kind not in ("simulated", "measured"):
             raise ValueError(f"kind must be 'simulated' or 'measured', got {self.kind!r}")
         _check_samples(t, v, self.kind)
         v = np.maximum(v, 0.0)
-        if self.bin_width_s is not None and not (self.bin_width_s > 0.0):
-            raise ValueError("bin_width_s must be > 0 when given")
+        if self.bin_width_s is not None and not (finite_real(self.bin_width_s)
+                                                 and self.bin_width_s > 0.0):
+            raise ValueError("bin_width_s must be a positive finite number, "
+                             f"got {self.bin_width_s!r}")
         t.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -166,10 +171,20 @@ class DecayTrace:
 
 
 def _check_samples(t, v, kind, linenos=None):
-    """Raise on the first sample a DecayTrace rejects; sample i is on line linenos[i]."""
+    """Raise on the first sample a DecayTrace rejects; sample i is on line linenos[i].
+
+    t and v are finite.  A valid trace passes on reductions alone; the
+    per-sample masks that find the first offending sample are built only
+    when a check fails.
+    """
+    lo, hi = float(v.min()), float(v.max())
+    floor = -1e-9 * max(1.0, hi, -lo)  # max(1, max |v|)
+    if ((t[1:] > t[:-1]).all() and lo >= floor
+            and (hi <= 1.0 + 1e-6 or kind != "simulated")):
+        return
     for bad, message in (
             (np.diff(t, prepend=-np.inf) <= 0.0, "times must be strictly increasing"),
-            (v < -1e-9 * max(1.0, float(np.max(np.abs(v)))), "values must be >= 0"),
+            (v < floor, "values must be >= 0"),
             ((v > 1.0 + 1e-6) & (kind == "simulated"), "simulated populations must be <= 1")):
         if bad.any():
             where = f"line {linenos[bad.argmax()]}: " if linenos else ""
@@ -216,11 +231,13 @@ def _generator(params: AtomCavityParams) -> np.ndarray:
 # Propagation
 # ---------------------------------------------------------------------------
 
-#: cond(V) of a generator's eigenvectors above which the basis counts as
-#: defective.  The eigen-expansion is off by about 1e-17 * cond(V) near the
-#: exceptional point, so this keeps it ~1e-12 from expm.  For the 5x5
-#: generator, cond(V) is 2e9 to 6e10 within 1e-9 of the exceptional point
-#: and ~3e3 at 1e-3 from it.
+#: cond(V) = |V|_1 |V^-1|_1 of a generator's eigenvectors above which the
+#: basis counts as defective.  The eigen-expansion is off by about
+#: 1e-17 * cond(V) near the exceptional point, so this keeps it ~1e-12 from
+#: expm.  For a 5x5 matrix the 1-norm cond is within a factor 5 of the
+#: 2-norm one, and the generator sits decades from this limit on either
+#: side: its 1-norm cond(V) is 3e9 to 5e10 within 1e-9 of the exceptional
+#: point and ~3e3 at 1e-3 from it.
 _EIG_COND_LIMIT = 1e5
 
 #: Largest n_max evolve_master_equation accepts.  n_max only sizes the
@@ -235,15 +252,23 @@ def _propagate(gen: np.ndarray, v0: np.ndarray, t_grid: np.ndarray):
 
     One eigendecomposition gives the whole grid at once, at the same cost
     for uniform and log-spaced grids.  When the eigenvectors are too ill
-    conditioned to expand in (cond(V) > _EIG_COND_LIMIT, an exceptional
-    point), _propagate_expm takes the matrix exponentials directly instead,
-    on the 5x5 generator.
+    conditioned to expand in (|V|_1 |V^-1|_1 > _EIG_COND_LIMIT, an
+    exceptional point) or exactly singular, _propagate_expm takes the
+    matrix exponentials directly instead, on the 5x5 generator.  The one
+    inverse serves both the condition number and the expansion
+    coefficients.
     """
     lam, vecs = np.linalg.eig(gen)
-    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
+    try:
+        inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:  # a zero pivot: V is singular
         return _propagate_expm(gen, v0, t_grid), True
-    coeffs = np.linalg.solve(vecs, v0)
-    return (np.exp(np.outer(t_grid - t_grid[0], lam)) * coeffs) @ vecs.T, False
+    # the eigenvectors have unit 2-norm, so |V|_1 <= sqrt(n) and the limit
+    # divided by it cannot overflow; a nan |V^-1|_1 also falls back
+    limit = _EIG_COND_LIMIT / np.abs(vecs).sum(axis=0).max()
+    if not np.abs(inv).sum(axis=0).max() <= limit:
+        return _propagate_expm(gen, v0, t_grid), True
+    return np.exp(np.multiply.outer(t_grid - t_grid[0], lam)) @ (vecs * (inv @ v0)).T, False
 
 
 def _propagate_expm(gen, v0, t_grid):
@@ -295,16 +320,16 @@ def _check_states(states: np.ndarray, t_grid, rel_tol: float):
     """Raise IntegrationError unless the five entries are those of a density
     matrix from |e, 0>, to 10*rel_tol."""
     tol = 10.0 * rel_tol
-    pops = states[:, [0, 1, 4]]
+    gg, aa, bb = states[:, 0], states[:, 1], states[:, 4]  # the populations
     checks = (
         ("rho not Hermitian",
-         np.maximum(np.abs(states[:, 2] - states[:, 3].conj()),
-                    np.max(np.abs(pops.imag), axis=1))),
-        ("negative population", -np.min(pops.real, axis=1)),
-        ("trace not preserved", np.abs(pops.real.sum(axis=1) - 1.0)),
+         np.maximum(np.maximum(np.abs(states[:, 2] - states[:, 3].conj()), np.abs(gg.imag)),
+                    np.maximum(np.abs(aa.imag), np.abs(bb.imag)))),
+        ("negative population", -np.minimum(np.minimum(gg.real, aa.real), bb.real)),
+        ("trace not preserved", np.abs(gg.real + aa.real + bb.real - 1.0)),
     )
     for what, dev in checks:
-        worst = int(np.argmax(dev))
+        worst = int(dev.argmax())
         if not dev[worst] <= tol:
             raise IntegrationError(
                 f"{what}: deviation {dev[worst]:.3e} at t = {t_grid[worst]:.6e}",
@@ -346,17 +371,17 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must contain at least two times")
-    if not np.all(np.isfinite(t_grid)):
+    if not np.isfinite(t_grid).all():
         raise ValueError("t_grid must be finite")
-    diffs = np.diff(t_grid)
-    if np.any(diffs <= 0.0):
+    diffs = t_grid[1:] - t_grid[:-1]
+    if (diffs <= 0.0).any():
         raise ValueError("t_grid must be strictly increasing")
 
     states, fell_back = _propagate(_generator(params), _RHO0, t_grid)
     _check_states(states, t_grid, rel_tol)
     values = np.clip(states[:, 1].real, 0.0, 1.0)
 
-    uniform = np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0])
+    uniform = (np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]).all()
     bin_width = float(diffs[0]) if uniform else None
     trace = DecayTrace(
         times=t_grid, values=values, kind="simulated", bin_width_s=bin_width,
@@ -440,15 +465,18 @@ def _log_fits(u, ly):
 
 
 def _coarse_lifetime(t, y):
-    pos = y > 1e-3 * float(np.max(y))
-    if pos.sum() < 3:
+    pos = y > 1e-3 * float(y.max())
+    n = np.count_nonzero(pos)
+    if n < 3:
         pos = y > 0
-    if pos.sum() < 2:
+        n = np.count_nonzero(pos)
+    if n < 2:
         return t[-1] - t[0]
-    # least-squares slope of log(y) on t, in closed form
-    tc = t[pos] - np.mean(t[pos])
+    # least-squares slope of log(y) on t, in closed form; sum / n is np.mean
+    tp = t[pos]
+    tc = tp - tp.sum() / n
     ly = np.log(y[pos])
-    slope = float(tc @ (ly - np.mean(ly))) / float(tc @ tc)
+    slope = float(tc @ (ly - ly.sum() / n)) / float(tc @ tc)
     if slope >= 0.0:
         return t[-1] - t[0]
     return min(-1.0 / slope, (t[-1] - t[0]))
@@ -470,17 +498,17 @@ def extract_decay_rate(trace: DecayTrace) -> RateEstimate:
     tau_est = _coarse_lifetime(t, y)
     t0, t1 = float(t[0] + 0.5 * tau_est), float(t[0] + 3.0 * tau_est)
     sel = (t >= t0) & (t <= t1)
+    tt, ys = t[sel], y[sel]
     notes = []
-    bad = sel & (y <= 0.0)
-    if np.any(bad):
-        notes.append(f"dropped {int(bad.sum())} non-positive samples in window")
-        sel &= y > 0.0
-    if int(sel.sum()) < 10:
-        raise ValueError(f"window [{t0:.4g}, {t1:.4g}] s holds {int(sel.sum())} positive "
+    pos = ys > 0.0
+    n = np.count_nonzero(pos)
+    if n < len(ys):
+        notes.append(f"dropped {len(ys) - n} non-positive samples in window")
+        tt, ys = tt[pos], ys[pos]
+    if n < 10:
+        raise ValueError(f"window [{t0:.4g}, {t1:.4g}] s holds {n} positive "
                          "samples, fewer than 10: sample the decay more finely")
-
-    tt = t[sel]
-    ly = np.log(y[sel])
+    ly = np.log(ys)
 
     # center and scale the abscissa so the quadratic fit stays conditioned
     t_mid = 0.5 * (tt[0] + tt[-1])
@@ -497,7 +525,7 @@ def extract_decay_rate(trace: DecayTrace) -> RateEstimate:
               and abs(c2) > 3.0 * c2_err)
 
     return RateEstimate(rate=-slope, stderr=slope_err,
-                        window=(t0, t1), n_points=int(sel.sum()),
+                        window=(t0, t1), n_points=n,
                         curved=bool(curved), warnings=tuple(notes))
 
 
@@ -535,6 +563,9 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
                 key = key.strip()
                 if key == "kind":
                     kind = val.strip()
+                    if kind not in ("simulated", "measured"):
+                        raise ValueError(f"line {lineno}: kind must be 'simulated' or "
+                                         f"'measured', got {kind!r}")
                 elif key == "bin_width_s":
                     try:
                         bin_width = float(val)

@@ -602,6 +602,17 @@ def test_bad_bin_width_names_its_line(value, fixtures, tmp_path, capsys):
             f"got {value!r}") in err
 
 
+def test_bad_kind_names_its_line(fixtures, tmp_path, capsys):
+    lines = (fixtures / "decay_trace_04.csv").read_text().splitlines()
+    lineno = lines.index("# kind=measured") + 1
+    lines[lineno - 1] = "# kind=counts"
+    bad = tmp_path / "kind.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("fit-decay", str(bad)) == 2
+    assert capsys.readouterr().err == (f"usage error: {bad}: line {lineno}: kind must be "
+                                       "'simulated' or 'measured', got 'counts'\n")
+
+
 def test_write_atomic_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "out.json"
     target.write_text("old\n")

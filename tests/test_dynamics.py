@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -659,3 +660,104 @@ def test_decay_trace_csv_reports_bad_line():
         decay_trace_from_csv("# kind=measured\ntime_s,value\n0.0,oops\n")
     with pytest.raises(ValueError, match="^line 4: simulated populations must be <= 1$"):
         decay_trace_from_csv("time_s,value\n0.0,1.0\n\n1e-9,1.5\n")
+
+
+def test_decay_trace_leaves_the_callers_times_writeable():
+    # the trace freezes a copy of its times, never the caller's array
+    t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
+    tt = np.arange(3) * 1e-9
+    values = np.array([1.0, 0.5, 0.25])
+    for caller, make in ((t, lambda: evolve_master_equation(P_REF, t_grid=t)),
+                         (tt, lambda: DecayTrace(times=tt, values=values))):
+        before = caller.copy()
+        trace = make()
+        assert caller.flags.writeable and np.array_equal(caller, before)
+        assert not (trace.times.flags.writeable or trace.values.flags.writeable)
+        caller[0] = -1.0  # the trace keeps its own times
+        assert trace.times[0] == 0.0
+    assert values.flags.writeable
+
+
+def test_bin_width_must_be_a_positive_finite_number():
+    t = np.arange(3) * 1e-9
+    for bad in (math.inf, -math.inf, math.nan, 0.0, -1e-9, True, "1e-9", 10 ** 400):
+        with pytest.raises(ValueError, match="^bin_width_s must be a positive finite "
+                                             f"number, got {re.escape(repr(bad))}$"):
+            DecayTrace(times=t, values=np.ones(3), bin_width_s=bad)
+    # every bin width a trace accepts is one the CSV reader reads back
+    for width in (1e-9, np.float64(1.28e-9), 2, 5e-324):
+        trace = DecayTrace(times=t, values=np.ones(3), bin_width_s=width)
+        assert decay_trace_from_csv(decay_trace_to_csv(trace)).bin_width_s == float(width)
+
+
+def test_decay_trace_csv_names_the_line_of_a_bad_kind():
+    text = decay_trace_to_csv(evolve_master_equation(P_REF, t_grid=np.linspace(0, 2e-8, 16)))
+    assert text.splitlines()[1] == "# kind=simulated"
+    bad = text.replace("# kind=simulated", "# kind=counts")
+    with pytest.raises(ValueError, match="^line 2: kind must be 'simulated' or 'measured', "
+                                         "got 'counts'$"):
+        decay_trace_from_csv(bad)
+
+
+def test_decay_trace_csv_names_the_line_of_an_injected_defect():
+    # one defect at a random row of a valid trace: the error names its line,
+    # whichever row it is on
+    t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 40)
+    lines = decay_trace_to_csv(evolve_master_equation(P_REF, t_grid=t)).splitlines()
+    first = lines.index("time_s,value") + 1  # index of the first data row
+    rng = np.random.default_rng(22)
+    for defect, message in (("order", "times must be strictly increasing"),
+                            ("negative", "values must be >= 0"),
+                            ("above 1", "simulated populations must be <= 1")):
+        for row in rng.integers(1, len(t), size=8):
+            body = list(lines)
+            time, value = body[first + row].split(",")
+            if defect == "order":
+                time = body[first + row - 1].split(",")[0]
+            else:
+                value = "-0.5" if defect == "negative" else "1.5"
+            body[first + row] = f"{time},{value}"
+            with pytest.raises(ValueError, match=f"^line {first + row + 1}: {message}$"):
+                decay_trace_from_csv("\n".join(body) + "\n")
+
+
+def test_one_norm_condition_makes_the_two_norm_decision():
+    # the propagator tests |V|_1 |V^-1|_1, within a factor 5 of the 2-norm
+    # cond(V) for the 5x5 generator; on the exceptional-point sets (cond
+    # ~1e10 within 1e-9 of it, ~3e3 at 1e-3) and on random sets, all decades
+    # from the limit, both take the same path
+    points = [_at_exceptional_point(kappa_hz, gamma1, rel)
+              for kappa_hz, gamma1 in ((1e9, 1e7), (2e8, 5e7), (940e9, 1.0 / 15.9e-9))
+              for rel in (0.0, 1e-9, -1e-9, 1e-3, -1e-3)]
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        kappa_hz = 10 ** rng.uniform(8, 12)
+        points.append(AtomCavityParams(
+            g0_hz=10 ** rng.uniform(6, 10), kappa_hz=kappa_hz,
+            gamma1=10 ** rng.uniform(6, 9), delta_hz=rng.uniform(-2, 2) * kappa_hz))
+    points += _oracle_sets() + [P_DEPHASED]
+    fallbacks = 0
+    for p in points:
+        t = _grids(p.tau1_s)["log"]
+        gen = dynamics._generator(p)
+        _, fell_back = dynamics._propagate(gen, dynamics._RHO0, t)
+        _, vecs = np.linalg.eig(gen)
+        assert fell_back == (np.linalg.cond(vecs) > dynamics._EIG_COND_LIMIT), p
+        fallbacks += fell_back
+    assert fallbacks == 9  # rel 0 and +-1e-9 at each of the three exceptional points
+
+
+def test_singular_eigenvectors_take_the_expm_fallback(monkeypatch):
+    # an exactly singular V (a zero pivot in its inverse) falls back to
+    # expm instead of raising
+    t = np.linspace(0.0, 3.0 * P_REF.tau1_s, 32)
+    ref = evolve_master_equation(P_REF, t_grid=t)
+    assert ref.meta["method"] == "eig"
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    trace = evolve_master_equation(P_REF, t_grid=t)
+    assert trace.meta["method"] == "expm"
+    assert np.max(np.abs(trace.values - ref.values)) < 1e-10
