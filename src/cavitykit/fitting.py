@@ -39,6 +39,7 @@ at 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,7 +66,10 @@ class DegenerateFitError(ValueError):
 class FitModel:
     """A fittable model: vectorized function, its analytic Jacobian, an
     initial-guess policy and one lower bound per parameter (may be -inf;
-    parameters have no other bound)."""
+    parameters have no other bound).
+
+    A fit never writes into the arrays that ``fn`` and ``jacobian`` return,
+    so both may hand back cached arrays or views."""
 
     kind: str
     param_names: tuple
@@ -136,7 +140,9 @@ def _exp_cols(t, a, tau):
 
 
 def _exp_jac(t, th):
-    return np.column_stack(_exp_cols(t, th[0], th[1]))
+    jac = np.empty((len(t), 2))
+    jac[:, 0], jac[:, 1] = _exp_cols(t, th[0], th[1])
+    return jac
 
 
 def _exp_bg_fn(t, th):
@@ -144,15 +150,18 @@ def _exp_bg_fn(t, th):
 
 
 def _exp_bg_jac(t, th):
-    return np.column_stack([*_exp_cols(t, th[0], th[1]), np.ones_like(t)])
+    jac = np.empty((len(t), 3))
+    jac[:, 0], jac[:, 1] = _exp_cols(t, th[0], th[1])
+    jac[:, 2] = 1.0
+    return jac
 
 
 def _guess_exponential(t, y, with_background):
-    b0 = 0.99 * float(np.min(y)) if with_background else 0.0
+    b0 = 0.99 * float(y.min()) if with_background else 0.0
     yy = y - b0
-    a0 = float(np.max(yy))
+    a0 = float(yy.max())
     if a0 <= 0.0:
-        a0 = max(float(np.max(np.abs(y))), 1.0)
+        a0 = max(float(abs(y).max()), 1.0)
     pos = yy > 0.02 * a0
     span = float(t[-1] - t[0]) if t[-1] > t[0] else 1.0
     tau0 = span / 3.0
@@ -180,24 +189,25 @@ def _tau_detuning_jac(delta, th):
     # quotient is 0/0 once kappa^4 underflows (kappa at its 1e-300 bound)
     df_dkappa = np.where(delta == 0.0, 0.0, 8.0 * kappa * delta ** 2
                          / (kappa ** 2 + 4.0 * delta ** 2) ** 2)
-    return np.column_stack([
-        -tau1 * f / denom ** 2,
-        -tau1 * c * df_dkappa / denom ** 2,
-        1.0 / denom,
-    ])
+    denom2 = denom ** 2
+    jac = np.empty((len(delta), 3))
+    jac[:, 0] = -tau1 * f / denom2
+    jac[:, 1] = -tau1 * c * df_dkappa / denom2
+    jac[:, 2] = 1.0 / denom
+    return jac
 
 
 def _guess_tau_detuning(delta, tau):
-    tau1 = float(np.max(tau))
-    tau_min = float(np.min(tau))
+    tau1 = float(tau.max())
+    tau_min = float(tau.min())
     c0 = max(tau1 / tau_min - 1.0, 0.0) if tau_min > 0.0 else 0.0
     mid = 0.5 * (tau1 + tau_min)
     below = np.abs(delta)[tau < mid]
-    if below.size and float(np.max(below)) > 0.0:
-        kappa0 = 2.0 * float(np.max(below))  # dip FWHM ~ kappa
+    if below.size and float(below.max()) > 0.0:
+        kappa0 = 2.0 * float(below.max())  # dip FWHM ~ kappa
     else:
-        kappa0 = max(0.25 * (float(np.max(delta)) - float(np.min(delta))),
-                     float(np.max(np.abs(delta))) / 2.0, 1.0)
+        kappa0 = max(0.25 * (float(delta.max()) - float(delta.min())),
+                     float(abs(delta).max()) / 2.0, 1.0)
     return np.array([c0, kappa0, tau1])
 
 
@@ -218,15 +228,20 @@ def _lorentz_cols(x, a, x0, w):
 
 def _spectrum_jac(x, th):
     a_c, x_c, w_c, a_z, x_z, s_z, _, _ = th
+    jac = np.empty((len(x), 8))
+    jac[:, 0], jac[:, 1], jac[:, 2] = _lorentz_cols(x, a_c, x_c, w_c)
     v = (x - x_z) / s_z
-    gau = np.exp(-0.5 * v * v)
-    d = a_z * gau * v / s_z
-    return np.column_stack([*_lorentz_cols(x, a_c, x_c, w_c),
-                            gau, d, d * v, np.ones_like(x), x])
+    jac[:, 3] = gau = np.exp(-0.5 * v * v)
+    jac[:, 4] = d = a_z * gau * v / s_z
+    jac[:, 5] = d * v
+    jac[:, 6] = 1.0
+    jac[:, 7] = x
+    return jac
 
 
 def _half_width(x, y, i_peak):
     """Half width at half maximum around a local peak, by interpolation."""
+    x, y = x.tolist(), y.tolist()  # the walk reads single samples
     h = y[i_peak]
     span = x[-1] - x[0]
     if h <= 0.0:
@@ -241,7 +256,7 @@ def _half_width(x, y, i_peak):
             sides.append(abs(x[j] + frac * (x[j + step] - x[j]) - x[i_peak]))
     if not sides:
         return span / 20.0
-    return max(float(np.mean(sides)), span / max(4 * len(x), 40))
+    return max(sum(sides) / len(sides), span / max(4 * len(x), 40))
 
 
 def _guess_spectrum(x, y):
@@ -251,7 +266,7 @@ def _guess_spectrum(x, y):
     if low.sum() >= 2:
         b1, b0 = np.polyfit(xs[low], ys[low], 1)
     else:
-        b0, b1 = float(np.min(ys)), 0.0
+        b0, b1 = float(ys.min()), 0.0
     resid = ys - (b0 + b1 * xs)
     i1 = int(np.argmax(resid))
     h1, hw1 = float(resid[i1]), _half_width(xs, resid, i1)
@@ -284,8 +299,12 @@ def _tanh_jac(x, th):
     t0, x0, s = th
     z = (np.abs(x) - x0) / s
     t = np.tanh(z)
-    d = 0.5 * t0 * (1.0 - t) * (1.0 + t) / s  # sech^2 without overflow
-    return np.column_stack([0.5 * (1.0 - t), d, d * z])
+    one_minus_t = 1.0 - t
+    jac = np.empty((len(x), 3))
+    jac[:, 0] = 0.5 * one_minus_t
+    jac[:, 1] = d = 0.5 * t0 * one_minus_t * (1.0 + t) / s  # sech^2 without overflow
+    jac[:, 2] = d * z
+    return jac
 
 
 def _guess_tanh(x, y):
@@ -294,8 +313,8 @@ def _guess_tanh(x, y):
     order = np.argsort(ax)
     axs, yo = ax[order], y[order]
     below = np.nonzero(yo < 0.5 * t0)[0]
-    x0 = float(axs[below[0]]) if below.size else float(np.max(axs))
-    x0 = max(x0, 1e-3 * float(np.max(axs)) if np.max(axs) > 0 else 1e-3)
+    x0 = float(axs[below[0]]) if below.size else float(axs.max())
+    x0 = max(x0, 1e-3 * float(axs.max()) if axs.max() > 0 else 1e-3)
     return np.array([t0, x0, x0 / 4.0])
 
 
@@ -305,15 +324,18 @@ def _satur_fn(x, th):
 
 def _satur_jac(x, th):
     e, d_l0 = _exp_cols(x, th[0], th[1])
-    return np.column_stack([1.0 - e, -d_l0])
+    jac = np.empty((len(x), 2))
+    jac[:, 0] = 1.0 - e
+    jac[:, 1] = -d_l0
+    return jac
 
 
 def _guess_satur(x, y):
-    t_inf = float(np.max(y))
+    t_inf = float(y.max())
     level = (1.0 - math.exp(-1.0)) * t_inf
     above = np.nonzero(y >= level)[0]
-    l0 = float(x[above[0]]) if above.size else float(np.max(x)) / 3.0
-    return np.array([t_inf, max(l0, 1e-6 * float(np.max(x)))])
+    l0 = float(x[above[0]]) if above.size else float(x.max()) / 3.0
+    return np.array([t_inf, max(l0, 1e-6 * float(x.max()))])
 
 
 def _asym_lorentz_fn(x, th):
@@ -325,9 +347,11 @@ def _asym_lorentz_fn(x, th):
 def _asym_lorentz_jac(x, th):
     a, x0, w_left, w_right = th
     left = x < x0
-    ell, d_x0, d_w = _lorentz_cols(x, a, x0, np.where(left, w_left, w_right))
-    return np.column_stack([ell, d_x0, np.where(left, d_w, 0.0),
-                            np.where(left, 0.0, d_w)])
+    jac = np.empty((len(x), 4))
+    jac[:, 0], jac[:, 1], d_w = _lorentz_cols(x, a, x0, np.where(left, w_left, w_right))
+    jac[:, 2] = np.where(left, d_w, 0.0)
+    jac[:, 3] = np.where(left, 0.0, d_w)
+    return jac
 
 
 def _guess_asym_lorentz(x, y):
@@ -436,14 +460,15 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         raise ValueError(f"need at least {p} points to fit {model.kind}")
     _require_finite("x", x)
     _require_finite("y", y)
+    # an unweighted fit skips its multiplications by unit weights, which are
+    # exact: it equals the fit with sigma = 1 bit for bit
+    inv_sigma = None
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != y.shape or np.any(sigma <= 0.0):
+        if sigma.shape != y.shape or (sigma <= 0.0).any():
             raise ValueError("sigma must be positive and match y in length")
         _require_finite("sigma", sigma)
         inv_sigma = 1.0 / sigma
-    else:
-        inv_sigma = np.ones_like(y)
 
     lower = np.array(model.lower)
     theta = np.array(model.guess(x, y) if init is None else init, dtype=float)
@@ -455,23 +480,35 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     # per-parameter scale of the relative-step test; a parameter starting
     # at (or raised to) ~0 has no scale of its own, and the span of x
     # stands in
-    typical = np.abs(theta)
+    typical = abs(theta)
     unscaled = typical <= _TINY
     if unscaled.any():
         typical[unscaled] = max(float(np.ptp(x)), _TINY)
 
+    # the model's arrays are never written into: the loop scales in place
+    # only arrays it made (the residual, the weighted Jacobian), and divides
+    # an unweighted Jacobian into a new array
     def residual(th):
-        return (y - model.fn(x, th)) * inv_sigma
+        r = y - model.fn(x, th)
+        if inv_sigma is not None:
+            r *= inv_sigma
+        return r
 
     # the weighted Jacobian with unit-norm columns (parameters of any raw
     # scale enter on an equal footing), the column norms and the dead
     # columns (norm <= 1e-280, left unscaled)
     def scaled_jacobian(th):
-        jw = model.jacobian(x, th) * inv_sigma[:, None]
-        col = np.sqrt(np.sum(jw ** 2, axis=0))
-        dead = col <= 1e-280
-        scale = np.where(dead, 1.0, col)
-        return jw / scale, scale, dead
+        jw = np.asarray(model.jacobian(x, th), dtype=float)
+        if inv_sigma is not None:
+            jw = jw * inv_sigma[:, None]
+        scale = np.sqrt(np.add.reduce(jw * jw, axis=0))
+        dead = scale <= 1e-280
+        if dead.any():
+            scale[dead] = 1.0
+        if inv_sigma is None:
+            return jw / scale, scale, dead
+        jw /= scale
+        return jw, scale, dead
 
     # models overflow far from the data and a runaway start's variances
     # overflow; the checks below handle both.  A context, so that an
@@ -482,8 +519,8 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         # scale for the gradient test: with unit-norm Jacobian columns the
         # gradient is linear in the weighted residual, so normalizing by the
         # weighted data norm makes the 1e-12 threshold dimensionless
-        yw = y * inv_sigma
-        grad_scale = max(math.sqrt(float(yw @ yw)), math.sqrt(cost), _TINY)
+        yw = y if inv_sigma is None else y * inv_sigma
+        grad_tol = GRAD_TOL * max(math.sqrt(float(yw @ yw)), math.sqrt(cost), _TINY)
         # the normalized columns make diag(J^T J) 1 (0 for a dead column,
         # whose gradient and step are 0 anyway): Marquardt's scaling is I
         eye = np.eye(p)
@@ -501,12 +538,13 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
             g = js.T @ r
             # a parameter on its bound that the gradient pushes below it is
             # held there: its column zeroed, its step is 0, like a dead one's
-            held = (theta <= lower) & (g < 0.0)
-            if held.any():
+            on_bound = theta <= lower
+            if on_bound.any():
+                held = on_bound & (g < 0.0)
                 js[:, held] = 0.0
                 g[held] = 0.0
             a = js.T @ js
-            if float(np.max(np.abs(g))) < GRAD_TOL * grad_scale:
+            if abs(g).max() < grad_tol:
                 converged = True
                 break
 
@@ -518,25 +556,26 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
                     continue
                 delta = delta_s / scale
                 trial = np.maximum(theta + delta, lower)
-                if np.array_equal(trial, theta):
+                if (trial == theta).all():
                     # damping has shrunk the proposal below float
                     # resolution; nothing representable improves the cost
                     converged = True
                     break
                 r_t = residual(trial)
                 cost_t = float(r_t @ r_t)
-                if np.isfinite(cost_t) and cost_t < cost:
+                if math.isfinite(cost_t) and cost_t < cost:
+                    # MINPACK's relative-reduction test, against the
+                    # decrease the Gauss-Newton model predicted for this
+                    # step, which is needed only once the actual one is small
+                    drop = cost - cost_t
+                    if drop <= FTOL * cost:
+                        pred = float(delta_s @ (2.0 * g - a @ delta_s))
+                        converged = pred <= FTOL * cost and drop <= 2.0 * pred
                     # per-parameter relative step; an aggregate norm would
                     # let the largest parameter mask motion in the others
-                    rel_step = float(np.max(np.abs(trial - theta)
-                                            / np.maximum(np.abs(theta), typical)))
-                    # MINPACK's relative-reduction test, against the
-                    # decrease the Gauss-Newton model predicted for this step
-                    drop = cost - cost_t
-                    pred = float(delta_s @ (2.0 * g - a @ delta_s))
-                    if rel_step < STEP_TOL or (drop <= FTOL * cost and pred <= FTOL * cost
-                                               and drop <= 2.0 * pred):
-                        converged = True
+                    if not converged:
+                        converged = float((abs(trial - theta) / np.maximum(
+                            abs(theta), typical)).max()) < STEP_TOL
                     theta, r, cost = trial, r_t, cost_t
                     lam = max(lam / 10.0, 1e-14)
                     break
@@ -551,7 +590,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
             notes.append(f"iteration cap of {MAX_ITERATIONS} reached before convergence")
 
         js, scale, dead = scaled_jacobian(theta)
-        if not np.all(np.isfinite(js)):
+        if not np.isfinite(js).all():
             at = ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
             raise DegenerateFitError(
                 f"{model.kind}: the Jacobian is not finite at the fitted "
@@ -559,11 +598,12 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
                 "derivatives overflow or are undefined")
         _, s, vt = np.linalg.svd(js, full_matrices=False)
         cut = s <= 1e-6 * s[0]
+        unconstrained = dead
         if cut.any():
             notes.append("singular normal matrix; covariance from pseudo-inverse")
-        unconstrained = dead | np.any(np.abs(vt[cut]) > 1e-3, axis=0)
-        cov = ((vt[~cut].T / s[~cut] ** 2) @ vt[~cut] / np.outer(scale, scale)
-               * (cost / max(len(x) - p, 1)))
+            unconstrained |= (abs(vt[cut]) > 1e-3).any(axis=0)
+            s, vt = s[~cut], vt[~cut]
+        cov = (vt.T / s ** 2) @ vt / (scale[:, None] * scale) * (cost / max(len(x) - p, 1))
         unconstrained |= ~np.isfinite(np.diag(cov))
         for j in np.nonzero(unconstrained)[0]:
             cov[j, j] = math.inf
@@ -572,9 +612,8 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
 
     return FitResult(
         model=model.kind,
-        params=dict(zip(model.param_names, (float(v) for v in theta))),
-        standard_errors=dict(zip(model.param_names,
-                                 (math.sqrt(v) for v in np.diag(cov)))),
+        params=dict(zip(model.param_names, theta.tolist())),
+        standard_errors=dict(zip(model.param_names, map(math.sqrt, np.diag(cov).tolist()))),
         covariance=cov, residual_norm=math.sqrt(cost), n_points=len(x),
         n_iterations=n_iter, converged=converged, warnings=tuple(notes))
 
@@ -588,16 +627,19 @@ def fit_decay_trace(trace, with_background: bool = False,
     """Exponential fit of a DecayTrace.
 
     Measured traces get Poisson-motivated weights sigma_i = sqrt(max(y_i, 1));
-    simulated traces are fit unweighted.  skip_bins drops leading bins (for
-    instrument fall-time contamination) instead of deconvolving.
+    simulated traces are fit unweighted.  skip_bins, a non-negative integer,
+    drops leading bins (for instrument fall-time contamination) instead of
+    deconvolving.
     """
+    if isinstance(skip_bins, bool) or not isinstance(skip_bins, numbers.Integral):
+        raise ValueError(f"skip_bins must be a non-negative integer, got {skip_bins!r}")
     if skip_bins < 0:
         raise ValueError(f"skip_bins must be >= 0, got {skip_bins}")
     t = trace.times[skip_bins:]
     y = trace.values[skip_bins:]
     if len(t) < 10:
         raise ValueError("need at least 10 bins to fit a decay trace")
-    if float(np.max(y)) <= 0.0:
+    if float(y.max()) <= 0.0:
         raise ValueError("trace is all zero")
     sigma = np.sqrt(np.maximum(y, 1.0)) if trace.kind == "measured" else None
     kind = "single-exponential-background" if with_background else "single-exponential"
@@ -620,10 +662,14 @@ def fit_tau_detuning(points) -> FitResult:
     if len(pts) < 4:
         raise ValueError("need at least 4 detuning points")
     delta, tau = pts[:, 0], pts[:, 1]
-    if np.all(delta == delta[0]):
+    sigma = pts[:, 2] if pts.shape[1] == 3 else None
+    _require_finite("delta", delta)
+    _require_finite("tau", tau)
+    if sigma is not None:
+        _require_finite("sigma", sigma)
+    if (delta == delta[0]).all():
         raise DegenerateFitError("all points share one detuning; "
                                  "tau(Delta) cannot be constrained")
-    sigma = pts[:, 2] if pts.shape[1] == 3 else None
     result = least_squares_fit("tau-detuning", delta, tau, sigma=sigma)
     c, kappa = result.params["c"], result.params["kappa"]
     c_err = result.standard_errors["c"]
@@ -658,6 +704,9 @@ def fit_spectrum(spectrum) -> FitResult:
     if len(spec) < 20:
         raise ValueError("need at least 20 spectral samples")
     lam, inten = spec[:, 0], spec[:, 1]
+    # checked here, before the guess reads the samples
+    _require_finite("wavelength", lam)
+    _require_finite("intensity", inten)
     # with noisy or overlapping peaks the guess's ranking of the broader
     # peak as the Lorentzian can be wrong, so fit both of its assignments
     # and keep the better one.  A vanishing peak leaves its center/width
@@ -680,7 +729,7 @@ def fit_spectrum(spectrum) -> FitResult:
     if 0.0 < se_cz < math.inf and abs(cov_cz) > 0.99 * se_cz:
         notes.append("peak centers are >99% correlated; the two features may "
                      "not be independently resolvable")
-    lo, hi = float(np.min(lam)), float(np.max(lam))
+    lo, hi = float(lam.min()), float(lam.max())
     spacing = (hi - lo) / (len(lam) - 1)
     notes += [f"{n} = {par[n]:.3g} is below the sample spacing {spacing:.3g}; "
               "the peak is not resolved"

@@ -331,6 +331,21 @@ def test_fit_decay_trace_validation():
         fit_decay_trace(zero)
 
 
+@pytest.mark.parametrize("skip", [2.5, "3", True, np.float64(3.0)])
+def test_skip_bins_takes_only_an_integer(skip):
+    trace = synthetic_decay_trace()
+    with pytest.raises(ValueError, match="skip_bins must be a non-negative integer"):
+        fit_decay_trace(trace, skip_bins=skip)
+
+
+def test_skip_bins_takes_a_numpy_integer():
+    trace = synthetic_decay_trace()
+    assert _bits(fit_decay_trace(trace, skip_bins=np.int64(3))) == \
+        _bits(fit_decay_trace(trace, skip_bins=3))
+    with pytest.raises(ValueError, match="skip_bins must be >= 0, got -1"):
+        fit_decay_trace(trace, skip_bins=np.int64(-1))
+
+
 # trace 92 of 1000 low-count Poisson traces (40 1-ns bins, amplitude
 # 0.5-20 counts, tau 0.1-30 ns, background 0-3, numpy seed 5): the fit runs
 # tau down to its 1e-300 bound, with and without a background
@@ -739,6 +754,93 @@ def test_least_squares_fit_rejects_non_finite_inputs(name):
     args[name][1] = np.nan if name != "sigma" else np.inf
     with pytest.raises(ValueError, match=rf"{name}\[1\]"):
         least_squares_fit("single-exponential", **args)
+
+
+@pytest.mark.parametrize("fit, column, name", [
+    ("spectrum", 0, "wavelength"), ("spectrum", 1, "intensity"),
+    ("detuning", 0, "delta"), ("detuning", 1, "tau"), ("detuning", 2, "sigma")])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_purpose_built_fits_name_the_non_finite_column(fit, column, name, bad):
+    # checked before any guess reads the samples: no warning on the way
+    table = synthetic_spectrum() if fit == "spectrum" else synthetic_tau_detuning()
+    table[5, column] = bad
+    call = fit_spectrum if fit == "spectrum" else fit_tau_detuning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be finite; {name}\[5\] = "):
+            call(table)
+
+
+def _bits(res):
+    """Every numeric field of a least-squares result, bit for bit."""
+    return ([v.hex() for v in res.params.values()],
+            [v.hex() for v in res.standard_errors.values()],
+            res.covariance.tobytes(), res.residual_norm.hex(),
+            res.n_iterations, res.converged, res.warnings)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_an_unweighted_fit_equals_a_unit_sigma_fit_bit_for_bit(kind):
+    x, ranges = ROUND_TRIP_CASES[kind]
+    model = get_model(kind)
+    rng = np.random.default_rng(zlib.crc32(b"unit sigma:" + kind.encode()))
+    truth = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+    clean = model.fn(x, truth)
+    y = clean + rng.normal(0.0, 0.01 * np.max(np.abs(clean)), size=x.size)
+    unweighted = least_squares_fit(model, x, y)
+    assert _bits(unweighted) == _bits(least_squares_fit(model, x, y, sigma=np.ones_like(y)))
+
+
+def _cached_line_model(fresh):
+    """y = a + b x on x in [0, 1], a >= 0, whose fn and jacobian hand back
+    cached arrays: the constant Jacobian is one view into a captured array,
+    and fn returns the same array whenever it sees the same parameters.
+    With fresh=True both return copies.  Every array handed out is kept
+    with a snapshot of its content and writeable flag."""
+    x = np.linspace(0.0, 1.0, 30)
+    captured = np.column_stack([x * x, np.ones_like(x), x, -x])
+    jac_view = captured[:, 1:3]
+    values, handed_out = {}, []
+
+    def hand_out(arr):
+        if fresh:
+            return arr.copy()
+        handed_out.append((arr, arr.copy(), arr.flags.writeable))
+        return arr
+
+    def fn(x_, th):
+        key = np.asarray(th, dtype=float).tobytes()
+        if key not in values:
+            values[key] = th[0] + th[1] * x_
+        return hand_out(values[key])
+
+    model = fitting.FitModel(kind="cached-line", param_names=("a", "b"), fn=fn,
+                             jacobian=lambda x_, th: hand_out(jac_view),
+                             guess=lambda x_, y_: np.array([1.0, 1.0]),
+                             lower=(0.0, -np.inf))
+    return model, x, handed_out
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_fit_writes_into_no_array_it_did_not_allocate(weighted):
+    # the data's offset is below a's bound, so a ends held there
+    model, x, handed_out = _cached_line_model(fresh=False)
+    rng = np.random.default_rng(7)
+    y = -0.5 + 2.0 * x + rng.normal(0.0, 0.05, size=x.size)
+    y.setflags(write=False)
+    sigma = np.full(x.size, 0.05) if weighted else None
+    init = np.array([0.3, 1.0])
+    inputs = [a for a in (x, y, sigma, init) if a is not None]
+    before = [(a.copy(), a.flags.writeable) for a in inputs]
+    res = least_squares_fit(model, x, y, sigma=sigma, init=init)
+    assert res.params["a"] == 0.0
+    assert len(handed_out) > 4
+    for arr, content, writeable in handed_out:
+        assert arr.tobytes() == content.tobytes() and arr.flags.writeable == writeable
+    for arr, (content, writeable) in zip(inputs, before):
+        assert arr.tobytes() == content.tobytes() and arr.flags.writeable == writeable
+    fresh_model, _, _ = _cached_line_model(fresh=True)
+    assert _bits(res) == _bits(least_squares_fit(fresh_model, x, y, sigma=sigma, init=init))
 
 
 def test_a_start_at_exactly_zero_converges():
