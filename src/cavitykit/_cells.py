@@ -7,6 +7,15 @@ the first.  A non-number, nan or inf cell is a ValueError naming its line and
 column, a wrong cell count one naming its line; finiteness is checked once,
 on the parsed array, so a well-formed file pays no per-cell cost for it.
 Cells are written as ``repr`` floats, which read back bit for bit.
+
+Rows are read in two stages.  When numpy is already imported, one
+``np.loadtxt`` call parses every line, and its array is kept when it has a
+row, an accepted width and only finite cells: loadtxt reads a cell with the
+same C routine as ``float``, so the bits are the same.  Anything else (an
+error, a warning, a failed check) goes to the row loop, which names the line
+and column of a bad cell and also takes what only ``float`` reads (``1_0``,
+non-ASCII digits, whitespace-only lines).  numpy is never imported just to
+parse, so a malformed row is reported without it.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ import contextlib
 import math
 import numbers
 import os
+import sys
+import warnings
 
 
 def finite_real(v) -> bool:
@@ -55,8 +66,23 @@ def check_finite(data, linenos):
 
 def read_rows(numbered_lines, widths):
     """The data rows among (line number, text) pairs as a 2-D float array; the
-    first row holds one of widths (given in increasing order) cells.  numpy is
-    imported after the row loop, so a malformed row is reported without it."""
+    first row holds one of widths (given in increasing order) cells.  Stage
+    one, when numpy is already imported, is one loadtxt call; stage two, when
+    numpy is not imported or stage one fails or is refused, the row loop,
+    which imports numpy only after the last row (see the module docstring)."""
+    numbered_lines = list(numbered_lines)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                data = np.loadtxt([text for _, text in numbered_lines], delimiter=",",
+                                  comments=None, ndmin=2, dtype=float)
+        except Exception:
+            pass
+        else:
+            if len(data) and data.shape[1] in widths and np.isfinite(data).all():
+                return data
     rows, linenos, width = [], [], None
     for lineno, text in numbered_lines:
         if not text.strip():

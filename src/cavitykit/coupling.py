@@ -183,7 +183,10 @@ class FieldGrid:
 
     def argmax_energy(self) -> tuple:
         """Grid index of max eps*|E|^2; ties break at the lowest linear index."""
-        return np.unravel_index(int(np.argmax(self.energy_density)), self.dims)
+        # np.argmax copies a read-only array whole; the max and a mask of it
+        # (one byte a point) find the same index, the grid being finite
+        w = self.energy_density.ravel()
+        return np.unravel_index(int((w == w.max()).argmax()), self.dims)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,14 @@ def test_field_grid_warns_when_maxima_disagree(tmp_path):
 def test_argmax_tie_breaks_at_lowest_linear_index():
     grid = _uniform_grid()
     assert grid.argmax_energy() == (0, 0, 0)
+    # two equal maxima off the origin: the first in C order wins, as np.argmax
+    e = np.zeros((3, 4, 5, 3))
+    e[2, 1, 3, 0] = e[1, 3, 2, 2] = 2.0
+    e[0, 0, 1, 1] = 1.5
+    grid = FieldGrid(e_field=e, eps_rel=np.ones((3, 4, 5)), spacing_m=(1e-9,) * 3)
+    assert grid.argmax_energy() == (1, 3, 2)
+    assert grid.argmax_energy() == np.unravel_index(
+        int(np.argmax(np.array(grid.energy_density))), grid.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +574,9 @@ def test_field_map_calls_stay_within_allocation_bounds(tmp_path):
     # deterministic guard, no timing: the loader reads the body once into
     # the grid's own array and derives |E|^2 and eps*|E|^2 block by block
     # (1.5x the file in all), mode_volume reads the stored
-    # eps*|E|^2, and the weighting holds two box-sized arrays (the box is
-    # about half the grid here).  The one-block grid is small enough that
+    # eps*|E|^2, argmax_energy holds a one-byte mask per point (a float64
+    # grid array is a quarter of the file), and the weighting holds two
+    # box-sized arrays (the box is about half the grid here).  The one-block grid is small enough that
     # numpy elides no temporary of a whole-grid expression (below 256 KB
     # an array), so a whole-grid |E|^2 would show there; the second grid
     # spans two blocks, the last one ragged
@@ -583,4 +592,5 @@ def test_field_map_calls_stay_within_allocation_bounds(tmp_path):
         ensemble_weighting_factor(grid, cfg)
         assert _peak_bytes(lambda: load_field_grid(path)) < 1.6 * file_bytes
         assert _peak_bytes(lambda: mode_volume(grid)) < 0.01 * file_bytes
+        assert _peak_bytes(grid.argmax_energy) < 0.05 * file_bytes
         assert _peak_bytes(lambda: ensemble_weighting_factor(grid, cfg)) < 0.35 * file_bytes

@@ -8,6 +8,10 @@ the input, the command exits 0, 1 or 2 and no exception escapes, and every
 file that the reader itself rejects exits 2.  The trace and ``.fgrid``
 writers round-trip bit for bit.  tau(Delta), which the detuning fits model,
 is even, non-decreasing in |Delta| and bounded by tau1.
+
+``_cells.read_rows`` parses in two stages, one ``np.loadtxt`` call and then
+the row loop; on mutated bodies the two give bit-identical arrays or the
+same message, and well-formed bodies never reach the row loop.
 """
 
 import contextlib
@@ -22,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavitykit import cli, dynamics, linkbudget
-from cavitykit._cells import read_text
+from cavitykit import _cells, cli, dynamics, linkbudget
+from cavitykit._cells import read_rows, read_text
 from cavitykit.coupling import FieldGrid, load_field_grid, save_field_grid
 from cavitykit.dynamics import (
     DecayTrace, decay_trace_from_csv, decay_trace_to_csv, tau_of_detuning,
@@ -290,3 +294,98 @@ def test_tau_of_detuning_is_an_even_dip_below_tau1(c, kappa, tau1, deltas):
     assert np.all(np.diff(tau[np.argsort(np.abs(delta))]) >= 0.0)
     assert tau_of_detuning(c, kappa, tau1, 0.0) == tau1 / (1.0 + c)
     assert np.all(tau <= tau1)
+
+
+#: cells of a CSV body: any float64 bit pattern as repr writes it, or a
+#: spelling a reader may meet (padded, bare point, overflowing, subnormal,
+#: control and non-ASCII characters)
+BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda b: repr(struct.unpack("<d", struct.pack("<Q", b))[0]))
+ODD_CELLS = TOKENS + [
+    "\x00", "\x0c", "\xa0", "1\x00", "\xa01.5\xa0", " +1 ", "\t2\t", ".5", "5.",
+    "-0.0", "5e-324", "-4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e+308",
+    "-1.7976931348623157e+308", "1.7976931348623159e+308", "1e308", "infinity",
+    "-nan", "nan(1)", "1e5", "1E-5", "1d5", "1,5", "١.٥"]
+CELLS = BIT_PATTERNS | st.sampled_from(ODD_CELLS)
+BLANKS = ["", " ", "\t", "\xa0", "\x0c", " \xa0 "]
+
+
+@st.composite
+def csv_bodies(draw):
+    """Numbered lines of a CSV body of one width with up to three edits, and
+    the widths a reader accepts."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(BIT_PATTERNS, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["cell", "cell", "blank", "width", "comma"]))
+        if op == "cell":
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CELLS)
+            lines[i] = ",".join(cells)
+        elif op == "blank":
+            lines.insert(i, draw(st.sampled_from(BLANKS)))
+        elif op == "width":
+            cells = lines[i].split(",")
+            lines[i] = ",".join(cells[:-1] if draw(st.booleans()) else cells + [draw(CELLS)])
+        else:
+            lines[i] += ","
+    widths = draw(st.sampled_from([(width,), range(max(1, width - 1), width + 1),
+                                   (width + 1,)]))
+    return list(enumerate("\n".join(lines).splitlines(), start=1)), widths
+
+
+def _parsed(numbered_lines, widths):
+    try:
+        data = read_rows(numbered_lines, widths)
+    except ValueError as exc:
+        return str(exc)
+    return data.shape, data.dtype.str, data.flags.c_contiguous, data.tobytes()
+
+
+@settings(FEW, max_examples=300)
+@given(body=csv_bodies())
+@example(body=([(1, "#,1.5"), (2, "1.0,2.0")], (2,)))   # not a comment here
+@example(body=([(1, "1.0,2.0"), (2, " \xa0"), (3, "3.0,4.0")], (2,)))
+@example(body=([(1, "1_0,٣")], (2,)))
+@example(body=([(1, ""), (2, " ")], (2,)))
+def test_numpy_parse_and_row_loop_agree(body):
+    both = _parsed(*body)
+    with pytest.MonkeyPatch.context() as mp:
+        # a loadtxt that fails sends every body through the row loop
+        mp.setattr(np, "loadtxt", lambda *a, **k: 1 / 0)
+        assert _parsed(*body) == both
+
+
+def _row_loop_fails(*args):
+    raise AssertionError("the row loop ran")
+
+
+def test_well_formed_bodies_skip_the_row_loop(monkeypatch, tmp_path):
+    grid = synthetic_field_grid(dims=(5, 4, 3))
+    save_field_grid(grid, tmp_path / "grid.fgrid", encoding="csv")
+    trace = synthetic_decay_trace(n_bins=40)
+    monkeypatch.setattr(_cells, "parse_row", _row_loop_fails)
+    back = load_field_grid(tmp_path / "grid.fgrid")
+    assert back.e_field.tobytes() == grid.e_field.tobytes()
+    assert back.eps_rel.tobytes() == grid.eps_rel.tobytes()
+    assert decay_trace_from_csv(decay_trace_to_csv(trace)).values.tobytes() \
+        == trace.values.tobytes()
+
+
+def test_spellings_only_float_reads_go_through_the_row_loop(monkeypatch, tmp_path):
+    parse_row, calls = _cells.parse_row, []
+
+    def counted(parts, lineno):
+        calls.append(lineno)
+        return parse_row(parts, lineno)
+
+    head, _, body = FGRID.partition("\n")
+    path = tmp_path / "grid.fgrid"
+    path.write_text(head + "\n" + body.replace(body.split(",", 1)[0], "1_0", 1))
+    monkeypatch.setattr(_cells, "parse_row", counted)
+    grid = load_field_grid(path)
+    assert grid.e_field[0, 0, 0, 0] == 10.0
+    assert calls[:2] == [2, 3]
