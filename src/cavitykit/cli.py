@@ -272,7 +272,6 @@ def _load_grid(path: str):
 
 
 def _cmd_ensemble_weight(args) -> int:
-    grid = _load_grid(args.grid)
     from . import coupling
 
     if args.region_nm:
@@ -280,8 +279,10 @@ def _cmd_ensemble_weight(args) -> int:
         region = ((r[0], r[1]), (r[2], r[3]), (r[4], r[5]))
     else:
         region = coupling.DEFAULT_REGION_M
+    # a bad flag exits 1 before the grid is read
     cfg = coupling.WeightingConfig(threshold_fraction=args.threshold,
                                    region_m=region)
+    grid = _load_grid(args.grid)
     factor = coupling.ensemble_weighting_factor(grid, cfg)
     return _emit(args, "ensemble-weight",
                  {"grid": args.grid, "threshold_fraction": args.threshold,

@@ -17,17 +17,21 @@ A FieldGrid computes |E|^2 and eps*|E|^2 once, when it is built, in one
 pass over blocks of whole x-planes that fit in cache, and keeps them as
 read-only arrays: 16 extra bytes per grid point, so a loaded grid peaks at
 48 bytes per point (1.5x its f64 file), with no temporary beyond a block.
-The finiteness check rides on the argmax of eps*|E|^2, which lands on any
-nan or inf.  The mode volume
-reads the derived arrays whole; the ensemble weighting reads a basic slice
-of them (the averaging box), so a threshold sweep over one grid never
-recomputes them.
+The same pass finds the maximum of each, block by block while the block is
+in cache, with np.argmax's rule (first nan, else first maximum).  The
+finiteness check rides on the argmax of eps*|E|^2, which lands on any nan
+or inf.  The grid keeps the index of the eps*|E|^2 maximum: the mode
+volume, argmax_energy and the ensemble weighting read it and never search
+the grid again.  The mode volume sums the derived arrays whole; the
+ensemble weighting reads a basic slice of them (the averaging box), so a
+threshold sweep over one grid never recomputes them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -85,6 +89,19 @@ def _check_inputs(e: np.ndarray, eps: np.ndarray):
         raise ValueError("relative permittivity must be >= 1 everywhere")
 
 
+def _fold_argmax(arr, i_best: int, block: np.ndarray, offset: int) -> int:
+    """Flat index into arr of np.argmax over the blocks taken so far: i_best
+    is the one for the earlier blocks, and block is the next run of arr,
+    starting at flat index offset.
+
+    np.argmax's rule: the first nan, else the first strictly greater value,
+    so a tie keeps the earlier block's index.
+    """
+    i = offset + int(np.argmax(block))
+    best, new = arr.flat[i_best], arr.flat[i]
+    return i if new > best or (new != new and best == best) else i_best
+
+
 def _outside_stacklevel() -> int:
     """warnings.warn stacklevel of the nearest caller outside this package
     (the dataclass-generated __init__, file "<string>", counts as inside)."""
@@ -109,7 +126,9 @@ class FieldGrid:
     at construction, in one pass over cache-sized blocks of whole x-planes,
     and stored read-only, like the inputs; they cost 16 bytes per grid point
     on top of the 32 the field and permittivity take, and building them
-    allocates nothing else.  A nan or inf input makes eps*|E|^2 non-finite where its
+    allocates nothing else.  The same pass takes the maximum of each per
+    block and keeps the index of the eps*|E|^2 one, which argmax_energy
+    returns.  A nan or inf input makes eps*|E|^2 non-finite where its
     argmax lands, so the finite check there finds it; a field so large that
     either derived array overflows float64 is a ValueError too.
     """
@@ -120,6 +139,8 @@ class FieldGrid:
     origin_m: tuple = (0.0, 0.0, 0.0)
     e_mag2: np.ndarray = field(init=False, repr=False, compare=False)
     energy_density: np.ndarray = field(init=False, repr=False, compare=False)
+    #: flat C-order index of the first maximum of energy_density
+    _i_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = _owned_read_only(self.e_field)
@@ -137,7 +158,8 @@ class FieldGrid:
         nx, ny, nz = e.shape[:3]
         step = max(1, _BLOCK_POINTS // (ny * nz))
         e_mag2, energy = np.empty((nx, ny, nz)), np.empty((nx, ny, nz))
-        # an overflow is an inf and inf*0 a nan, both caught at the argmax below
+        i_e2 = i_w = 0
+        # an overflow is an inf and inf*0 a nan, both caught where the argmax lands
         with np.errstate(over="ignore", invalid="ignore"):
             for i0 in range(0, nx, step):
                 rows = slice(i0, i0 + step)
@@ -148,7 +170,9 @@ class FieldGrid:
                 np.multiply(eps[rows], m2, out=w)
                 if np.min(eps[rows]) < 1.0:   # a nan passes here, and is caught below
                     _check_inputs(e, eps)
-        i_e2, i_w = int(np.argmax(e_mag2)), int(np.argmax(energy))
+                # both maxima while the block is in cache
+                i_e2 = _fold_argmax(e_mag2, i_e2, m2, i0 * ny * nz)
+                i_w = _fold_argmax(energy, i_w, w, i0 * ny * nz)
         for name, arr, i in (("|E|^2", e_mag2, i_e2), ("eps*|E|^2", energy, i_w)):
             if not math.isfinite(arr.flat[i]):
                 _check_inputs(e, eps)   # a nan or inf input lands here too
@@ -160,6 +184,7 @@ class FieldGrid:
         for name, arr in (("e_field", e), ("eps_rel", eps),
                           ("e_mag2", e_mag2), ("energy_density", energy)):
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_i_max", i_w)
         object.__setattr__(self, "spacing_m", tuple(float(s) for s in self.spacing_m))
         object.__setattr__(self, "origin_m", tuple(float(o) for o in self.origin_m))
         if e_mag2.flat[i_e2] > 0.0 and i_w != i_e2:
@@ -183,10 +208,21 @@ class FieldGrid:
 
     def argmax_energy(self) -> tuple:
         """Grid index of max eps*|E|^2; ties break at the lowest linear index."""
-        # np.argmax copies a read-only array whole; the max and a mask of it
-        # (one byte a point) find the same index, the grid being finite
-        w = self.energy_density.ravel()
-        return np.unravel_index(int((w == w.max()).argmax()), self.dims)
+        return np.unravel_index(self._i_max, self.dims)
+
+
+def _real(v) -> bool:
+    """True for a real number that is not a bool or nan; +-inf pass."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and v == v
+
+
+def _is_box(region) -> bool:
+    """True for three (lo, hi) pairs of real numbers with lo < hi."""
+    try:
+        return len(region) == 3 and all(
+            len(b) == 2 and _real(b[0]) and _real(b[1]) and b[0] < b[1] for b in region)
+    except TypeError:   # not a sequence of pairs
+        return False
 
 
 @dataclass(frozen=True)
@@ -199,18 +235,18 @@ class WeightingConfig:
     region_m: tuple = DEFAULT_REGION_M
 
     def __post_init__(self):
-        if not (0.0 <= self.threshold_fraction < 1.0):
+        if not (_real(self.threshold_fraction) and 0.0 <= self.threshold_fraction < 1.0):
             raise ValueError(
                 f"threshold_fraction must lie in [0, 1), got {self.threshold_fraction!r}")
-        if len(self.region_m) != 3 or any(len(b) != 2 or not (b[0] < b[1])
-                                          for b in self.region_m):
-            raise ValueError("region_m must be ((x0,x1),(y0,y1),(z0,z1)) with lo < hi")
+        if not _is_box(self.region_m):
+            raise ValueError("region_m must be ((x0,x1),(y0,y1),(z0,z1)) of real "
+                             f"numbers with lo < hi, got {self.region_m!r}")
 
 
 def mode_volume(grid: FieldGrid) -> float:
     """V = sum(eps |E|^2 dV) / max(eps |E|^2), midpoint sum over all cells."""
     w = grid.energy_density
-    w_max = float(np.max(w))
+    w_max = float(w.flat[grid._i_max])
     if w_max <= 0.0:
         raise ValueError("field is identically zero; mode volume undefined")
     with np.errstate(over="ignore"):
@@ -235,10 +271,16 @@ def ensemble_weighting_factor(grid: FieldGrid, cfg: WeightingConfig) -> float:
     if any(s.start >= s.stop for s in box):
         raise ValueError("averaging region does not intersect the grid")
     sub_e2 = grid.e_mag2[box]
-    # E_max is read at the energy-density maximum (first index on ties); the
-    # box copy that argmax takes is reused below as the weight array
-    w = grid.energy_density[box].flatten()
-    e_max = math.sqrt(float(sub_e2.flat[int(np.argmax(w))]))
+    # E_max is read at the box's energy-density maximum (first index on ties).
+    # The box's C order is the grid's restricted to the box, so a grid
+    # maximum inside the box is the box's first maximum; otherwise the box
+    # is searched, and the copy that argmax takes becomes the weight array
+    if all(s.start <= k < s.stop for s, k in zip(box, grid.argmax_energy())):
+        w = np.empty(sub_e2.size)
+        e_max = math.sqrt(float(grid.e_mag2.flat[grid._i_max]))
+    else:
+        w = grid.energy_density[box].flatten()
+        e_max = math.sqrt(float(sub_e2.flat[int(np.argmax(w))]))
     if e_max <= 0.0:
         raise ValueError("field is zero everywhere in the region")
     # |E| over the box in flat C order, the order every sum below adds in;

@@ -273,6 +273,19 @@ def test_mode_volume_zero_is_not_a_missing_flag(fixtures, capsys):
         assert err == "error: wavelength and index must be finite and > 0\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--threshold", "1.5"], "error: threshold_fraction must lie in [0, 1), got 1.5\n"),
+    (["--region-nm", "100", "-100", "-50", "50", "-40", "40"], "error: region_m must be "),
+], ids=["threshold", "region"])
+def test_ensemble_weight_flags_are_checked_before_the_grid_is_read(
+        flags, message, tmp_path, capsys):
+    # a bad flag exits 1 before any work: a missing grid is never opened
+    assert run_cli("ensemble-weight", str(tmp_path / "absent.fgrid"), *flags) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_mode_volume_n_index_requires_lambda(fixtures, capsys):
     grid = str(fixtures / "field_grid.fgrid")
     assert run_cli("mode-volume", grid, "--n-index", "2.4") == 2
