@@ -156,7 +156,7 @@ def _cmd_simulate_decay(args) -> int:
     result = {
         "analytic_rate_per_s": dynamics.analytic_total_rate(params),
         "extracted_rate_per_s": estimate.rate,
-        "extracted_rate_stderr": estimate.stderr,
+        "extracted_rate_curved": estimate.curved,
         "cooperativity": params.cooperativity,
         "n_points": len(trace),
     }
@@ -293,6 +293,11 @@ def _cmd_ensemble_weight(args) -> int:
 def _cmd_mode_volume(args) -> int:
     if args.n_index is not None and args.lambda_nm is None:
         raise InputFormatError("--n-index requires --lambda-nm")
+    # a bad flag exits 1 before the grid is read, with normalized_mode_volume's message
+    if args.lambda_nm is not None and not (
+            0.0 < args.lambda_nm < math.inf
+            and (args.n_index is None or 0.0 < args.n_index < math.inf)):
+        raise ValueError("wavelength and index must be finite and > 0")
     grid = _load_grid(args.grid)
     from . import coupling
 

@@ -435,33 +435,11 @@ def tau_of_detuning(c: float, kappa_hz: float, tau1_s: float, delta_hz):
 # ---------------------------------------------------------------------------
 
 class RateEstimate(NamedTuple):
-    rate: float           # 1/s
-    stderr: float         # 1/s
+    rate: float           # 1/s; no stderr: a simulated trace has no noise
     window: tuple         # (t_start, t_end) actually used
     n_points: int
-    curved: bool          # True when log-residual curvature is significant
+    curved: bool          # local log-slope varies by > 5%: not one exponential
     warnings: tuple = ()
-
-
-def _log_fits(u, ly):
-    """Least-squares fits of ly on [1, u] and on [1, u, u^2].
-
-    Returns the linear fit's slope and the quadratic fit's u^2 coefficient,
-    each with its standard error (covariance scaled by chi^2/dof).  One QR
-    of [1, u, u^2] serves both fits, because the first two columns of Q
-    span the linear model.  R is triangular, so the last coefficient of
-    each fit is (Q^T ly)_k / r_kk, and its variance, the kk entry of
-    R^-1 R^-T, is 1 / r_kk^2.
-    """
-    q, r = np.linalg.qr(np.vander(u, 3, increasing=True))
-    qb = q.T @ ly
-    resid_lin = ly - q[:, :2] @ qb[:2]
-    resid_quad = resid_lin - q[:, 2] * qb[2]
-    n = len(u)
-    scale_lin = math.sqrt(float(resid_lin @ resid_lin) / max(n - 2, 1))
-    scale_quad = math.sqrt(float(resid_quad @ resid_quad) / max(n - 3, 1))
-    return (qb[1] / r[1, 1], scale_lin / abs(r[1, 1]),
-            qb[2] / r[2, 2], scale_quad / abs(r[2, 2]))
 
 
 def _coarse_lifetime(t, y):
@@ -487,9 +465,12 @@ def extract_decay_rate(trace: DecayTrace) -> RateEstimate:
 
     The window is [0.5, 3] times a coarse single-exponential lifetime
     estimate, counted from the first sample.  Non-positive samples inside it
-    are dropped with a warning.  A significant quadratic term in the
-    log-residuals sets ``curved`` (single-exponential model inadequate).
-    Measured counts need weights: fitting.fit_decay_trace fits them.
+    are dropped with a warning.  ``curved`` is set when the local log-slope
+    of a quadratic fit varies by more than 5% across the window: the trace
+    is not one exponential there (strong coupling makes it oscillate), and
+    ``rate`` is no decay rate.  No standard error is reported, since a
+    simulated trace has no noise.  Measured counts need weights and error
+    bars: fitting.fit_decay_trace fits them.
     """
     if trace.kind != "simulated":
         raise ValueError(f"extract_decay_rate reads simulated traces, got kind={trace.kind!r}; "
@@ -515,17 +496,16 @@ def extract_decay_rate(trace: DecayTrace) -> RateEstimate:
     t_scale = max(0.5 * (tt[-1] - tt[0]), 1e-300)
     u = (tt - t_mid) / t_scale
 
-    slope, slope_err, c2, c2_err = _log_fits(u, ly)
-    slope, slope_err = slope / t_scale, slope_err / t_scale
-    c2, c2_err = c2 / t_scale ** 2, c2_err / t_scale ** 2
-    span = tt[-1] - tt[0]
-    # flag when the local slope varies by > 5% across the window and the
-    # quadratic term is statistically significant
-    curved = (abs(2.0 * c2 * span) > 0.05 * abs(slope)
-              and abs(c2) > 3.0 * c2_err)
+    # one QR of [1, u, u^2] serves the fits on [1, u] and on [1, u, u^2]:
+    # the first two columns of Q span the linear model, and R is triangular,
+    # so the last coefficient of each fit is (Q^T ly)_k / r_kk
+    q, r = np.linalg.qr(np.vander(u, 3, increasing=True))
+    qb = q.T @ ly
+    slope = qb[1] / r[1, 1] / t_scale
+    c2 = qb[2] / r[2, 2] / t_scale ** 2
+    curved = abs(2.0 * c2 * (tt[-1] - tt[0])) > 0.05 * abs(slope)
 
-    return RateEstimate(rate=-slope, stderr=slope_err,
-                        window=(t0, t1), n_points=n,
+    return RateEstimate(rate=-slope, window=(t0, t1), n_points=n,
                         curved=bool(curved), warnings=tuple(notes))
 
 

@@ -96,6 +96,20 @@ def test_simulate_decay(tmp_path):
     assert doc["result"]["extracted_rate_per_s"] == dynamics.extract_decay_rate(trace).rate
 
 
+@pytest.mark.parametrize("argv, curved", [
+    (["--g0-ghz", "0.57", "--kappa-ghz", "940", "--tau1-ns", "15.9"], False),
+    # strong coupling: the population oscillates, and the log-linear rate
+    # (2.9e8/s) is nowhere near the adiabatic 1.1e11/s
+    (["--g0-ghz", "0.676", "--kappa-ghz", "0.101", "--tau1-ns", "32.4"], True),
+], ids=["paper-point", "strong-coupling"])
+def test_simulate_decay_reports_curved(argv, curved, tmp_path):
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate-decay", *argv, "--out", str(out)) == 0
+    result = read_json(out)["result"]
+    assert result["extracted_rate_curved"] is curved
+    assert "extracted_rate_stderr" not in result
+
+
 def test_purcell_subcommand(tmp_path):
     out = tmp_path / "p.json"
     assert run_cli("purcell", "--c", "0.14", "--eta-dw", "0.02",
@@ -261,16 +275,17 @@ def test_output_into_a_missing_directory_is_a_usage_error(fixtures, tmp_path, ca
     assert sorted(p.name for p in blocked.iterdir()) == ["field_grid.fgrid"]
 
 
-def test_mode_volume_zero_is_not_a_missing_flag(fixtures, capsys):
+def test_mode_volume_zero_is_not_a_missing_flag(fixtures, tmp_path, capsys):
     # a 0 is refused like any other index or wavelength that is not > 0,
-    # not read as "flag not given"
-    grid = str(fixtures / "field_grid.fgrid")
-    for argv in (["--lambda-nm", "637", "--n-index", "0"], ["--lambda-nm", "0"],
-                 ["--lambda-nm", "-637"]):
-        assert run_cli("mode-volume", grid, *argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: wavelength and index must be finite and > 0\n"
+    # not read as "flag not given"; a bad flag exits 1 before the grid is
+    # read, so an absent grid is never opened
+    for grid in (str(fixtures / "field_grid.fgrid"), str(tmp_path / "absent.fgrid")):
+        for argv in (["--lambda-nm", "637", "--n-index", "0"], ["--lambda-nm", "0"],
+                     ["--lambda-nm", "-637"]):
+            assert run_cli("mode-volume", grid, *argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: wavelength and index must be finite and > 0\n"
 
 
 @pytest.mark.parametrize("flags, message", [

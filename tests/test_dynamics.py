@@ -521,7 +521,6 @@ def test_extract_rate_from_pure_exponential():
     est = extract_decay_rate(trace)
     assert est.rate == pytest.approx(1.0 / tau, rel=1e-9)
     assert not est.curved
-    assert est.stderr < 1e-3 * est.rate
 
 
 def test_extract_rate_flags_background_curvature():
@@ -556,14 +555,11 @@ def test_extract_rate_reads_simulated_traces_only():
 
 def _reference_extract(trace):
     """The rate extraction before it shared one QR between its two fits:
-    lstsq per fit, pinv for the covariance, np.polyfit for the coarse
-    lifetime.  Kept as the reference for extract_decay_rate."""
+    lstsq per fit, np.polyfit for the coarse lifetime.  Kept as the
+    reference for extract_decay_rate."""
     def polyfit(u, ly, order):
         x = np.vander(u, order + 1, increasing=True)
-        coeffs, *_ = np.linalg.lstsq(x, ly, rcond=None)
-        chisq = float(np.sum((ly - x @ coeffs) ** 2))
-        cov = np.linalg.pinv(x.T @ x) * (chisq / max(len(u) - (order + 1), 1))
-        return coeffs, np.sqrt(np.maximum(np.diag(cov), 0.0))
+        return np.linalg.lstsq(x, ly, rcond=None)[0]
 
     t, y = trace.times, trace.values
     pos = y > max(1e-3 * float(np.max(y)), 0.0)
@@ -576,12 +572,10 @@ def _reference_extract(trace):
     tt, ly = t[sel], np.log(y[sel])
     t_scale = max(0.5 * (tt[-1] - tt[0]), 1e-300)
     u = (tt - 0.5 * (tt[0] + tt[-1])) / t_scale
-    lin, lin_err = polyfit(u, ly, order=1)
-    quad, quad_err = polyfit(u, ly, order=2)
-    slope, c2, c2_err = lin[1] / t_scale, quad[2] / t_scale ** 2, quad_err[2] / t_scale ** 2
-    curved = (abs(2.0 * c2 * (tt[-1] - tt[0])) > 0.05 * abs(slope)
-              and abs(c2) > 3.0 * c2_err)
-    return -slope, lin_err[1] / t_scale, window, int(sel.sum()), bool(curved)
+    slope = polyfit(u, ly, order=1)[1] / t_scale
+    c2 = polyfit(u, ly, order=2)[2] / t_scale ** 2
+    curved = abs(2.0 * c2 * (tt[-1] - tt[0])) > 0.05 * abs(slope)
+    return -slope, window, int(sel.sum()), bool(curved)
 
 
 def _sweep_style_traces():
@@ -604,17 +598,38 @@ def _sweep_style_traces():
 
 
 def test_rate_extraction_matches_lstsq_pinv_reference():
-    # one QR serves both nested fits; rate and window agree to 1e-12 relative,
-    # and the stderr, at roundoff (~2e-16 of the rate), to 1e-12 of the rate
+    # one QR serves both nested fits; rate and window agree to 1e-12 relative
     traces = list(_sweep_style_traces())
     for trace in traces:
         est = extract_decay_rate(trace)
-        rate, stderr, window, n_points, curved = _reference_extract(trace)
+        rate, window, n_points, curved = _reference_extract(trace)
         assert est.rate == pytest.approx(rate, rel=1e-12, abs=0.0)
         assert est.window == pytest.approx(window, rel=1e-12, abs=0.0)
         assert (est.n_points, est.curved) == (n_points, curved)
-        assert abs(est.stderr - stderr) <= 1e-12 * rate
     assert len(traces) == 108
+
+
+def test_no_unflagged_strong_coupling_rate_is_off():
+    # 400 log-uniform draws over every regime; under strong coupling the
+    # population oscillates, so a rate more than 2% off the adiabatic one
+    # must carry the curved flag.  Draws whose decay ends within a few
+    # samples of the default grid raise the window error and are skipped.
+    rng = np.random.default_rng(5)
+    lo, hi = np.log([1e6, 1e8, 1e-9]), np.log([1e10, 1e12, 1e-6])
+    n_rates, unflagged = 0, []
+    for g0, kappa, tau1 in np.exp(rng.uniform(lo, hi, size=(400, 3))):
+        p = AtomCavityParams(g0_hz=g0, kappa_hz=kappa, gamma1=1.0 / tau1)
+        try:
+            est = extract_decay_rate(evolve_master_equation(p))
+        except ValueError as exc:
+            assert "fewer than 10" in str(exc)
+            continue
+        n_rates += 1
+        strong = to_angular(g0) > abs(to_angular(kappa) - p.gamma1) / 4.0
+        if strong and not est.curved and abs(est.rate / analytic_total_rate(p) - 1.0) > 0.02:
+            unflagged.append((g0, kappa, tau1, est.rate))
+    assert n_rates >= 273  # the scan is not vacuous: 127 draws raise today
+    assert unflagged == []
 
 
 def test_default_grid_runs_five_lifetimes():
