@@ -157,6 +157,7 @@ def _cmd_simulate_decay(args) -> int:
         "analytic_rate_per_s": dynamics.analytic_total_rate(params),
         "extracted_rate_per_s": estimate.rate,
         "extracted_rate_curved": estimate.curved,
+        "slow_eigenrate_per_s": dynamics.slow_eigenrate(params),
         "cooperativity": params.cooperativity,
         "n_points": len(trace),
     }

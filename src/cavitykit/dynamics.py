@@ -37,6 +37,12 @@ exponential in numpy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 The trace's meta["method"] names the propagation that ran, "eig" or
 "expm".  Every propagated state is checked for conjugate coherences, real
 non-negative populations, unit trace and P_e(t0) = 1, each to 10*rel_tol.
+
+extract_decay_rate takes the slope and the curvature of log(population)
+as projections on polynomials orthogonal over the window's samples
+(Forsythe, J. SIAM 5, 74 (1957)), with no matrix factorization.  A valid
+DecayTrace passes on reductions alone; the per-sample checks that name the
+first failure run only when one fails.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .units import to_angular
 __all__ = [
     "AtomCavityParams", "DensityState", "DecayTrace", "RateEstimate",
     "IntegrationError",
-    "evolve_master_equation", "analytic_total_rate", "tau_of_detuning",
+    "evolve_master_equation", "analytic_total_rate", "slow_eigenrate", "tau_of_detuning",
     "extract_decay_rate", "load_decay_trace", "decay_trace_to_csv",
     "decay_trace_from_csv",
 ]
@@ -149,13 +155,16 @@ class DecayTrace:
     def __post_init__(self):
         t = np.array(self.times, dtype=float)  # a copy: the caller's array stays writeable
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
-            raise ValueError("times and values must be equal-length 1-D arrays")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise ValueError("times and values must be finite")
-        if self.kind not in ("simulated", "measured"):
-            raise ValueError(f"kind must be 'simulated' or 'measured', got {self.kind!r}")
-        _check_samples(t, v, self.kind)
+        if not _valid_samples(t, v, self.kind):
+            # the checks in their order of precedence: the first that fails
+            # gives the message
+            if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
+                raise ValueError("times and values must be equal-length 1-D arrays")
+            if not (np.isfinite(t).all() and np.isfinite(v).all()):
+                raise ValueError("times and values must be finite")
+            if self.kind not in ("simulated", "measured"):
+                raise ValueError(f"kind must be 'simulated' or 'measured', got {self.kind!r}")
+            _check_samples(t, v, self.kind)
         v = np.maximum(v, 0.0)
         if self.bin_width_s is not None and not (finite_real(self.bin_width_s)
                                                  and self.bin_width_s > 0.0):
@@ -170,18 +179,29 @@ class DecayTrace:
         return len(self.times)
 
 
+def _valid_samples(t, v, kind) -> bool:
+    """Whether a trace passes every check of DecayTrace, on reductions alone.
+
+    Each test is one that a nan fails, and the ends of a strictly
+    increasing t bound the rest, as the extremes of v do; so a trace that
+    fails any check, non-finite samples included, gets False.
+    """
+    if t.ndim != 1 or t.shape != v.shape or len(t) == 0 or kind not in ("simulated", "measured"):
+        return False
+    lo, hi = float(v.min()), float(v.max())  # a nan propagates to both
+    return bool(-math.inf < t[0] and t[-1] < math.inf and (t[1:] > t[:-1]).all()
+                and lo >= -1e-9 * max(1.0, hi, -lo) and hi < math.inf
+                and (hi <= 1.0 + 1e-6 or kind != "simulated"))
+
+
 def _check_samples(t, v, kind, linenos=None):
     """Raise on the first sample a DecayTrace rejects; sample i is on line linenos[i].
 
-    t and v are finite.  A valid trace passes on reductions alone; the
-    per-sample masks that find the first offending sample are built only
-    when a check fails.
+    t and v are finite 1-D arrays of one length, and kind is valid; a trace
+    _valid_samples accepts passes.
     """
     lo, hi = float(v.min()), float(v.max())
     floor = -1e-9 * max(1.0, hi, -lo)  # max(1, max |v|)
-    if ((t[1:] > t[:-1]).all() and lo >= floor
-            and (hi <= 1.0 + 1e-6 or kind != "simulated")):
-        return
     for bad, message in (
             (np.diff(t, prepend=-np.inf) <= 0.0, "times must be strictly increasing"),
             (v < floor, "values must be >= 0"),
@@ -371,11 +391,14 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must contain at least two times")
-    if not np.isfinite(t_grid).all():
-        raise ValueError("t_grid must be finite")
     diffs = t_grid[1:] - t_grid[:-1]
-    if (diffs <= 0.0).any():
-        raise ValueError("t_grid must be strictly increasing")
+    # finite ends and positive steps make every time finite; the checks
+    # run in their order of precedence only when that fails
+    if not (-math.inf < t_grid[0] and t_grid[-1] < math.inf and (diffs > 0.0).all()):
+        if not np.isfinite(t_grid).all():
+            raise ValueError("t_grid must be finite")
+        if (diffs <= 0.0).any():
+            raise ValueError("t_grid must be strictly increasing")
 
     states, fell_back = _propagate(_generator(params), _RHO0, t_grid)
     _check_states(states, t_grid, rel_tol)
@@ -409,6 +432,17 @@ def analytic_total_rate(params: AtomCavityParams) -> float:
     k = to_angular(params.kappa_hz)
     d = to_angular(params.delta_hz)
     return params.gamma1 + g * g * k / ((0.5 * k) ** 2 + d ** 2)
+
+
+def slow_eigenrate(params: AtomCavityParams) -> float:
+    """-Re of the generator's least-damped decaying eigenvalue, in 1/s.
+
+    The slowest decay of the population from |e, 0> by the full model,
+    with no adiabatic elimination: the rate the trace settles into, which
+    analytic_total_rate approximates.  rho_gg's column of the generator is
+    zero, so the block without it holds the other four eigenvalues.
+    """
+    return float(-np.linalg.eigvals(_generator(params)[1:, 1:]).real.max())
 
 
 def tau_of_detuning(c: float, kappa_hz: float, tau1_s: float, delta_hz):
@@ -468,9 +502,10 @@ def extract_decay_rate(trace: DecayTrace) -> RateEstimate:
     are dropped with a warning.  ``curved`` is set when the local log-slope
     of a quadratic fit varies by more than 5% across the window: the trace
     is not one exponential there (strong coupling makes it oscillate), and
-    ``rate`` is no decay rate.  No standard error is reported, since a
-    simulated trace has no noise.  Measured counts need weights and error
-    bars: fitting.fit_decay_trace fits them.
+    ``rate`` is no decay rate.  Both fits are unweighted least squares,
+    each read off one projection on an orthogonal polynomial.  No standard
+    error is reported, since a simulated trace has no noise.  Measured
+    counts need weights and error bars: fitting.fit_decay_trace fits them.
     """
     if trace.kind != "simulated":
         raise ValueError(f"extract_decay_rate reads simulated traces, got kind={trace.kind!r}; "
@@ -491,22 +526,26 @@ def extract_decay_rate(trace: DecayTrace) -> RateEstimate:
                          "samples, fewer than 10: sample the decay more finely")
     ly = np.log(ys)
 
-    # center and scale the abscissa so the quadratic fit stays conditioned
-    t_mid = 0.5 * (tt[0] + tt[-1])
-    t_scale = max(0.5 * (tt[-1] - tt[0]), 1e-300)
-    u = (tt - t_mid) / t_scale
+    # center and scale the abscissa: u runs from -1 to 1 over the window,
+    # whose n >= 10 increasing times give it a positive span
+    t_span = float(tt[-1] - tt[0])
+    t_scale = 0.5 * t_span
+    u = (tt - 0.5 * (tt[0] + tt[-1])) / t_scale
 
-    # one QR of [1, u, u^2] serves the fits on [1, u] and on [1, u, u^2]:
-    # the first two columns of Q span the linear model, and R is triangular,
-    # so the last coefficient of each fit is (Q^T ly)_k / r_kk
-    q, r = np.linalg.qr(np.vander(u, 3, increasing=True))
-    qb = q.T @ ly
-    slope = qb[1] / r[1, 1] / t_scale
-    c2 = qb[2] / r[2, 2] / t_scale ** 2
-    curved = abs(2.0 * c2 * (tt[-1] - tt[0])) > 0.05 * abs(slope)
+    # the last coefficient of the least-squares fit of ly on [1, u] and on
+    # [1, u, u^2] is the projection of ly on the monic polynomial of that
+    # degree orthogonal to the lower ones over the samples (Forsythe, J. SIAM
+    # 5, 74 (1957)): p1 = u - mean(u), and p2 = (u - a) p1 - <p1, p1>/n with
+    # a = <u p1, p1>/<p1, p1>
+    p1 = u - u.sum() / n
+    p1p1 = float(p1 @ p1)
+    p2 = (u - float((u * p1) @ p1) / p1p1) * p1 - p1p1 / n
+    slope = float(p1 @ ly) / p1p1 / t_scale
+    c2 = float(p2 @ ly) / float(p2 @ p2) / t_scale ** 2
+    curved = abs(2.0 * c2 * t_span) > 0.05 * abs(slope)
 
-    return RateEstimate(rate=-slope, window=(t0, t1), n_points=n,
-                        curved=bool(curved), warnings=tuple(notes))
+    return RateEstimate(rate=-slope, window=(t0, t1), n_points=int(n),
+                        curved=curved, warnings=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +601,8 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
         elif line and (rows or not line.lower().startswith("time_s")):
             rows.append((lineno, line))  # a header only before the first data row
     data = read_rows(rows, (2,))
-    _check_samples(data[:, 0], data[:, 1], kind, [lineno for lineno, _ in rows])
+    if not _valid_samples(data[:, 0], data[:, 1], kind):
+        _check_samples(data[:, 0], data[:, 1], kind, [lineno for lineno, _ in rows])
     return DecayTrace(times=data[:, 0], values=data[:, 1],
                       kind=kind, bin_width_s=bin_width, meta=meta)
 

@@ -430,10 +430,12 @@ def _require_finite(name: str, arr: np.ndarray):
 def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     """Minimize sum(((y - model(x; theta)) / sigma)^2) over theta.
 
-    sigma, when given, must be positive and supplies absolute weights;
-    without it the fit is unweighted and the covariance is scaled by the
-    residual variance either way (reduced chi-square scaling).  init
-    defaults to the model's guess policy.
+    sigma, when given, must be positive and supplies absolute weights: the
+    covariance is that of known noise, unscaled (scipy curve_fit's
+    absolute_sigma=True), and reduced_chisq shows a misfit.  Without it the
+    fit is unweighted and the covariance is scaled by the residual variance
+    (reduced chi-square scaling).  init defaults to the model's guess
+    policy.
 
     The fit has converged once an iteration's relative step is below
     STEP_TOL, its scaled gradient below GRAD_TOL, or an accepted step passes
@@ -442,12 +444,12 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     are both at most FTOL times the sum of squares, and the actual is at
     most twice the predicted.
 
-    The covariance is V_k diag(1/s_k^2) V_k^T, unscaled, times the reduced
-    chi-square, from the SVD of the column-scaled Jacobian with singular
-    values at or below 1e-6 of the largest truncated (a "singular normal
-    matrix" note).  A parameter that is dead, has a component above 1e-3 in
-    a truncated singular vector or whose variance overflows is noted as
-    unconstrained, with an inf variance and SE.
+    The covariance is V_k diag(1/s_k^2) V_k^T, times the reduced chi-square
+    when sigma is not given, from the SVD of the column-scaled Jacobian
+    with singular values at or below 1e-6 of the largest truncated (a
+    "singular normal matrix" note).  A parameter that is dead, has a
+    component above 1e-3 in a truncated singular vector or whose variance
+    overflows is noted as unconstrained, with an inf variance and SE.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -603,7 +605,9 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
             notes.append("singular normal matrix; covariance from pseudo-inverse")
             unconstrained |= (abs(vt[cut]) > 1e-3).any(axis=0)
             s, vt = s[~cut], vt[~cut]
-        cov = (vt.T / s ** 2) @ vt / (scale[:, None] * scale) * (cost / max(len(x) - p, 1))
+        cov = (vt.T / s ** 2) @ vt / (scale[:, None] * scale)
+        if inv_sigma is None:
+            cov *= cost / max(len(x) - p, 1)
         unconstrained |= ~np.isfinite(np.diag(cov))
         for j in np.nonzero(unconstrained)[0]:
             cov[j, j] = math.inf

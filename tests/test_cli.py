@@ -110,6 +110,20 @@ def test_simulate_decay_reports_curved(argv, curved, tmp_path):
     assert "extracted_rate_stderr" not in result
 
 
+def test_simulate_decay_reports_the_slow_eigenrate(tmp_path):
+    # at the paper point the trace is one exponential by the window, and
+    # its rate is the generator's slowest eigenrate; the adiabatic formula
+    # is 1.5e-6 below both
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate-decay", "--g0-ghz", "0.57", "--kappa-ghz", "940",
+                   "--tau1-ns", "15.9", "--out", str(out)) == 0
+    result = read_json(out)["result"]
+    assert result["extracted_rate_per_s"] == pytest.approx(
+        result["slow_eigenrate_per_s"], rel=1e-9, abs=0.0)
+    assert result["slow_eigenrate_per_s"] == dynamics.slow_eigenrate(
+        dynamics.AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9, gamma1=1.0 / 15.9e-9))
+
+
 def test_purcell_subcommand(tmp_path):
     out = tmp_path / "p.json"
     assert run_cli("purcell", "--c", "0.14", "--eta-dw", "0.02",

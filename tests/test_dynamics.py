@@ -436,6 +436,55 @@ def test_evolve_rejects_bad_arguments(monkeypatch):
             evolve_master_equation(P_REF, **{"t_grid": t, **kwargs})
 
 
+_T3 = np.array([0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("make, message", [
+    # each input breaks two rules; the first in the order of the checks names it
+    (lambda: DecayTrace(times=[0.0, math.nan, 2.0], values=np.ones(3), kind="other"),
+     "times and values must be finite"),
+    (lambda: DecayTrace(times=_T3, values=[1.0, math.inf, 0.5], kind="other"),
+     "times and values must be finite"),
+    (lambda: DecayTrace(times=[[0.0, 1.0, 2.0]], values=[[math.nan] * 3]),
+     "times and values must be equal-length 1-D arrays"),
+    (lambda: DecayTrace(times=_T3, values=[0.5, 1.5], kind="other"),
+     "times and values must be equal-length 1-D arrays"),
+    (lambda: DecayTrace(times=[0.0, 2.0, 1.0], values=[1.0, 1.5, 0.5]),
+     "times must be strictly increasing"),
+    (lambda: DecayTrace(times=_T3, values=[1.5, -0.5, 0.5]),
+     "values must be >= 0"),
+    (lambda: DecayTrace(times=_T3, values=[1.0, -0.5, 0.5], bin_width_s=-1.0),
+     "values must be >= 0"),
+    (lambda: DecayTrace(times=_T3, values=[1.5, 1.0, 0.5], kind="other"),
+     "kind must be 'simulated' or 'measured', got 'other'"),
+    (lambda: evolve_master_equation(P_REF, t_grid=[0.0, 2e-9, 1e-9, math.inf]),
+     "t_grid must be finite"),
+    (lambda: evolve_master_equation(P_REF, t_grid=[math.nan, 1e-9, 1e-9]),
+     "t_grid must be finite"),
+    (lambda: evolve_master_equation(P_REF, t_grid=[-math.inf, 0.0, 1e-9]),
+     "t_grid must be finite"),
+    (lambda: evolve_master_equation(P_REF, t_grid=[0.0, 1e-9, 1e-9], rel_tol=0.0),
+     "rel_tol must be finite and > 0, got 0.0"),
+    (lambda: evolve_master_equation(P_REF, t_grid=[1e-9, 0.0, 2e-9, 2e-9]),
+     "t_grid must be strictly increasing"),
+    (lambda: decay_trace_from_csv("# kind=counts\ntime_s,value\n0.0,nan\n"),
+     "line 1: kind must be 'simulated' or 'measured', got 'counts'"),
+    (lambda: decay_trace_from_csv("time_s,value\n0.0,1.0\n2e-9,1.5\n1e-9,-0.5\n"),
+     "line 4: times must be strictly increasing"),
+    (lambda: decay_trace_from_csv("time_s,value\n0.0,1.5\n1e-9,-0.5\n"),
+     "line 3: values must be >= 0"),
+    (lambda: decay_trace_from_csv("# kind=measured\ntime_s,value\n0.0,1.5\n1e-9,-0.5\n"),
+     "line 4: values must be >= 0"),
+], ids=["nan-time-bad-kind", "inf-value-bad-kind", "2d-nan", "length-bad-kind",
+        "unsorted-above-1", "above-1-negative", "negative-bad-width",
+        "above-1-bad-kind", "inf-unsorted", "nan-repeated", "minus-inf",
+        "tol-repeated", "unsorted-repeated", "csv-kind-nan",
+        "csv-unsorted-negative", "csv-above-1-negative", "csv-measured-negative"])
+def test_a_trace_breaking_two_rules_gets_the_first_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_structural_invariants_on_random_parameters():
     rng = np.random.default_rng(3)
     rel_tol = 1e-8
@@ -554,9 +603,8 @@ def test_extract_rate_reads_simulated_traces_only():
 
 
 def _reference_extract(trace):
-    """The rate extraction before it shared one QR between its two fits:
-    lstsq per fit, np.polyfit for the coarse lifetime.  Kept as the
-    reference for extract_decay_rate."""
+    """The rate extraction by lstsq per fit and np.polyfit for the coarse
+    lifetime.  Kept as the reference for extract_decay_rate."""
     def polyfit(u, ly, order):
         x = np.vander(u, order + 1, increasing=True)
         return np.linalg.lstsq(x, ly, rcond=None)[0]
@@ -598,7 +646,8 @@ def _sweep_style_traces():
 
 
 def test_rate_extraction_matches_lstsq_pinv_reference():
-    # one QR serves both nested fits; rate and window agree to 1e-12 relative
+    # the orthogonal-polynomial projections against lstsq on the Vandermonde
+    # columns; rate and window agree to 1e-12 relative
     traces = list(_sweep_style_traces())
     for trace in traces:
         est = extract_decay_rate(trace)
@@ -630,6 +679,38 @@ def test_no_unflagged_strong_coupling_rate_is_off():
             unflagged.append((g0, kappa, tau1, est.rate))
     assert n_rates >= 273  # the scan is not vacuous: 127 draws raise today
     assert unflagged == []
+
+
+def test_propagation_is_the_plain_eigen_expansion_bit_for_bit():
+    # every exponential of the expansion is taken, the ones that underflow
+    # to 0 too: skipping them leaves a 0 whose sign differs from the
+    # (0 cos y, 0 sin y) of exp(x + iy), which can reach a state entry that
+    # is exactly 0.  The 400-draw scan, resonant and detuned, on uniform and
+    # log grids; the raw bits of every entry, signed zeros included
+    rng = np.random.default_rng(5)
+    lo, hi = np.log([1e6, 1e8, 1e-9]), np.log([1e10, 1e12, 1e-6])
+    n_eig = 0
+    for g0, kappa, tau1 in np.exp(rng.uniform(lo, hi, size=(400, 3))):
+        for delta in (0.0, 0.7 * kappa):
+            gen = dynamics._generator(AtomCavityParams(
+                g0_hz=g0, kappa_hz=kappa, gamma1=1.0 / tau1, delta_hz=delta))
+            lam, vecs = np.linalg.eig(gen)
+            coef = vecs * (np.linalg.inv(vecs) @ dynamics._RHO0)
+            for t in (np.linspace(0.0, 5.0 * tau1, 251),
+                      np.concatenate(([0.0], np.geomspace(1e-3 * tau1, 5.0 * tau1, 250)))):
+                states, fell_back = dynamics._propagate(gen, dynamics._RHO0, t)
+                if fell_back:
+                    continue
+                n_eig += 1
+                plain = np.exp(np.multiply.outer(t - t[0], lam)) @ coef.T
+                assert states.tobytes() == plain.tobytes(), (g0, kappa, tau1, delta)
+    assert n_eig >= 1500
+
+
+def test_rate_estimate_fields_have_their_declared_types():
+    est = extract_decay_rate(evolve_master_equation(P_REF))
+    assert [type(v) for v in est] == [float, tuple, int, bool, tuple]
+    assert [type(v) for v in est.window] == [float, float]
 
 
 def test_default_grid_runs_five_lifetimes():

@@ -105,8 +105,8 @@ def test_analytic_jacobian_matches_central_differences(kind):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_covariance_matches_the_inverse_normal_matrix(kind):
-    # a well-conditioned noisy fit: the covariance equals inv(J^T J) times
-    # the reduced chi-square, with J the model's weighted Jacobian at the
+    # a well-conditioned noisy fit: with sigma given, the covariance equals
+    # inv(J^T J), unscaled, with J the model's weighted Jacobian at the
     # fitted parameters in raw units
     x, ranges = ROUND_TRIP_CASES[kind]
     model = get_model(kind)
@@ -119,7 +119,7 @@ def test_covariance_matches_the_inverse_normal_matrix(kind):
         res = least_squares_fit(model, x, y, sigma=sigma, init=truth)
     assert res.converged and res.warnings == ()
     jac = model.jacobian(x, np.array(list(res.params.values()))) / sigma[:, None]
-    oracle = np.linalg.inv(jac.T @ jac) * res.chisq / (x.size - len(truth))
+    oracle = np.linalg.inv(jac.T @ jac)
     np.testing.assert_allclose(res.covariance, oracle, rtol=1e-9, atol=0.0)
     assert list(res.standard_errors.values()) == list(np.sqrt(np.diag(res.covariance)))
 
@@ -158,6 +158,26 @@ def test_monte_carlo_chisq_calibration():
     assert 0.5 < mean < 1.5
     # individual realizations stay in a sane band
     assert np.quantile(chisqs, 0.99) < 3.0
+
+
+def test_sigma_weighted_standard_errors_match_the_scatter():
+    # a known 2% sigma column is absolute: z = (estimate - truth) / SE has
+    # sd 1.  A chi-square-scaled SE from 9 points and 3 parameters gave z
+    # the sd of a Student t with 6 degrees of freedom, 1.22 (1.21, 1.31 and
+    # 1.19 here).  C = 0.5 puts the dip where the fit is close to linear: at
+    # C = 0.14 the 12% dip leaves kappa's estimate skewed, and its z has sd
+    # 1.20 and mean -0.25 even with these SEs
+    rng = np.random.default_rng(12)
+    truth = {"c": 0.5, "kappa": DEFAULT_ATOM_CAVITY.kappa_hz,
+             "tau1": DEFAULT_ATOM_CAVITY.tau1_s}
+    z = {name: [] for name in truth}
+    for _ in range(1000):
+        res = fit_tau_detuning(synthetic_tau_detuning(c=0.5, rng=rng))
+        for name, value in truth.items():
+            z[name].append((res.params[name] - value) / res.standard_errors[name])
+    for name, zs in z.items():
+        assert abs(np.std(zs) - 1.0) <= 0.1, name
+        assert abs(np.mean(zs)) <= 0.2, name
 
 
 def test_tau_recovery_at_1e4_counts():
@@ -788,7 +808,14 @@ def test_an_unweighted_fit_equals_a_unit_sigma_fit_bit_for_bit(kind):
     clean = model.fn(x, truth)
     y = clean + rng.normal(0.0, 0.01 * np.max(np.abs(clean)), size=x.size)
     unweighted = least_squares_fit(model, x, y)
-    assert _bits(unweighted) == _bits(least_squares_fit(model, x, y, sigma=np.ones_like(y)))
+    unit = least_squares_fit(model, x, y, sigma=np.ones_like(y))
+    # the same fit; only the covariance differs: unit sigma is a known noise
+    # level, no sigma an unknown one estimated from the residual
+    same = (0, 3, 4, 5, 6)  # params, residual, iterations, converged, warnings
+    assert [_bits(unweighted)[i] for i in same] == [_bits(unit)[i] for i in same]
+    r = y - model.fn(x, np.array(list(unit.params.values())))
+    scaled = unit.covariance * (float(r @ r) / (x.size - len(truth)))
+    assert unweighted.covariance.tobytes() == scaled.tobytes()
 
 
 def _cached_line_model(fresh):
