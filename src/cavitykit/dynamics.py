@@ -155,16 +155,7 @@ class DecayTrace:
     def __post_init__(self):
         t = np.array(self.times, dtype=float)  # a copy: the caller's array stays writeable
         v = np.asarray(self.values, dtype=float)
-        if not _valid_samples(t, v, self.kind):
-            # the checks in their order of precedence: the first that fails
-            # gives the message
-            if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
-                raise ValueError("times and values must be equal-length 1-D arrays")
-            if not (np.isfinite(t).all() and np.isfinite(v).all()):
-                raise ValueError("times and values must be finite")
-            if self.kind not in ("simulated", "measured"):
-                raise ValueError(f"kind must be 'simulated' or 'measured', got {self.kind!r}")
-            _check_samples(t, v, self.kind)
+        _check_samples(t, v, self.kind)
         v = np.maximum(v, 0.0)
         if self.bin_width_s is not None and not (finite_real(self.bin_width_s)
                                                  and self.bin_width_s > 0.0):
@@ -179,29 +170,27 @@ class DecayTrace:
         return len(self.times)
 
 
-def _valid_samples(t, v, kind) -> bool:
-    """Whether a trace passes every check of DecayTrace, on reductions alone.
-
-    Each test is one that a nan fails, and the ends of a strictly
-    increasing t bound the rest, as the extremes of v do; so a trace that
-    fails any check, non-finite samples included, gets False.
-    """
-    if t.ndim != 1 or t.shape != v.shape or len(t) == 0 or kind not in ("simulated", "measured"):
-        return False
-    lo, hi = float(v.min()), float(v.max())  # a nan propagates to both
-    return bool(-math.inf < t[0] and t[-1] < math.inf and (t[1:] > t[:-1]).all()
-                and lo >= -1e-9 * max(1.0, hi, -lo) and hi < math.inf
-                and (hi <= 1.0 + 1e-6 or kind != "simulated"))
-
-
 def _check_samples(t, v, kind, linenos=None):
-    """Raise on the first sample a DecayTrace rejects; sample i is on line linenos[i].
+    """Raise on the first rule a trace breaks; sample i is on line linenos[i].
 
-    t and v are finite 1-D arrays of one length, and kind is valid; a trace
-    _valid_samples accepts passes.
+    A valid trace passes on reductions alone: the ends of a strictly
+    increasing t bound the other times, as the extremes of v bound the
+    other values, and each comparison fails on a nan.  The checks that name
+    the first failure, in their order of precedence, run only when one of
+    those fails.
     """
-    lo, hi = float(v.min()), float(v.max())
+    if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
+        raise ValueError("times and values must be equal-length 1-D arrays")
+    lo, hi = float(v.min()), float(v.max())  # a nan propagates to both
     floor = -1e-9 * max(1.0, hi, -lo)  # max(1, max |v|)
+    if (-math.inf < t[0] and t[-1] < math.inf and -math.inf < lo and hi < math.inf
+            and kind in ("simulated", "measured") and (t[1:] > t[:-1]).all()
+            and lo >= floor and (hi <= 1.0 + 1e-6 or kind != "simulated")):
+        return
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise ValueError("times and values must be finite")
+    if kind not in ("simulated", "measured"):
+        raise ValueError(f"kind must be 'simulated' or 'measured', got {kind!r}")
     for bad, message in (
             (np.diff(t, prepend=-np.inf) <= 0.0, "times must be strictly increasing"),
             (v < floor, "values must be >= 0"),
@@ -601,8 +590,7 @@ def decay_trace_from_csv(text: str) -> DecayTrace:
         elif line and (rows or not line.lower().startswith("time_s")):
             rows.append((lineno, line))  # a header only before the first data row
     data = read_rows(rows, (2,))
-    if not _valid_samples(data[:, 0], data[:, 1], kind):
-        _check_samples(data[:, 0], data[:, 1], kind, [lineno for lineno, _ in rows])
+    _check_samples(data[:, 0], data[:, 1], kind, [lineno for lineno, _ in rows])
     return DecayTrace(times=data[:, 0], values=data[:, 1],
                       kind=kind, bin_width_s=bin_width, meta=meta)
 

@@ -630,8 +630,11 @@ def fit_decay_trace(trace, with_background: bool = False,
                     skip_bins: int = 0) -> FitResult:
     """Exponential fit of a DecayTrace.
 
-    Measured traces get Poisson-motivated weights sigma_i = sqrt(max(y_i, 1));
-    simulated traces are fit unweighted.  skip_bins, a non-negative integer,
+    Measured traces get Poisson-motivated weights sigma_i = sqrt(max(y_i, 1)),
+    taken as known noise, so their values must be raw counts: the
+    covariance is not rescaled by the reduced chi-square, and a normalized
+    or background-subtracted trace gets standard errors off by its scale.
+    Simulated traces are fit unweighted.  skip_bins, a non-negative integer,
     drops leading bins (for instrument fall-time contamination) instead of
     deconvolving.
     """

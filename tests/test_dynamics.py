@@ -445,6 +445,12 @@ _T3 = np.array([0.0, 1.0, 2.0])
      "times and values must be finite"),
     (lambda: DecayTrace(times=_T3, values=[1.0, math.inf, 0.5], kind="other"),
      "times and values must be finite"),
+    (lambda: DecayTrace(times=_T3, values=[1.0, -math.inf, 0.5]),
+     "times and values must be finite"),
+    (lambda: DecayTrace(times=_T3, values=[1.0, -math.inf, 0.5], kind="measured"),
+     "times and values must be finite"),
+    (lambda: DecayTrace(times=[-math.inf, 1.0, 2.0], values=[1.5, 1.0, 0.5]),
+     "times and values must be finite"),
     (lambda: DecayTrace(times=[[0.0, 1.0, 2.0]], values=[[math.nan] * 3]),
      "times and values must be equal-length 1-D arrays"),
     (lambda: DecayTrace(times=_T3, values=[0.5, 1.5], kind="other"),
@@ -475,7 +481,8 @@ _T3 = np.array([0.0, 1.0, 2.0])
      "line 3: values must be >= 0"),
     (lambda: decay_trace_from_csv("# kind=measured\ntime_s,value\n0.0,1.5\n1e-9,-0.5\n"),
      "line 4: values must be >= 0"),
-], ids=["nan-time-bad-kind", "inf-value-bad-kind", "2d-nan", "length-bad-kind",
+], ids=["nan-time-bad-kind", "inf-value-bad-kind", "minus-inf-value-negative",
+        "minus-inf-count-negative", "minus-inf-time-above-1", "2d-nan", "length-bad-kind",
         "unsorted-above-1", "above-1-negative", "negative-bad-width",
         "above-1-bad-kind", "inf-unsorted", "nan-repeated", "minus-inf",
         "tol-repeated", "unsorted-repeated", "csv-kind-nan",

@@ -180,6 +180,23 @@ def test_sigma_weighted_standard_errors_match_the_scatter():
         assert abs(np.mean(zs)) <= 0.2, name
 
 
+@pytest.mark.parametrize("peak_counts", [1e4, 300.0])
+def test_poisson_weighted_tau_error_matches_the_scatter(peak_counts):
+    # the sqrt(max(y, 1)) weights of raw counts are known noise: the sd of
+    # the fitted tau is within 10% of the median reported SE (0.96 and 1.07
+    # of it here).  Scaled by the reduced chi-square, which the zero- and
+    # one-count tail bins pull to 0.58 and 0.36, the SE fell to 1/1.27 and
+    # 1/1.81 of the scatter.  The Neyman weights also bias tau low, by about
+    # one SE at 1e4 counts, which no covariance describes
+    rng = np.random.default_rng(11)
+    taus, ses = [], []
+    for _ in range(400):
+        res = fit_decay_trace(synthetic_decay_trace(peak_counts=peak_counts, rng=rng))
+        taus.append(res.params["tau"])
+        ses.append(res.standard_errors["tau"])
+    assert abs(np.std(taus) / np.median(ses) - 1.0) <= 0.1
+
+
 def test_tau_recovery_at_1e4_counts():
     truth_tau = 1.0 / analytic_total_rate(DEFAULT_ATOM_CAVITY)
     rng = np.random.default_rng(29)
