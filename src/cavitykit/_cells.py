@@ -16,10 +16,14 @@ error, a warning, a failed check) goes to the row loop, which names the line
 and column of a bad cell and also takes what only ``float`` reads (``1_0``,
 non-ASCII digits, whitespace-only lines).  numpy is never imported just to
 parse, so a malformed row is reported without it.
+
+Text files (tables, decay traces, JSON) may start with a UTF-8 byte order
+mark, which is dropped; a ``.fgrid`` body is decoded as it stands.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import math
 import numbers
@@ -120,9 +124,10 @@ def decode(data: bytes, first_line: int = 1) -> str:
 
 
 def read_text(path) -> str:
-    """A file's contents as UTF-8 text (see decode)."""
+    """A file's contents as UTF-8 text (see decode), less one leading byte
+    order mark, which spreadsheet "CSV UTF-8" exports write."""
     with open(path, "rb") as fh:
-        return decode(fh.read())
+        return decode(fh.read().removeprefix(codecs.BOM_UTF8))
 
 
 def write_atomic(path, data):

@@ -6,11 +6,19 @@ outputs are written atomically (write-then-rename), carry a schema_version
 field and serialize numbers at full precision, so repeated runs with the
 same inputs and seed are byte identical.
 
-Each subcommand imports the numeric modules (and with them numpy) it uses
-when it runs, after it has read and parsed its input file: so ``purcell``,
-``g0`` and ``link-budget`` run on ``math`` alone, and a missing input file,
-or a table with a wrong cell count or a cell that is not a number, is
-reported without loading numpy.
+This module imports no other cavitykit module but ``_cells`` when it
+loads.  Each subcommand imports the modules it runs when it runs, and the
+numeric ones (and with them numpy) only after it has read and parsed its
+input file: so ``purcell`` and ``g0`` load ``purcell`` and ``units``,
+``link-budget`` loads ``linkbudget`` and ``units``, and a missing input
+file, or a table with a wrong cell count or a cell that is not a number, is
+reported with ``_cells`` alone, without numpy or ``dataclasses``.  Measured
+on a 2-vCPU Xeon with no ``__pycache__`` and PYTHONDONTWRITEBYTECODE=1, so
+that each process compiles every module it imports, one process of
+``purcell --c 0.14`` takes about 128 ms, a missing file 105 ms and
+``fit-decay`` 259 ms (medians), against 80 ms for Python with the standard
+modules imported here and 206 ms with numpy; the README lists every
+subcommand, cold and with a warm ``__pycache__``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ import os
 import sys
 import warnings
 
-from . import linkbudget, purcell
 from ._cells import finite_real, format_rows, read_rows, read_text, write_atomic
 
 SCHEMA_VERSION = 1
@@ -205,6 +212,8 @@ def _cmd_fit_spectrum(args) -> int:
 
 
 def _cmd_purcell(args) -> int:
+    from . import purcell
+
     from_c = args.cooperativity is not None
     if from_c == (args.tau_on_ns is not None or args.tau_off_ns is not None):
         raise InputFormatError(
@@ -213,8 +222,9 @@ def _cmd_purcell(args) -> int:
         raise InputFormatError("--tau-on-ns requires --tau-off-ns")
     if not from_c and args.tau_on_ns is None:
         raise InputFormatError("--tau-off-ns requires --tau-on-ns")
+    eta_dws = args.eta_dw or list(purcell.NV_DEBYE_WALLER_RANGE)
     entries = []
-    for eta_dw in args.eta_dw:
+    for eta_dw in eta_dws:
         eta = purcell.EfficiencyFactors(eta_dw=eta_dw, eta_qe=args.eta_qe)
         if from_c:
             res = purcell.zpl_quantities_from_c(args.cooperativity, eta)
@@ -228,13 +238,16 @@ def _cmd_purcell(args) -> int:
         entries.append(entry)
     inputs = {"cooperativity": args.cooperativity,
               "tau_on_ns": args.tau_on_ns, "tau_off_ns": args.tau_off_ns,
-              "eta_dw": list(args.eta_dw), "eta_qe": args.eta_qe}
+              "eta_dw": eta_dws, "eta_qe": args.eta_qe}
     return _emit(args, "purcell", inputs, {"entries": entries})
 
 
 def _cmd_g0(args) -> int:
+    from . import purcell
+
+    eta_dws = args.eta_dw or list(purcell.NV_DEBYE_WALLER_RANGE)
     entries = []
-    for eta_dw in args.eta_dw:
+    for eta_dw in eta_dws:
         est = purcell.ideal_coupling(
             tau1_s=args.tau1_ns * 1e-9, nu_hz=args.nu_thz * 1e12,
             eta_dw=eta_dw,
@@ -253,7 +266,7 @@ def _cmd_g0(args) -> int:
             "g0_effective_hz": purcell.effective_g0(est.g0_hz, args.weighting),
         })
     inputs = {"tau1_s": args.tau1_ns * 1e-9, "nu_hz": args.nu_thz * 1e12,
-              "eta_dw": list(args.eta_dw), "eps_rel": args.eps,
+              "eta_dw": eta_dws, "eps_rel": args.eps,
               "v_mode_m3": args.vmode_m3,
               "v_mode_normalized": args.vmode_normalized,
               "weighting": args.weighting}
@@ -315,6 +328,8 @@ def _cmd_mode_volume(args) -> int:
 
 
 def _cmd_link_budget(args) -> int:
+    from . import linkbudget
+
     if bool(args.chain) == (args.db_per_cm is not None or args.length_cm is not None):
         raise InputFormatError("give a chain JSON file or --db-per-cm/--length-cm")
     if args.chain:
@@ -474,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=float, default=None)
     p.add_argument("--tau-on-ns", type=float, default=None)
     p.add_argument("--tau-off-ns", type=float, default=None)
-    p.add_argument("--eta-dw", type=float, nargs="+",
-                   default=list(purcell.NV_DEBYE_WALLER_RANGE))
+    p.add_argument("--eta-dw", type=float, nargs="+", default=None)
     p.add_argument("--eta-qe", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_purcell)
@@ -483,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("g0", help="dipole, zero-point field and ideal g0 chain")
     p.add_argument("--tau1-ns", type=float, required=True)
     p.add_argument("--nu-thz", type=float, required=True)
-    p.add_argument("--eta-dw", type=float, nargs="+",
-                   default=list(purcell.NV_DEBYE_WALLER_RANGE))
+    p.add_argument("--eta-dw", type=float, nargs="+", default=None)
     p.add_argument("--eps", type=float, default=5.7)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--vmode-normalized", type=float, default=None,

@@ -5,7 +5,8 @@ lifetime -> transition dipole moment, and their product -> ideal vacuum
 coupling rate g0.  For an emitter ensemble distributed over the cavity, a
 spatially averaged weighting factor F in (0, 1/sqrt(3)] rescales the ideal
 g0.  The field-map steps are here; the scalar steps, from the mode volume
-on, are pure ``math`` in ``purcell`` and re-exported here.
+on, are pure ``math`` in ``purcell`` and re-exported here on first access,
+so loading and weighing a field map never imports ``purcell``.
 
 Field maps are real-valued amplitude snapshots on a regular grid with an
 arbitrary linear scale; every output is built scale invariant, so the
@@ -40,10 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cells import decode, finite_real, format_rows, read_rows, write_atomic
-from .purcell import (  # the scalar chain, numpy-free, re-exported here
-    CouplingEstimate, dipole_from_lifetime, effective_g0, g0_ideal,
-    ideal_coupling, normalized_mode_volume, to_debye, zero_point_field,
-)
 
 __all__ = [
     "FieldGrid", "WeightingConfig", "CouplingEstimate",
@@ -62,6 +59,26 @@ DEFAULT_REGION_M = ((-400e-9, 400e-9), (-150e-9, 150e-9), (-100e-9, 100e-9))
 _BLOCK_POINTS = 1 << 15
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+#: The names of the scalar chain, re-exported from ``purcell`` on first access.
+_SCALAR_CHAIN = frozenset({
+    "CouplingEstimate", "dipole_from_lifetime", "effective_g0", "g0_ideal",
+    "ideal_coupling", "normalized_mode_volume", "to_debye", "zero_point_field",
+})
+
+
+def __getattr__(name):
+    if name not in _SCALAR_CHAIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import purcell
+
+    value = getattr(purcell, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SCALAR_CHAIN)
 
 
 def _owned_read_only(arr) -> np.ndarray:

@@ -503,6 +503,44 @@ def test_csv_readers_reject_a_bad_row_alike(fmt, fault, fixtures, tmp_path, caps
     assert capsys.readouterr().err == f"usage error: {bad}: {message}\n"
 
 
+def test_a_leading_byte_order_mark_is_dropped(fixtures, tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start their files with one
+    bom = b"\xef\xbb\xbf"
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"name": "taper", "efficiency": 0.85},
+                                 {"name": "wg", "loss_db_per_cm": 1.9, "length_cm": 0.35}]))
+    for command, plain, *flags in (
+            ("fit-detuning", fixtures / "tau_detuning.csv"),
+            ("fit-spectrum", fixtures / "spectrum.csv"),
+            ("fit-decay", fixtures / "decay_trace_04.csv", "--background"),
+            ("link-budget", chain, "--quiet")):
+        marked = tmp_path / f"bom_{plain.name}"
+        marked.write_bytes(bom + plain.read_bytes())
+        results = []
+        for path in (plain, marked):
+            out = tmp_path / "out.json"
+            assert run_cli(command, str(path), *flags, "--out", str(out)) == 0, command
+            results.append(read_json(out)["result"])
+        assert results[0] == results[1], command
+    # a fit result replayed through --params-json
+    fit = tmp_path / "fit.json"
+    assert run_cli("fit-detuning", str(fixtures / "tau_detuning.csv"), "--out", str(fit)) == 0
+    marked = tmp_path / "bom_fit.json"
+    marked.write_bytes(bom + fit.read_bytes())
+    for path, out_dir in ((fit, "plain"), (marked, "marked")):
+        assert run_cli("gen-synthetic", "--what", "tau-detuning", "--params-json",
+                       str(path), "--out-dir", str(tmp_path / out_dir)) == 0
+    for name in ("index.json", "tau_detuning.csv"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "marked" / name).read_bytes()), name
+    # a .fgrid file is read as it stands
+    grid = tmp_path / "bom.fgrid"
+    grid.write_bytes(bom + (fixtures / "field_grid.fgrid").read_bytes())
+    capsys.readouterr()
+    assert run_cli("mode-volume", str(grid)) == 2
+    assert "Unexpected UTF-8 BOM" in capsys.readouterr().err
+
+
 def test_csv_writers_keep_their_bytes(tmp_path):
     rows = np.array([[-2.5e11, 1.59e-08, 1.0 / 3.0], [0.0, -0.0, 5e-324]])
     assert cli._table_text(("delta_hz", "tau_s", "sigma_s"), rows) == (
@@ -764,6 +802,41 @@ def test_scalar_commands_and_rejected_inputs_do_not_import_numpy(tmp_path, capsy
     assert runs[5][2].startswith(f"usage error: {bad_cols}: line 3: expected 3")
     assert runs[6][2].startswith(f"usage error: {bad_num}: line 3, column 2: not a number")
     assert "No such file or directory" in runs[7][2]
+
+
+BASE_MODULES = ["cavitykit", "cavitykit._cells", "cavitykit.cli"]
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    (["fit-detuning", "{fx}/tau_detuning.csv"], 0, ["fitting"]),
+    (["ensemble-weight", "{fx}/field_grid.fgrid", "--threshold", "0.3"], 0, ["coupling"]),
+    (["mode-volume", "{fx}/field_grid.fgrid"], 0, ["coupling"]),
+    (["mode-volume", "{fx}/field_grid.fgrid", "--lambda-nm", "637"], 0,
+     ["coupling", "purcell", "units"]),
+    (["gen-synthetic", "--what", "field-grid", "--out-dir", "{tmp}/gen"], 0,
+     ["coupling", "dynamics", "synthetic", "units"]),
+    (["purcell", "--c", "0.14"], 0, ["purcell", "units"]),
+    (["link-budget", "--db-per-cm", "1.9", "--length-cm", "0.35"], 0,
+     ["linkbudget", "units"]),
+    (["fit-detuning", "{tmp}/bad_cols.csv"], 2, []),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, code, modules,
+                                                        fixtures, tmp_path):
+    # one fresh interpreter per invocation, as a console-script run has
+    (tmp_path / "bad_cols.csv").write_text("delta_hz,tau_s\n0,1e-8\n1e11,1.2e-8,1.0\n")
+    argv = [a.format(fx=fixtures, tmp=tmp_path) for a in argv]
+    script = (
+        "import contextlib, io, sys\n"
+        "from cavitykit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "print(rc, *sorted(m for m in sys.modules if m.startswith('cavitykit')))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == [str(code)] + sorted(
+        BASE_MODULES + [f"cavitykit.{m}" for m in modules])
 
 
 @pytest.mark.parametrize("argv, message", [

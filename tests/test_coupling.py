@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavitykit import coupling
+from cavitykit import coupling, purcell
 from cavitykit.coupling import (
     DEFAULT_REGION_M, FieldGrid, WeightingConfig,
     dipole_from_lifetime, effective_g0, ensemble_weighting_factor, g0_ideal,
@@ -243,6 +247,31 @@ def test_effective_g0():
     assert effective_g0(3.0e9, 0.0) == 0.0
     with pytest.raises(ValueError):
         effective_g0(3.0e9, 1.2)
+
+
+SCALAR_CHAIN = ("CouplingEstimate", "normalized_mode_volume", "zero_point_field",
+                "dipole_from_lifetime", "to_debye", "g0_ideal", "ideal_coupling",
+                "effective_g0")
+
+
+def test_scalar_chain_is_re_exported_from_purcell_on_first_access():
+    # in a fresh interpreter, importing coupling and listing it load no purcell
+    script = (
+        "import sys\n"
+        "import cavitykit.coupling as c\n"
+        "print('cavitykit.purcell' in sys.modules, set(sys.argv[1:]) <= set(dir(c)),\n"
+        "      'cavitykit.purcell' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, *SCALAR_CHAIN], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True", "False"]
+    for name in SCALAR_CHAIN:
+        assert getattr(coupling, name) is getattr(purcell, name), name
+    assert set(SCALAR_CHAIN) <= set(coupling.__all__)
+    with pytest.raises(AttributeError,
+                       match="^module 'cavitykit.coupling' has no attribute 'g0'$"):
+        coupling.g0
 
 
 # ---------------------------------------------------------------------------
