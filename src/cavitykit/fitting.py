@@ -28,6 +28,13 @@ Model kinds:
     exponential-saturation            T_inf (1 - exp(-L/L0))
     asymmetric-lorentzian             side-dependent widths, continuous at peak
 
+Every model guesses its start from the data in closed form: the exponential
+log-slope and the spectrum's baseline line from centred sums (the line
+np.polyfit fits), the baseline's lowest 30% and the transmission plateau's
+95% level from order statistics by np.partition (np.quantile's).  The
+built-in Jacobians are column-major, so the loop's column norms, scaling and
+products run over contiguous memory.
+
 The tanh and asymmetric-Lorentzian forms are phenomenological conventions:
 three interpretable parameters (plateau, tolerance half-width, rolloff
 scale) for the former; a piecewise-width Lorentzian, continuous at the
@@ -59,7 +66,8 @@ FTOL = 1e-10
 
 class DegenerateFitError(ValueError):
     """The Jacobian is not finite at the fit's end, or the data cannot be
-    fit (one detuning; both spectrum starts fail).  Not a singular fit."""
+    fit (one detuning; one wavelength; no finite start guessed from the
+    data; both spectrum starts fail).  Not a singular fit."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,10 @@ class FitModel:
     initial-guess policy and one lower bound per parameter (may be -inf;
     parameters have no other bound).
 
-    A fit never writes into the arrays that ``fn`` and ``jacobian`` return,
-    so both may hand back cached arrays or views."""
+    ``jacobian`` returns an (n, p) array of any memory layout; the built-in
+    ones are column-major, each column a contiguous row of a (p, n) array
+    filled in place.  A fit never writes into the arrays that ``fn`` and
+    ``jacobian`` return, so both may hand back cached arrays or views."""
 
     kind: str
     param_names: tuple
@@ -131,18 +141,23 @@ def _exp_fn(t, th):
     return th[0] * np.exp(-t / th[1])
 
 
-def _exp_cols(t, a, tau):
-    """exp(-t/tau) and d/d tau of a exp(-t/tau), with u = t/tau: 0, not 0/0
-    (tau^2 underflows), once tau sits at its 1e-300 bound."""
-    u = t / tau
-    e = np.exp(-u)
-    return e, a * u * e / tau
+def _exp_cols(t, a, tau, out):
+    """exp(-t/tau) and d/d tau of a exp(-t/tau) into out's two rows, with
+    u = t/tau: 0, not 0/0 (tau^2 underflows), once tau sits at its 1e-300
+    bound."""
+    e, d = out
+    u = np.divide(t, tau, out=d)
+    np.negative(u, out=e)
+    np.exp(e, out=e)
+    u *= a
+    d *= e
+    d /= tau
 
 
 def _exp_jac(t, th):
-    jac = np.empty((len(t), 2))
-    jac[:, 0], jac[:, 1] = _exp_cols(t, th[0], th[1])
-    return jac
+    jt = np.empty((2, len(t)))
+    _exp_cols(t, th[0], th[1], jt)
+    return jt.T
 
 
 def _exp_bg_fn(t, th):
@@ -150,10 +165,27 @@ def _exp_bg_fn(t, th):
 
 
 def _exp_bg_jac(t, th):
-    jac = np.empty((len(t), 3))
-    jac[:, 0], jac[:, 1] = _exp_cols(t, th[0], th[1])
-    jac[:, 2] = 1.0
-    return jac
+    jt = np.empty((3, len(t)))
+    _exp_cols(t, th[0], th[1], jt[:2])
+    jt[2] = 1.0
+    return jt.T
+
+
+def _slope(x, y):
+    """Least-squares slope and intercept of y on x from centred sums (the
+    line np.polyfit(x, y, 1) fits), or None when x has no spread.  x is
+    shifted by x[0] before it is centred, so that equal values, whose mean
+    need not round to their value, centre to exactly 0."""
+    n = len(x)
+    xc = x - x[0]
+    xm = xc.sum() / n
+    xc -= xm
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        return None
+    ym = float(y.sum()) / n
+    slope = float(xc @ (y - ym)) / sxx
+    return slope, ym - slope * (xm + float(x[0]))
 
 
 def _guess_exponential(t, y, with_background):
@@ -165,10 +197,10 @@ def _guess_exponential(t, y, with_background):
     pos = yy > 0.02 * a0
     span = float(t[-1] - t[0]) if t[-1] > t[0] else 1.0
     tau0 = span / 3.0
-    if pos.sum() >= 3:
-        slope = np.polyfit(t[pos], np.log(yy[pos]), 1)[0]
-        if slope < 0.0:
-            tau0 = -1.0 / slope
+    if np.count_nonzero(pos) >= 3:
+        line = _slope(t[pos], np.log(yy[pos]))
+        if line is not None and line[0] < 0.0:
+            tau0 = -1.0 / line[0]
     out = [a0, tau0]
     if with_background:
         out.append(b0)
@@ -183,18 +215,34 @@ def _tau_detuning_fn(delta, th):
 
 def _tau_detuning_jac(delta, th):
     c, kappa, tau1 = th
-    f = 1.0 / (1.0 + 4.0 * (delta / kappa) ** 2)
-    denom = 1.0 + c * f
+    jt = np.empty((3, len(delta)))
+    # each row is built in place, in the operation order of
+    # f = 1 / (1 + 4 (delta/kappa)^2), denom = 1 + c f and
+    # d f / d kappa = 8 kappa delta^2 / (kappa^2 + 4 delta^2)^2
+    f, df_dkappa, denom = jt
+    np.divide(delta, kappa, out=f)
+    np.square(f, out=f)
+    f *= 4.0
+    f += 1.0
+    np.divide(1.0, f, out=f)
+    np.multiply(f, c, out=denom)
+    denom += 1.0
+    d2 = np.square(delta)
+    np.multiply(d2, 8.0 * kappa, out=df_dkappa)
+    d2 *= 4.0
+    d2 += kappa ** 2
+    np.square(d2, out=d2)
+    df_dkappa /= d2
     # f = 1 at delta = 0 for every kappa, so d f / d kappa is 0 there; the
     # quotient is 0/0 once kappa^4 underflows (kappa at its 1e-300 bound)
-    df_dkappa = np.where(delta == 0.0, 0.0, 8.0 * kappa * delta ** 2
-                         / (kappa ** 2 + 4.0 * delta ** 2) ** 2)
-    denom2 = denom ** 2
-    jac = np.empty((len(delta), 3))
-    jac[:, 0] = -tau1 * f / denom2
-    jac[:, 1] = -tau1 * c * df_dkappa / denom2
-    jac[:, 2] = 1.0 / denom
-    return jac
+    np.copyto(df_dkappa, 0.0, where=delta == 0.0)
+    denom2 = np.square(denom)
+    f *= -tau1
+    f /= denom2
+    df_dkappa *= -tau1 * c
+    df_dkappa /= denom2
+    np.divide(1.0, denom, out=denom)
+    return jt.T
 
 
 def _guess_tau_detuning(delta, tau):
@@ -213,30 +261,60 @@ def _guess_tau_detuning(delta, tau):
 
 def _spectrum_fn(x, th):
     a_c, x_c, w_c, a_z, x_z, s_z, b0, b1 = th
-    lor = a_c / (1.0 + ((x - x_c) / w_c) ** 2)
-    gau = a_z * np.exp(-0.5 * ((x - x_z) / s_z) ** 2)
-    return lor + gau + b0 + b1 * x
+    # in place, in the operation order of
+    # a_c / (1 + ((x - x_c)/w_c)^2) + a_z exp(-0.5 ((x - x_z)/s_z)^2) + b0 + b1 x
+    out = x - x_c
+    out /= w_c
+    np.square(out, out=out)
+    out += 1.0
+    np.divide(a_c, out, out=out)
+    gau = x - x_z
+    gau /= s_z
+    np.square(gau, out=gau)
+    gau *= -0.5
+    np.exp(gau, out=gau)
+    gau *= a_z
+    out += gau
+    out += b0
+    out += np.multiply(x, b1, out=gau)
+    return out
 
 
-def _lorentz_cols(x, a, x0, w):
-    """d/d(a, x0, w) of a / (1 + ((x - x0)/w)^2)."""
-    u = (x - x0) / w
-    ell = 1.0 / (1.0 + u * u)
-    d = 2.0 * a * u * ell * ell / w
-    return ell, d, d * u
+def _lorentz_cols(x, a, x0, w, out):
+    """d/d(a, x0, w) of a / (1 + ((x - x0)/w)^2) into out's three rows, in
+    the operation order of u = (x - x0)/w, ell = 1/(1 + u u),
+    d = 2 a u ell ell / w and d u."""
+    ell, d, d_w = out
+    u = np.subtract(x, x0, out=d_w)
+    u /= w
+    np.multiply(u, u, out=ell)
+    ell += 1.0
+    np.divide(1.0, ell, out=ell)
+    np.multiply(u, 2.0 * a, out=d)
+    d *= ell
+    d *= ell
+    d /= w
+    d_w *= d
 
 
 def _spectrum_jac(x, th):
     a_c, x_c, w_c, a_z, x_z, s_z, _, _ = th
-    jac = np.empty((len(x), 8))
-    jac[:, 0], jac[:, 1], jac[:, 2] = _lorentz_cols(x, a_c, x_c, w_c)
-    v = (x - x_z) / s_z
-    jac[:, 3] = gau = np.exp(-0.5 * v * v)
-    jac[:, 4] = d = a_z * gau * v / s_z
-    jac[:, 5] = d * v
-    jac[:, 6] = 1.0
-    jac[:, 7] = x
-    return jac
+    jt = np.empty((8, len(x)))
+    _lorentz_cols(x, a_c, x_c, w_c, jt[:3])
+    # v = (x - x_z)/s_z, gau = exp(-0.5 v v), d = a_z gau v / s_z and d v
+    gau, d, v = jt[3:6]
+    np.subtract(x, x_z, out=v)
+    v /= s_z
+    np.multiply(v, -0.5, out=gau)
+    gau *= v
+    np.exp(gau, out=gau)
+    np.multiply(gau, a_z, out=d)
+    d *= v
+    d /= s_z
+    v *= d
+    jt[6] = 1.0
+    jt[7] = x
+    return jt.T
 
 
 def _half_width(x, y, i_peak):
@@ -262,11 +340,12 @@ def _half_width(x, y, i_peak):
 def _guess_spectrum(x, y):
     order = np.argsort(x)
     xs, ys = x[order], y[order]
-    low = ys <= np.quantile(ys, 0.3)
-    if low.sum() >= 2:
-        b1, b0 = np.polyfit(xs[low], ys[low], 1)
-    else:
-        b0, b1 = float(ys.min()), 0.0
+    # the baseline is the line through the samples at or below the order
+    # statistic under np.quantile(ys, 0.3), the lowest 30%
+    k = int(0.3 * (len(ys) - 1))
+    low = ys <= np.partition(ys, k)[k]
+    line = _slope(xs[low], ys[low])
+    b1, b0 = (0.0, float(ys.min())) if line is None else line
     resid = ys - (b0 + b1 * xs)
     i1 = int(np.argmax(resid))
     h1, hw1 = float(resid[i1]), _half_width(xs, resid, i1)
@@ -300,15 +379,20 @@ def _tanh_jac(x, th):
     z = (np.abs(x) - x0) / s
     t = np.tanh(z)
     one_minus_t = 1.0 - t
-    jac = np.empty((len(x), 3))
-    jac[:, 0] = 0.5 * one_minus_t
-    jac[:, 1] = d = 0.5 * t0 * one_minus_t * (1.0 + t) / s  # sech^2 without overflow
-    jac[:, 2] = d * z
-    return jac
+    jt = np.empty((3, len(x)))
+    jt[0] = 0.5 * one_minus_t
+    jt[1] = d = 0.5 * t0 * one_minus_t * (1.0 + t) / s  # sech^2 without overflow
+    jt[2] = d * z
+    return jt.T
 
 
 def _guess_tanh(x, y):
-    t0 = float(np.quantile(y, 0.95))
+    # np.quantile(y, 0.95): its interpolation between order statistics k, k + 1
+    v = 0.95 * (len(y) - 1)
+    k = int(v)
+    lo, hi = np.partition(y, (k, k + 1))[k:k + 2].tolist()
+    g = v - k
+    t0 = hi - (hi - lo) * (1.0 - g) if g >= 0.5 else lo + (hi - lo) * g
     ax = np.abs(x)
     order = np.argsort(ax)
     axs, yo = ax[order], y[order]
@@ -323,11 +407,11 @@ def _satur_fn(x, th):
 
 
 def _satur_jac(x, th):
-    e, d_l0 = _exp_cols(x, th[0], th[1])
-    jac = np.empty((len(x), 2))
-    jac[:, 0] = 1.0 - e
-    jac[:, 1] = -d_l0
-    return jac
+    jt = np.empty((2, len(x)))
+    _exp_cols(x, th[0], th[1], jt)
+    np.subtract(1.0, jt[0], out=jt[0])
+    np.negative(jt[1], out=jt[1])
+    return jt.T
 
 
 def _guess_satur(x, y):
@@ -347,11 +431,12 @@ def _asym_lorentz_fn(x, th):
 def _asym_lorentz_jac(x, th):
     a, x0, w_left, w_right = th
     left = x < x0
-    jac = np.empty((len(x), 4))
-    jac[:, 0], jac[:, 1], d_w = _lorentz_cols(x, a, x0, np.where(left, w_left, w_right))
-    jac[:, 2] = np.where(left, d_w, 0.0)
-    jac[:, 3] = np.where(left, 0.0, d_w)
-    return jac
+    jt = np.empty((4, len(x)))
+    _lorentz_cols(x, a, x0, np.where(left, w_left, w_right), jt[:3])
+    np.copyto(jt[3], jt[2])
+    jt[2][~left] = 0.0
+    jt[3][left] = 0.0
+    return jt.T
 
 
 def _guess_asym_lorentz(x, y):
@@ -421,10 +506,18 @@ def get_model(kind: str) -> FitModel:
 # ---------------------------------------------------------------------------
 
 def _require_finite(name: str, arr: np.ndarray):
+    # a sum is finite unless a value is nan or inf or the finite values
+    # overflow it, and only then are the values looked at one by one
+    if math.isfinite(np.add.reduce(arr)):
+        return
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"{name} must be finite; {name}[{i}] = {float(arr[i])!r}")
+
+
+def _at(model, theta) -> str:
+    return ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
 
 
 def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
@@ -472,21 +565,6 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         _require_finite("sigma", sigma)
         inv_sigma = 1.0 / sigma
 
-    lower = np.array(model.lower)
-    theta = np.array(model.guess(x, y) if init is None else init, dtype=float)
-    if theta.shape != (p,):
-        raise ValueError(f"init must supply {p} parameters for {model.kind}")
-    if init is not None:
-        _require_finite("init", theta)
-    theta = np.maximum(theta, lower)
-    # per-parameter scale of the relative-step test; a parameter starting
-    # at (or raised to) ~0 has no scale of its own, and the span of x
-    # stands in
-    typical = abs(theta)
-    unscaled = typical <= _TINY
-    if unscaled.any():
-        typical[unscaled] = max(float(np.ptp(x)), _TINY)
-
     # the model's arrays are never written into: the loop scales in place
     # only arrays it made (the residual, the weighted Jacobian), and divides
     # an unweighted Jacobian into a new array
@@ -498,7 +576,9 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
 
     # the weighted Jacobian with unit-norm columns (parameters of any raw
     # scale enter on an equal footing), the column norms and the dead
-    # columns (norm <= 1e-280, left unscaled)
+    # columns (norm <= 1e-280, left unscaled).  Weighting and scaling keep
+    # the Jacobian's layout, so a column-major one is reduced, scaled and
+    # multiplied column by column over contiguous memory
     def scaled_jacobian(th):
         jw = np.asarray(model.jacobian(x, th), dtype=float)
         if inv_sigma is not None:
@@ -512,10 +592,30 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         jw /= scale
         return jw, scale, dead
 
-    # models overflow far from the data and a runaway start's variances
-    # overflow; the checks below handle both.  A context, so that an
-    # exception cannot leak the setting
+    lower = np.array(model.lower)
+    # a guess read off degenerate data can divide by zero, models overflow
+    # far from the data and a runaway start's variances overflow; the
+    # checks below handle all three.  A context, so that an exception
+    # cannot leak the setting
     with np.errstate(all="ignore"):
+        theta = np.array(model.guess(x, y) if init is None else init, dtype=float)
+        if theta.shape != (p,):
+            raise ValueError(f"init must supply {p} parameters for {model.kind}")
+        if init is not None:
+            _require_finite("init", theta)
+        elif not np.isfinite(theta).all():
+            raise DegenerateFitError(
+                f"{model.kind}: the start guessed from the data is not finite "
+                f"({_at(model, theta)}); pass init")
+        theta = np.maximum(theta, lower)
+        # per-parameter scale of the relative-step test; a parameter starting
+        # at (or raised to) ~0 has no scale of its own, and the span of x
+        # stands in
+        typical = abs(theta)
+        unscaled = typical <= _TINY
+        if unscaled.any():
+            typical[unscaled] = max(float(np.ptp(x)), _TINY)
+
         r = residual(theta)
         cost = float(r @ r)
         # scale for the gradient test: with unit-norm Jacobian columns the
@@ -593,11 +693,10 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
 
         js, scale, dead = scaled_jacobian(theta)
         if not np.isfinite(js).all():
-            at = ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
             raise DegenerateFitError(
                 f"{model.kind}: the Jacobian is not finite at the fitted "
-                f"parameters ({at}); the fit ran off to where the model's "
-                "derivatives overflow or are undefined")
+                f"parameters ({_at(model, theta)}); the fit ran off to where "
+                "the model's derivatives overflow or are undefined")
         _, s, vt = np.linalg.svd(js, full_matrices=False)
         cut = s <= 1e-6 * s[0]
         unconstrained = dead
@@ -608,7 +707,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         cov = (vt.T / s ** 2) @ vt / (scale[:, None] * scale)
         if inv_sigma is None:
             cov *= cost / max(len(x) - p, 1)
-        unconstrained |= ~np.isfinite(np.diag(cov))
+        unconstrained |= ~np.isfinite(cov.diagonal())
         for j in np.nonzero(unconstrained)[0]:
             cov[j, j] = math.inf
             notes.append(f"parameter {model.param_names[j]!r} is unconstrained "
@@ -617,7 +716,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     return FitResult(
         model=model.kind,
         params=dict(zip(model.param_names, theta.tolist())),
-        standard_errors=dict(zip(model.param_names, map(math.sqrt, np.diag(cov).tolist()))),
+        standard_errors=dict(zip(model.param_names, map(math.sqrt, cov.diagonal().tolist()))),
         covariance=cov, residual_norm=math.sqrt(cost), n_points=len(x),
         n_iterations=n_iter, converged=converged, warnings=tuple(notes))
 
@@ -714,6 +813,10 @@ def fit_spectrum(spectrum) -> FitResult:
     # checked here, before the guess reads the samples
     _require_finite("wavelength", lam)
     _require_finite("intensity", inten)
+    lo, hi = float(lam.min()), float(lam.max())
+    if lo == hi:
+        raise DegenerateFitError(f"every sample has the wavelength {lo!r}; "
+                                 "a spectrum with no span cannot be fit")
     # with noisy or overlapping peaks the guess's ranking of the broader
     # peak as the Lorentzian can be wrong, so fit both of its assignments
     # and keep the better one.  A vanishing peak leaves its center/width
@@ -736,7 +839,6 @@ def fit_spectrum(spectrum) -> FitResult:
     if 0.0 < se_cz < math.inf and abs(cov_cz) > 0.99 * se_cz:
         notes.append("peak centers are >99% correlated; the two features may "
                      "not be independently resolvable")
-    lo, hi = float(lam.min()), float(lam.max())
     spacing = (hi - lo) / (len(lam) - 1)
     notes += [f"{n} = {par[n]:.3g} is below the sample spacing {spacing:.3g}; "
               "the peak is not resolved"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -884,6 +885,19 @@ def test_json_text_of_numpy_values_is_pinned():
         '{\n  "a": [\n    [\n      1.5,\n      "nan"\n    ],\n    [\n      "inf",\n'
         '      "-inf"\n    ]\n  ],\n  "f": 0.1,\n  "i": -3,\n  "n": "nan",\n'
         '  "p": "inf",\n  "t": [\n    0.25,\n    2\n  ]\n}\n')
+
+
+def test_a_spectrum_with_one_wavelength_exits_1_without_a_warning(tmp_path, capsys):
+    table = tmp_path / "one.csv"
+    table.write_text("wavelength_nm,intensity\n" + "".join(
+        f"637.0,{10.0 + (i % 7) * 0.3!r}\n" for i in range(30)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fit-spectrum", str(table)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: every sample has the wavelength 637.0; a spectrum "
+                   "with no span cannot be fit\n")
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

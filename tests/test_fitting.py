@@ -124,6 +124,109 @@ def test_covariance_matches_the_inverse_normal_matrix(kind):
     assert list(res.standard_errors.values()) == list(np.sqrt(np.diag(res.covariance)))
 
 
+# Reference kernels: each built-in model's value and Jacobian written as
+# plain whole-array expressions.  The package builds the same numbers in
+# place, row by row of a column-major Jacobian, in the same operation order.
+def _ref_exp_cols(t, a, tau):
+    u = t / tau
+    e = np.exp(-u)
+    return [e, a * u * e / tau]
+
+
+def _ref_lorentz_cols(x, a, x0, w):
+    u = (x - x0) / w
+    ell = 1.0 / (1.0 + u * u)
+    d = 2.0 * a * u * ell * ell / w
+    return [ell, d, d * u]
+
+
+def _ref_fn(kind, x, th):
+    if kind == "single-exponential":
+        return th[0] * np.exp(-x / th[1])
+    if kind == "single-exponential-background":
+        return th[0] * np.exp(-x / th[1]) + th[2]
+    if kind == "tau-detuning":
+        c, kappa, tau1 = th
+        return tau1 / (1.0 + c * (1.0 / (1.0 + 4.0 * (x / kappa) ** 2)))
+    if kind == "lorentzian-plus-gaussian":
+        a_c, x_c, w_c, a_z, x_z, s_z, b0, b1 = th
+        lor = a_c / (1.0 + ((x - x_c) / w_c) ** 2)
+        gau = a_z * np.exp(-0.5 * ((x - x_z) / s_z) ** 2)
+        return lor + gau + b0 + b1 * x
+    if kind == "tanh-transmission":
+        return th[0] * 0.5 * (1.0 - np.tanh((np.abs(x) - th[1]) / th[2]))
+    if kind == "exponential-saturation":
+        return th[0] * (1.0 - np.exp(-x / th[1]))
+    a, x0, w_left, w_right = th
+    return a / (1.0 + ((x - x0) / np.where(x < x0, w_left, w_right)) ** 2)
+
+
+def _ref_jacobian(kind, x, th):
+    if kind.startswith("single-exponential"):
+        cols = _ref_exp_cols(x, th[0], th[1]) + [np.ones_like(x)] * (len(th) - 2)
+    elif kind == "tau-detuning":
+        c, kappa, tau1 = th
+        f = 1.0 / (1.0 + 4.0 * (x / kappa) ** 2)
+        denom = 1.0 + c * f
+        df_dkappa = np.where(x == 0.0, 0.0, 8.0 * kappa * x ** 2
+                             / (kappa ** 2 + 4.0 * x ** 2) ** 2)
+        cols = [-tau1 * f / denom ** 2, -tau1 * c * df_dkappa / denom ** 2, 1.0 / denom]
+    elif kind == "lorentzian-plus-gaussian":
+        a_c, x_c, w_c, a_z, x_z, s_z, _, _ = th
+        v = (x - x_z) / s_z
+        gau = np.exp(-0.5 * v * v)
+        d = a_z * gau * v / s_z
+        cols = _ref_lorentz_cols(x, a_c, x_c, w_c) + [gau, d, d * v, np.ones_like(x), x]
+    elif kind == "tanh-transmission":
+        t0, x0, s_ = th
+        z = (np.abs(x) - x0) / s_
+        t = np.tanh(z)
+        d = 0.5 * t0 * (1.0 - t) * (1.0 + t) / s_
+        cols = [0.5 * (1.0 - t), d, d * z]
+    elif kind == "exponential-saturation":
+        e, d = _ref_exp_cols(x, th[0], th[1])
+        cols = [1.0 - e, -d]
+    else:
+        a, x0, w_left, w_right = th
+        left = x < x0
+        ell, d, d_w = _ref_lorentz_cols(x, a, x0, np.where(left, w_left, w_right))
+        cols = [ell, d, np.where(left, d_w, 0.0), np.where(left, 0.0, d_w)]
+    return np.column_stack(cols)
+
+
+def _kernel_corpus(kind):
+    """Parameter sets for one kind: draws inside the round-trip ranges,
+    draws over twenty decades, and both with every parameter bounded at
+    1e-300 put on its bound; the x grids hold 0 (delta = 0 for tau)."""
+    x, ranges = ROUND_TRIP_CASES[kind]
+    model = get_model(kind)
+    rng = np.random.default_rng(zlib.crc32(b"kernel bits:" + kind.encode()))
+    at_tiny = np.array(model.lower) == 1e-300
+    sets = []
+    for _ in range(100):
+        inside = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+        wide = inside * 10.0 ** rng.uniform(-10.0, 10.0, size=inside.size)
+        for theta in (inside, wide):
+            sets += [theta, np.where(at_tiny, 1e-300, theta)]
+    grids = [x, np.concatenate([x, -x, [0.0]]), rng.normal(0.0, 1.0, 33) * np.abs(x).max()]
+    return grids, sets
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_built_in_kernels_equal_their_plain_expressions_bit_for_bit(kind):
+    model = get_model(kind)
+    grids, sets = _kernel_corpus(kind)
+    with np.errstate(all="ignore"):
+        for x in grids:
+            for theta in sets:
+                jac = model.jacobian(x, theta)
+                assert jac.shape == (x.size, theta.size) and jac.flags.f_contiguous
+                assert jac.tobytes(order="F") == _ref_jacobian(kind, x, theta).tobytes(order="F"), \
+                    (kind, theta)
+                assert model.fn(x, theta).tobytes() == _ref_fn(kind, x, theta).tobytes(), \
+                    (kind, theta)
+
+
 def test_every_fit_model_needs_a_jacobian():
     with pytest.raises(TypeError):
         fitting.FitModel(kind="line", param_names=("a", "b"),
@@ -383,6 +486,53 @@ def test_skip_bins_takes_a_numpy_integer():
         fit_decay_trace(trace, skip_bins=np.int64(-1))
 
 
+@pytest.mark.parametrize("peak_counts, background, with_background", [
+    (1e4, 0.0, False), (300.0, 0.0, False), (1e3, 5.0, True), (1e4, 50.0, True)])
+def test_the_exponential_start_is_the_polyfit_log_slope(peak_counts, background,
+                                                        with_background):
+    # the closed-form log-linear slope is np.polyfit's to 1e-12 relative
+    rng = np.random.default_rng(zlib.crc32(f"start:{peak_counts}:{background}".encode()))
+    for _ in range(20):
+        trace = synthetic_decay_trace(peak_counts=peak_counts,
+                                      background_counts=background, rng=rng)
+        t, y = trace.times, trace.values
+        b0 = 0.99 * y.min() if with_background else 0.0
+        pos = y - b0 > 0.02 * (y - b0).max()
+        slope = np.polyfit(t[pos], np.log(y[pos] - b0), 1)[0]
+        assert slope < 0.0
+        tau0 = fitting._guess_exponential(t, y, with_background)[1]
+        assert tau0 == pytest.approx(-1.0 / slope, rel=1e-12)
+
+
+def test_the_transmission_start_level_is_the_95th_percentile():
+    model = get_model("tanh-transmission")
+    rng = np.random.default_rng(95)
+    for n in (3, 4, 20, 21, 81, 200):
+        x = np.linspace(-400.0, 400.0, n)
+        y = model.fn(x, np.array([0.8, 150.0, 20.0])) + rng.normal(0.0, 0.02, n)
+        assert fitting._guess_tanh(x, y)[0] == np.quantile(y, 0.95)
+
+
+@pytest.mark.parametrize("value", [637.0, 0.1])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_fit_on_one_repeated_x_warns_about_nothing(kind, value):
+    # 0.1 repeated has no exact mean, so a closed-form start that centred it
+    # would see a spread of rounding errors
+    y = 10.0 + np.random.default_rng(3).normal(0.0, 1.0, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "lorentzian-plus-gaussian":
+            with pytest.raises(DegenerateFitError,
+                               match="the start guessed from the data is not finite"):
+                least_squares_fit(kind, np.full(40, value), y)
+        else:
+            res = least_squares_fit(kind, np.full(40, value), y)
+            assert res.warnings
+    if kind.startswith("single-exponential"):
+        # no slope to read: the lifetime starts at a third of a unit span
+        assert get_model(kind).guess(np.full(40, value), y)[1] == 1.0 / 3.0
+
+
 # trace 92 of 1000 low-count Poisson traces (40 1-ns bins, amplitude
 # 0.5-20 counts, tau 0.1-30 ns, background 0-3, numpy seed 5): the fit runs
 # tau down to its 1e-300 bound, with and without a background
@@ -507,6 +657,30 @@ def _high_q_spectra(seed, n):
     return [_noisy_spectrum(rng, rng.uniform(0.1, 0.2), rng.uniform(0.3, 1.4),
                             rng.uniform(0.8, 1.5))
             for _ in range(n)]
+
+
+def test_the_spectrum_baseline_is_the_polyfit_line_through_the_lowest_30_percent(monkeypatch):
+    # the baseline set is ys <= np.quantile(ys, 0.3), and the closed-form
+    # line through it is np.polyfit's to 1e-12 relative
+    seen = []
+    slope = fitting._slope
+
+    def spy(x, y):
+        seen.append((x.copy(), y.copy()))
+        return slope(x, y)
+
+    monkeypatch.setattr(fitting, "_slope", spy)
+    for spec in _fit_batch_like_spectra(1401, 20) + _high_q_spectra(1402, 20):
+        seen.clear()
+        starts = fitting._guess_spectrum(spec[:, 0], spec[:, 1])
+        xs, ys = spec[np.argsort(spec[:, 0])].T
+        low = ys <= np.quantile(ys, 0.3)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0][0], xs[low]) and np.array_equal(seen[0][1], ys[low])
+        b1, b0 = np.polyfit(xs[low], ys[low], 1)
+        for start in starts:
+            assert start[6] == pytest.approx(b0, rel=1e-12)
+            assert start[7] == pytest.approx(b1, rel=1e-12)
 
 
 def _both_starts(spec):
@@ -727,6 +901,15 @@ def test_tau_detuning_noisy_band_recovery():
     assert abs(res.params["c"] - 0.14) <= 0.03
     assert res.standard_errors["c"] > 0.0
     assert res.params["tau1"] == pytest.approx(15.9e-9, rel=0.05)
+
+
+def test_a_spectrum_with_one_wavelength_is_degenerate():
+    inten = 10.0 + np.random.default_rng(4).normal(0.0, 1.0, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFitError,
+                           match=r"^every sample has the wavelength 637.0; a spectrum with no span"):
+            fit_spectrum(np.column_stack([np.full(30, 637.0), inten]))
 
 
 def test_fit_spectrum_validation():
