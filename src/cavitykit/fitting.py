@@ -16,9 +16,18 @@ MINPACK's relative-reduction test (an accepted step whose actual and
 Gauss-Newton-predicted decreases of the sum of squares are both at most
 1e-10 of it, the actual no more than twice the predicted), which ends the
 slow linear tail of large-residual Gauss-Newton; capped at 500 iterations,
-where hitting the cap flags converged=False instead of raising.  The
-covariance comes from a truncated SVD of the column-scaled Jacobian; a
-singular one is noted, never raised.
+where hitting the cap flags converged=False instead of raising.  Where that
+tail is long, the fit crawls: once 3 accepted steps in a row each decrease
+the sum of squares by less than 1e-4 of it and by less than a quarter of
+the Gauss-Newton prediction, the damped normal matrix gains a secant
+approximation S of the second-order term that Gauss-Newton leaves out,
+sum_i r_i Hess r_i for the residuals r = (y - f)/sigma: the structured
+update of NL2SOL, with its sizing factor, starting from S = 0 (Dennis, Gay
+& Welsch, ACM TOMS 7, 348 (1981)).  Where S makes a step that does not
+lower the cost, the iteration goes on with the Gauss-Newton step.  A fit
+that does not crawl runs pure Gauss-Newton, bit for bit.  The covariance
+comes from a truncated SVD of the column-scaled Jacobian; a singular one
+is noted, never raised.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -62,6 +71,13 @@ MAX_ITERATIONS = 500
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
 FTOL = 1e-10
+# the crawl that switches the secant term on: _CRAWL_STEPS accepted steps in
+# a row, each decreasing the sum of squares by less than _CRAWL_DROP of it
+# and by less than _CRAWL_RHO of the Gauss-Newton prediction;
+# _CRAWL_DROP = 0 switches it off
+_CRAWL_STEPS = 3
+_CRAWL_DROP = 1e-4
+_CRAWL_RHO = 0.25
 
 
 class DegenerateFitError(ValueError):
@@ -520,6 +536,39 @@ def _at(model, theta) -> str:
     return ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
 
 
+def _secant_update(secant, scale, g, step, scale_old, jr_old, g_old, held_old):
+    """S after the accepted step ``step``, in the column scaling ``scale`` of
+    the new point, where g = J^T r; jr_old = J_old^T r_new and g_old, held
+    zeroed in ``held_old``, are in the old point's scaling.  The Dennis-Gay-
+    Welsch update: S is sized by min(1, |s.y#| / |s.S s|) and then meets the
+    secant condition S s = y# = (J_old - J_new)^T r_new with the least change
+    weighted by y, the change of the gradient of half the sum of squares.  A
+    step with s.y <= 0 only carries S over to the new scaling."""
+    ratio = scale_old / scale
+    s = step * scale
+    y_sharp = jr_old * ratio - g
+    y = g_old * ratio - g
+    if held_old is not None:
+        # a held parameter did not move, and its columns were zeroed
+        y_sharp[held_old] = 0.0
+        y[held_old] = 0.0
+    secant = secant * ratio[:, None] * ratio
+    ys = float(y @ s)
+    if not ys > 0.0:
+        return secant
+    s_s = secant @ s
+    ss_s = float(s @ s_s)
+    if ss_s != 0.0:
+        size = min(1.0, abs(float(s @ y_sharp)) / abs(ss_s))
+        secant *= size
+        s_s *= size
+    w = y_sharp - s_s
+    wy = np.outer(w, y)
+    secant += (wy + wy.T) / ys
+    secant -= (float(w @ s) / ys ** 2) * np.outer(y, y)
+    return secant
+
+
 def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     """Minimize sum(((y - model(x; theta)) / sigma)^2) over theta.
 
@@ -536,6 +585,20 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     squares and the decrease the Gauss-Newton model predicted for the step
     are both at most FTOL times the sum of squares, and the actual is at
     most twice the predicted.
+
+    The step solves the damped normal equations of the column-scaled
+    Jacobian.  Once the fit crawls (_CRAWL_STEPS accepted steps in a row,
+    each decreasing the sum of squares by less than _CRAWL_DROP of it and
+    by less than _CRAWL_RHO of the Gauss-Newton prediction), the normal
+    matrix gains S, the Dennis-Gay-Welsch secant approximation of the
+    second-order term sum_i r_i Hess r_i (NL2SOL; ACM TOMS 7, 348 (1981)):
+    from S = 0, each accepted step sizes S by min(1, |s.y#| / |s.S s|) and
+    updates it to meet S s = y# = (J_old - J_new)^T r_new, J the weighted
+    Jacobian of the model.  S lives in the loop's column scaling, and a
+    held parameter's row and column of S are zeroed like its Jacobian
+    column.  A trial step with S that does not lower the cost is tried
+    again without S at the same damping, and the rest of that iteration is
+    Gauss-Newton.  Until the crawl the fit is pure Gauss-Newton.
 
     The covariance is V_k diag(1/s_k^2) V_k^T, times the reduced chi-square
     when sigma is not given, from the SVD of the column-scaled Jacobian
@@ -630,6 +693,10 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         converged = False
         notes = []
         n_iter = 0
+        # the current run of small steps (decrease, scaled step, gradient,
+        # normal matrix); once the fit crawls, the secant term S (in the
+        # column scaling of the last accepted step) and that step's record
+        run, secant, last = [], None, None
 
         while n_iter < MAX_ITERATIONS:
             n_iter += 1
@@ -638,8 +705,11 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
                 notes.append("model flat in all parameters; fit abandoned")
                 break
             g = js.T @ r
+            if last is not None:
+                secant = _secant_update(secant, scale, g, *last)
             # a parameter on its bound that the gradient pushes below it is
             # held there: its column zeroed, its step is 0, like a dead one's
+            held = None
             on_bound = theta <= lower
             if on_bound.any():
                 held = on_bound & (g < 0.0)
@@ -649,10 +719,16 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
             if abs(g).max() < grad_tol:
                 converged = True
                 break
+            normal = a
+            if secant is not None:
+                normal = a + secant
+                if held is not None:
+                    normal[held] = 0.0
+                    normal[:, held] = 0.0
 
             while lam <= 1e14:
                 try:
-                    delta_s = np.linalg.solve(a + lam * eye, g)
+                    delta_s = np.linalg.solve(normal + lam * eye, g)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue
@@ -678,9 +754,31 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
                     if not converged:
                         converged = float((abs(trial - theta) / np.maximum(
                             abs(theta), typical)).max()) < STEP_TOL
+                    if secant is None and not converged:
+                        # the run of small steps; their predicted decreases
+                        # are worked out only once it is long enough, so a
+                        # fit that converges pays for none
+                        if drop < _CRAWL_DROP * cost:
+                            run.append((drop, delta_s, g, a))
+                            if len(run) >= _CRAWL_STEPS:
+                                fast = [i for i, (d, ds, gi, ai) in enumerate(run)
+                                        if not d < _CRAWL_RHO * float(ds @ (2.0 * gi - ai @ ds))]
+                                if fast:
+                                    del run[:fast[-1] + 1]
+                                else:
+                                    secant = np.zeros((p, p))
+                        else:
+                            run.clear()
+                    if secant is not None:
+                        last = (trial - theta, scale, js.T @ r_t, g, held)
                     theta, r, cost = trial, r_t, cost_t
                     lam = max(lam / 10.0, 1e-14)
                     break
+                if normal is not a:
+                    # the secant step did not lower the cost: the rest of
+                    # this iteration, from this damping on, is Gauss-Newton
+                    normal = a
+                    continue
                 lam *= 10.0
             else:
                 notes.append("stalled: damping exhausted without cost reduction")
