@@ -41,6 +41,15 @@ def finite_real(v) -> bool:
         return False
 
 
+def require_int(name: str, v, lo: int):
+    """A ValueError naming name unless v is an integer (a bool is not) and
+    at least lo."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v}")
+
+
 def parse_row(parts, lineno: int) -> list:
     """The cells of one CSV row as floats."""
     try:

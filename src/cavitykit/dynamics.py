@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cells import finite_real, format_rows, read_rows, read_text
+from ._cells import finite_real, format_rows, read_rows, read_text, require_int
 from .units import to_angular
 
 __all__ = [
@@ -366,11 +366,10 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
 
     n_max, the Fock cutoff, only sizes the density matrices that
     return_states=True returns, as DensityState snapshots alongside the
-    trace; their other entries are exactly 0.  n_max above _N_MAX_LIMIT is a
-    ValueError.
+    trace; their other entries are exactly 0.  An n_max that is not an
+    integer from 1 to _N_MAX_LIMIT is a ValueError.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    require_int("n_max", n_max, 1)
     if n_max > _N_MAX_LIMIT:
         raise ValueError(f"n_max must be <= {_N_MAX_LIMIT}, got {n_max}")
     if not (0.0 < rel_tol < math.inf):

@@ -11,23 +11,23 @@ each one against central differences.
 Parameters have lower bounds only, and a step is raised to them; a
 parameter on its bound that the gradient pushes below it is held there for
 that iteration, so the gradient test sees only the free parameters.
-Convergence: relative step below 1e-10, scaled gradient below 1e-12, or
-MINPACK's relative-reduction test (an accepted step whose actual and
-Gauss-Newton-predicted decreases of the sum of squares are both at most
-1e-10 of it, the actual no more than twice the predicted), which ends the
-slow linear tail of large-residual Gauss-Newton; capped at 500 iterations,
-where hitting the cap flags converged=False instead of raising.  Where that
-tail is long, the fit crawls: once 3 accepted steps in a row each decrease
-the sum of squares by less than 1e-4 of it and by less than a quarter of
-the Gauss-Newton prediction, the damped normal matrix gains a secant
-approximation S of the second-order term that Gauss-Newton leaves out,
-sum_i r_i Hess r_i for the residuals r = (y - f)/sigma: the structured
-update of NL2SOL, with its sizing factor, starting from S = 0 (Dennis, Gay
-& Welsch, ACM TOMS 7, 348 (1981)).  Where S makes a step that does not
-lower the cost, the iteration goes on with the Gauss-Newton step.  A fit
-that does not crawl runs pure Gauss-Newton, bit for bit.  The covariance
-comes from a truncated SVD of the column-scaled Jacobian; a singular one
-is noted, never raised.
+Convergence: scaled gradient below 1e-12 or, on a small step (an accepted
+step that lowers the sum of squares by less than 1e-4 of it), relative step
+below 1e-10 or MINPACK's relative-reduction test (actual and
+Gauss-Newton-predicted decreases both at most 1e-10 of the sum, the actual
+no more than twice the predicted), which ends the slow linear tail of
+large-residual Gauss-Newton; capped at 500 iterations, where hitting the cap
+flags converged=False instead of raising.  Where that tail is long, the fit
+crawls: once 3 small steps in a row each lower the sum by less than a
+quarter of the same prediction, computed once per small step, the damped
+normal matrix gains a secant approximation S of the second-order term that
+Gauss-Newton leaves out, sum_i r_i Hess r_i for the residuals
+r = (y - f)/sigma: the structured update of NL2SOL, with its sizing factor,
+starting from S = 0 (Dennis, Gay & Welsch, ACM TOMS 7, 348 (1981)).  Where
+S makes a step that does not lower the cost, the iteration goes on with the
+Gauss-Newton step.  A fit that does not crawl runs pure Gauss-Newton, bit
+for bit.  The covariance comes from a truncated SVD of the column-scaled
+Jacobian; a singular one is noted, never raised.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -55,11 +55,12 @@ at 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from ._cells import require_int
 
 __all__ = [
     "DegenerateFitError", "FitModel", "FitResult", "MODEL_KINDS",
@@ -71,12 +72,12 @@ MAX_ITERATIONS = 500
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
 FTOL = 1e-10
-# the crawl that switches the secant term on: _CRAWL_STEPS accepted steps in
-# a row, each decreasing the sum of squares by less than _CRAWL_DROP of it
-# and by less than _CRAWL_RHO of the Gauss-Newton prediction;
-# _CRAWL_DROP = 0 switches it off
+# a small step lowers the sum of squares by less than _SMALL_DROP of it; the
+# FTOL and STEP_TOL tests and the crawl gate run on small steps alone and read
+# one Gauss-Newton prediction.  _CRAWL_STEPS in a row, each below _CRAWL_RHO
+# of it, switch the secant term on; _CRAWL_RHO = 0 switches it off
+_SMALL_DROP = 1e-4
 _CRAWL_STEPS = 3
-_CRAWL_DROP = 1e-4
 _CRAWL_RHO = 0.25
 
 
@@ -579,26 +580,27 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
     (reduced chi-square scaling).  init defaults to the model's guess
     policy.
 
-    The fit has converged once an iteration's relative step is below
-    STEP_TOL, its scaled gradient below GRAD_TOL, or an accepted step passes
-    MINPACK's relative-reduction test: the actual decrease of the sum of
-    squares and the decrease the Gauss-Newton model predicted for the step
-    are both at most FTOL times the sum of squares, and the actual is at
-    most twice the predicted.
+    The fit has converged once an iteration's scaled gradient is below
+    GRAD_TOL, or a small step (an accepted step that decreases the sum of
+    squares by less than _SMALL_DROP of it) has a relative step below
+    STEP_TOL or passes MINPACK's relative-reduction test: its actual
+    decrease and the decrease the Gauss-Newton model predicted for it are
+    both at most FTOL times the sum of squares, and the actual is at most
+    twice the predicted.
 
     The step solves the damped normal equations of the column-scaled
-    Jacobian.  Once the fit crawls (_CRAWL_STEPS accepted steps in a row,
-    each decreasing the sum of squares by less than _CRAWL_DROP of it and
-    by less than _CRAWL_RHO of the Gauss-Newton prediction), the normal
-    matrix gains S, the Dennis-Gay-Welsch secant approximation of the
-    second-order term sum_i r_i Hess r_i (NL2SOL; ACM TOMS 7, 348 (1981)):
-    from S = 0, each accepted step sizes S by min(1, |s.y#| / |s.S s|) and
-    updates it to meet S s = y# = (J_old - J_new)^T r_new, J the weighted
-    Jacobian of the model.  S lives in the loop's column scaling, and a
-    held parameter's row and column of S are zeroed like its Jacobian
-    column.  A trial step with S that does not lower the cost is tried
-    again without S at the same damping, and the rest of that iteration is
-    Gauss-Newton.  Until the crawl the fit is pure Gauss-Newton.
+    Jacobian.  Once the fit crawls (_CRAWL_STEPS small steps in a row, each
+    decreasing the sum of squares by less than _CRAWL_RHO of the same
+    prediction; _CRAWL_RHO = 0 never crawls), the normal matrix gains S,
+    the Dennis-Gay-Welsch secant approximation of the second-order term
+    sum_i r_i Hess r_i (NL2SOL; ACM TOMS 7, 348 (1981)): from S = 0, each
+    accepted step sizes S by min(1, |s.y#| / |s.S s|) and updates it to meet
+    S s = y# = (J_old - J_new)^T r_new, J the weighted Jacobian of the
+    model.  S lives in the loop's column scaling, and a held parameter's row
+    and column of S are zeroed like its Jacobian column.  A trial step with
+    S that does not lower the cost is tried again without S at the same
+    damping, and the rest of that iteration is Gauss-Newton.  Until the
+    crawl the fit is pure Gauss-Newton.
 
     The covariance is V_k diag(1/s_k^2) V_k^T, times the reduced chi-square
     when sigma is not given, from the SVD of the column-scaled Jacobian
@@ -693,10 +695,10 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         converged = False
         notes = []
         n_iter = 0
-        # the current run of small steps (decrease, scaled step, gradient,
-        # normal matrix); once the fit crawls, the secant term S (in the
-        # column scaling of the last accepted step) and that step's record
-        run, secant, last = [], None, None
+        # the count of slow small steps in a row; once the fit crawls, the
+        # secant term S (in the column scaling of the last accepted step)
+        # and that step's record
+        slow, secant, last = 0, None, None
 
         while n_iter < MAX_ITERATIONS:
             n_iter += 1
@@ -742,33 +744,22 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
                 r_t = residual(trial)
                 cost_t = float(r_t @ r_t)
                 if math.isfinite(cost_t) and cost_t < cost:
-                    # MINPACK's relative-reduction test, against the
-                    # decrease the Gauss-Newton model predicted for this
-                    # step, which is needed only once the actual one is small
                     drop = cost - cost_t
-                    if drop <= FTOL * cost:
+                    if drop < _SMALL_DROP * cost:
+                        # a small step: one Gauss-Newton prediction feeds
+                        # MINPACK's relative-reduction test and the crawl
+                        # count; the relative step is per parameter, lest
+                        # the largest mask motion in the others
                         pred = float(delta_s @ (2.0 * g - a @ delta_s))
-                        converged = pred <= FTOL * cost and drop <= 2.0 * pred
-                    # per-parameter relative step; an aggregate norm would
-                    # let the largest parameter mask motion in the others
-                    if not converged:
-                        converged = float((abs(trial - theta) / np.maximum(
-                            abs(theta), typical)).max()) < STEP_TOL
-                    if secant is None and not converged:
-                        # the run of small steps; their predicted decreases
-                        # are worked out only once it is long enough, so a
-                        # fit that converges pays for none
-                        if drop < _CRAWL_DROP * cost:
-                            run.append((drop, delta_s, g, a))
-                            if len(run) >= _CRAWL_STEPS:
-                                fast = [i for i, (d, ds, gi, ai) in enumerate(run)
-                                        if not d < _CRAWL_RHO * float(ds @ (2.0 * gi - ai @ ds))]
-                                if fast:
-                                    del run[:fast[-1] + 1]
-                                else:
-                                    secant = np.zeros((p, p))
-                        else:
-                            run.clear()
+                        ftol = FTOL * cost
+                        converged = (drop <= ftol and pred <= ftol and drop <= 2.0 * pred
+                                     or float((abs(trial - theta) / np.maximum(
+                                         abs(theta), typical)).max()) < STEP_TOL)
+                        slow = slow + 1 if drop < _CRAWL_RHO * pred else 0
+                        if slow >= _CRAWL_STEPS and secant is None and not converged:
+                            secant = np.zeros((p, p))
+                    else:
+                        slow = 0
                     if secant is not None:
                         last = (trial - theta, scale, js.T @ r_t, g, held)
                     theta, r, cost = trial, r_t, cost_t
@@ -835,10 +826,7 @@ def fit_decay_trace(trace, with_background: bool = False,
     drops leading bins (for instrument fall-time contamination) instead of
     deconvolving.
     """
-    if isinstance(skip_bins, bool) or not isinstance(skip_bins, numbers.Integral):
-        raise ValueError(f"skip_bins must be a non-negative integer, got {skip_bins!r}")
-    if skip_bins < 0:
-        raise ValueError(f"skip_bins must be >= 0, got {skip_bins}")
+    require_int("skip_bins", skip_bins, 0)
     t = trace.times[skip_bins:]
     y = trace.values[skip_bins:]
     if len(t) < 10:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._cells import require_int
 from .dynamics import AtomCavityParams, DecayTrace, analytic_total_rate, tau_of_detuning
 from .coupling import FieldGrid
 
@@ -41,8 +42,7 @@ def synthetic_decay_trace(params: AtomCavityParams = DEFAULT_ATOM_CAVITY,
                           rng=None) -> DecayTrace:
     """Measured-like counts trace in TIME_BIN_S bins, decaying at the
     analytic cavity-enhanced rate."""
-    if n_bins < 2:
-        raise ValueError("need at least 2 bins")
+    require_int("n_bins", n_bins, 2)
     rate = analytic_total_rate(params)
     t = np.arange(n_bins) * TIME_BIN_S
     expected = peak_counts * np.exp(-rate * t) + background_counts
@@ -82,6 +82,7 @@ def synthetic_spectrum(n: int = 240, cavity=(120.0, 638.2, 0.64),
     sets the relative per-point noise level (multiplicative intensity
     fluctuations).
     """
+    require_int("n", n, 2)
     lam = np.linspace(630.0, 645.0, n)
     a_c, x_c, w_c = cavity
     a_z, x_z, s_z = zpl
@@ -105,6 +106,8 @@ def synthetic_field_grid(dims=(61, 31, 25), uniform_eps: bool = False) -> FieldG
     Odd point counts put a sample exactly on the field maximum at the
     origin.
     """
+    for i, n in enumerate(dims):
+        require_int(f"dims[{i}]", n, 2)
     nx, ny, nz = dims
     spans = (1.2e-6, 3.6e-7, 2.4e-7)
     spacing = tuple(spans[i] / (dims[i] - 1) for i in range(3))

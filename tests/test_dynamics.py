@@ -424,7 +424,11 @@ def test_evolve_rejects_bad_arguments(monkeypatch):
     monkeypatch.setattr(dynamics, "_propagate", no_propagate)
     t = np.linspace(0.0, 1e-8, 8)
     cases = [({"n_max": 0}, "n_max must be >= 1"),
-             ({"n_max": 16}, "n_max must be <= 15, got 16")]
+             ({"n_max": 16}, "n_max must be <= 15, got 16"),
+             ({"n_max": 1.5}, "n_max must be an integer, got 1.5"),
+             ({"n_max": 1.5, "return_states": True}, "n_max must be an integer, got 1.5"),
+             ({"n_max": True}, "n_max must be an integer, got True"),
+             ({"n_max": "2"}, "n_max must be an integer, got '2'")]
     cases += [({"rel_tol": tol}, "rel_tol must be finite and > 0")
               for tol in (0.0, -1e-8, math.nan, math.inf)]
     for bad in (math.nan, math.inf, -math.inf):

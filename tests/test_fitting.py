@@ -12,8 +12,8 @@ from cavitykit.fitting import (
     fit_tau_detuning, get_model, least_squares_fit,
 )
 from cavitykit.synthetic import (
-    DEFAULT_ATOM_CAVITY, synthetic_decay_trace, synthetic_spectrum,
-    synthetic_tau_detuning,
+    DEFAULT_ATOM_CAVITY, synthetic_decay_trace, synthetic_field_grid,
+    synthetic_spectrum, synthetic_tau_detuning,
 )
 from cavitykit.dynamics import analytic_total_rate
 
@@ -474,7 +474,7 @@ def test_fit_decay_trace_validation():
 @pytest.mark.parametrize("skip", [2.5, "3", True, np.float64(3.0)])
 def test_skip_bins_takes_only_an_integer(skip):
     trace = synthetic_decay_trace()
-    with pytest.raises(ValueError, match="skip_bins must be a non-negative integer"):
+    with pytest.raises(ValueError, match="skip_bins must be an integer, got "):
         fit_decay_trace(trace, skip_bins=skip)
 
 
@@ -484,6 +484,27 @@ def test_skip_bins_takes_a_numpy_integer():
         _bits(fit_decay_trace(trace, skip_bins=3))
     with pytest.raises(ValueError, match="skip_bins must be >= 0, got -1"):
         fit_decay_trace(trace, skip_bins=np.int64(-1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: synthetic_decay_trace(n_bins=2.5), "n_bins must be an integer, got 2.5"),
+    (lambda: synthetic_decay_trace(n_bins=True), "n_bins must be an integer, got True"),
+    (lambda: synthetic_decay_trace(n_bins=1), "n_bins must be >= 2, got 1"),
+    (lambda: synthetic_spectrum(n=20.5), "n must be an integer, got 20.5"),
+    (lambda: synthetic_spectrum(n=1), "n must be >= 2, got 1"),
+    (lambda: synthetic_field_grid(dims=(5.5, 5, 5)), r"dims\[0\] must be an integer, got 5.5"),
+    (lambda: synthetic_field_grid(dims=(5, 1, 5)), r"dims\[1\] must be >= 2, got 1"),
+    (lambda: synthetic_field_grid(dims=(5, 5, np.int64(0))), r"dims\[2\] must be >= 2, got 0"),
+])
+def test_synthetic_sizes_take_only_integers_in_range(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_synthetic_sizes_take_numpy_integers():
+    assert len(synthetic_decay_trace(n_bins=np.int64(40)).times) == 40
+    assert synthetic_spectrum(n=np.int32(24)).shape == (24, 2)
+    assert synthetic_field_grid(dims=(np.int64(3), 3, 3)).e_field.shape == (3, 3, 3, 3)
 
 
 @pytest.mark.parametrize("peak_counts, background, with_background", [
@@ -795,6 +816,23 @@ def test_swapped_start_still_wins_where_it_should():
     assert wins >= 5
 
 
+def test_peak_centers_below_the_sample_spacing_are_noted_as_correlated():
+    # a cavity (half width 0.15 nm) and a ZPL (sigma 0.25 nm) 0.4 nm apart on
+    # 47 samples, 0.326 nm apart: the noiseless fit recovers both, yet their
+    # centres trade against each other
+    cavity, zpl = (60.0, 638.35, 0.15), (210.0, 637.95, 0.25)
+    res = fit_spectrum(synthetic_spectrum(n=47, cavity=cavity, zpl=zpl))
+    truth = dict(zip(res.params, cavity + zpl + (40.0, -0.05)))
+    assert res.converged
+    for name, value in truth.items():
+        assert res.params[name] == pytest.approx(value, rel=1e-8, abs=1e-8), name
+    i, j = list(res.params).index("x_cav"), list(res.params).index("x_zpl")
+    cov = res.covariance
+    assert abs(cov[i, j]) > 0.99 * np.sqrt(cov[i, i] * cov[j, j])
+    assert "peak centers are >99% correlated; the two features may not be " \
+        "independently resolvable" in res.warnings
+
+
 def test_the_relative_reduction_test_changes_no_fit(monkeypatch):
     # FTOL = 0 turns the test off, and each start runs on to the step or
     # gradient test or the cap.  The 1e-3 SE bound is not met on every
@@ -816,7 +854,7 @@ def _without_secant(monkeypatch, fit, *args, **kwargs):
     """fit(*args, **kwargs) with the secant term switched off: pure
     Gauss-Newton however the fit crawls."""
     with monkeypatch.context() as m:
-        m.setattr(fitting, "_CRAWL_DROP", 0.0)
+        m.setattr(fitting, "_CRAWL_RHO", 0.0)
         return fit(*args, **kwargs)
 
 
@@ -901,6 +939,70 @@ def test_a_start_that_hit_the_cap_converges_below_the_other(spec, residual, othe
 
 
 # a high-Q spectrum whose swapped start runs off to |x_zpl| > 1e140 on many
+def _dgw_update(secant, step, j_old, j_new, r_old, r_new, held):
+    """The Dennis-Gay-Welsch update of NL2SOL, transcribed in the raw
+    parameters: secant approximates sum_i r_i Hess r_i, j_old and j_new are
+    the weighted Jacobians at the old and new points, the held parameters
+    did not move, and the update is skipped when y.s <= 0."""
+    y_sharp = (j_old - j_new).T @ r_new
+    y = j_old.T @ r_old - j_new.T @ r_new
+    y_sharp[held] = 0.0
+    y[held] = 0.0
+    ys = y @ step
+    if ys <= 0.0:
+        return secant, None
+    s_s = secant @ step
+    size = min(1.0, abs(step @ y_sharp) / abs(step @ s_s)) if step @ s_s else 1.0
+    w = y_sharp - size * s_s
+    return (size * secant + (np.outer(w, y) + np.outer(y, w)) / ys
+            - (w @ step) / ys ** 2 * np.outer(y, y)), size
+
+
+@pytest.mark.parametrize("case", ["sized", "from zero", "held", "carried over"])
+def test_the_secant_update_is_the_dgw_update_in_the_loop_scaling(case):
+    # _secant_update takes and returns S in the column scaling of a point
+    # (S_raw / (scale scale^T)), carries it from the old point's scaling to
+    # the new one's, zeroes the held parameters' rows of y# and y, sizes S
+    # and meets the secant condition S s = y#; with y.s <= 0 it only
+    # carries S over.  Column scales far apart make a wrong rescale show
+    rng = np.random.default_rng(zlib.crc32(b"dgw:" + case.encode()))
+    n, p = 30, 4
+    col = np.array([1e3, 1.0, 1e-3, 10.0])
+    j_old = rng.normal(size=(n, p)) * col
+    j_new = j_old + 0.2 * rng.normal(size=(n, p)) * col
+    r_old, r_new = rng.normal(size=n), rng.normal(size=n)
+    scale_old, scale = np.linalg.norm(j_old, axis=0), np.linalg.norm(j_new, axis=0)
+    a = rng.normal(size=(p, p))
+    secant = (0.0 if case == "from zero" else 50.0) * (a + a.T) * np.outer(scale_old, scale_old)
+    held = np.zeros(p, dtype=bool)
+    held[2] = case == "held"
+    step = rng.normal(size=p) / scale
+    step[held] = 0.0
+    y = j_old.T @ r_old - j_new.T @ r_new
+    y[held] = 0.0
+    if (y @ step > 0.0) == (case == "carried over"):
+        step = -step
+    expected, size = _dgw_update(secant, step, j_old, j_new, r_old, r_new, held)
+    assert (size is None) == (case == "carried over")
+    if case == "sized":
+        assert size < 0.5
+    # the loop's inputs: the scaled Jacobian at the old point, its held
+    # columns zeroed, and the scaled gradient at the new one
+    js_old = j_old / scale_old
+    js_old[:, held] = 0.0
+    got = fitting._secant_update(
+        secant / np.outer(scale_old, scale_old), scale, (j_new / scale).T @ r_new, step,
+        scale_old, js_old.T @ r_new, js_old.T @ r_old, held if held.any() else None)
+    expected = expected / np.outer(scale, scale)
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * abs(expected).max())
+    np.testing.assert_allclose(got, got.T, rtol=1e-12, atol=0.0)
+    if size is not None:
+        y_sharp = ((j_old - j_new).T @ r_new) / scale
+        y_sharp[held] = 0.0
+        np.testing.assert_allclose(got @ (step * scale), y_sharp, rtol=1e-9,
+                                   atol=1e-12 * abs(y_sharp).max())
+
+
 # noise seeds, where the covariance overflows float64
 RUNAWAY_TRUTH = np.array([149.28, 637.9348, 0.1306, 213.64, 637.0493, 1.4909, 33.38, -0.049])
 
