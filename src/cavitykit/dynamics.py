@@ -32,8 +32,8 @@ eigen-expansion loses about eps*cond(V) (Moler & Van Loan, SIAM Rev. 45(1),
 inverse that also gives the expansion coefficients; it is 3e9 to 5e10
 within 1e-9 of the exceptional point and ~3e3 at 1e-3 from it.  When it
 exceeds _EIG_COND_LIMIT = 1e5, or V is exactly singular, the matrix
-exponentials are taken directly instead, by a scaling-and-squaring Pade
-exponential in numpy (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+exponentials are taken directly instead, by a scaling-and-squaring Taylor
+series in numpy (the same paper's Method 3).
 The trace's meta["method"] names the propagation that ran, "eig" or
 "expm".  Every propagated state is checked for conjugate coherences, real
 non-negative populations, unit trace and P_e(t0) = 1, each to 10*rel_tol.
@@ -286,43 +286,26 @@ def _propagate_expm(gen, v0, t_grid):
     return _expm(gen * (t_grid - t_grid[0])[:, None, None]) @ v0
 
 
-#: Numerator coefficients b_0..b_13 of the [13/13] Pade approximant to exp,
-#: and theta_13, the 1-norm up to which it is exact to double precision in
-#: backward error (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of each matrix in the stack a (k, n, n), by scaling and squaring.
 
-    Each matrix is scaled by its own 2**-s to a 1-norm of at most theta_13,
-    where the [13/13] Pade approximant (V - U)^-1 (V + U) is exact to double
-    precision in backward error, and is then squared s times (Higham 2005,
-    Algorithm 2.3, in its degree-13 branch).  It is taken as I + 2 (V - U)^-1 U,
-    so a conserved trace keeps an eps error through the squarings instead
-    of 2**s eps (at kappa = 940 GHz: 6e-16 instead of 3e-11).
+    Each matrix is scaled by its own 2**-s to a 1-norm below 1, where the
+    first term the degree-18 Taylor series leaves out is below 1/19! = 8e-18,
+    and is then squared s times (Moler & Van Loan 2003, Method 3).  The
+    series is summed in Horner form and carried as exp - I, squared as
+    2 R + R R, so a conserved trace keeps an error below 1e-15 where I
+    summed in gives 4e-15 to 8e-15.
     """
-    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
     s = np.maximum(s, 0)
     a = a * np.exp2(-s)[:, None, None]
-    b = _PADE13
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    r = a / 18.0
+    for j in range(17, 0, -1):
+        r = (a + a @ r) / j
     for i in range(int(s.max(initial=0))):
         more = s > i
-        r[more] = r[more] @ r[more]
-    return r
+        r[more] = 2.0 * r[more] + r[more] @ r[more]
+    return r + np.eye(a.shape[-1])
 
 
 def _check_states(states: np.ndarray, t_grid, rel_tol: float):
@@ -409,15 +392,19 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
 
 
 def analytic_total_rate(params: AtomCavityParams) -> float:
-    """Weak-excitation population decay rate gamma1 + g^2 kappa / ((kappa/2)^2 + Delta^2).
+    """Weak-excitation population decay rate gamma1 + g^2 K / ((K/2)^2 + Delta^2),
+    with the total linewidth K = kappa + 2 gamma_phi.
 
     All frequencies enter as angular rates; the cavity is adiabatically
-    eliminated, which is accurate for kappa well above g0 and gamma1.
+    eliminated, which is accurate for gamma1 and 4 g^2/K well below kappa.
+    The coherence between |e, 0> and |g, 1> decays at K/2 (gamma1/2 left
+    out, so K is kappa exactly at gamma_phi = 0): pure dephasing widens the
+    Purcell Lorentzian and lowers its peak.
     """
     if params.kappa_hz <= 0.0:
         raise ValueError("analytic rate requires kappa > 0")
     g = to_angular(params.g0_hz)
-    k = to_angular(params.kappa_hz)
+    k = to_angular(params.kappa_hz) + 2.0 * params.gamma_phi
     d = to_angular(params.delta_hz)
     return params.gamma1 + g * g * k / ((0.5 * k) ** 2 + d ** 2)
 

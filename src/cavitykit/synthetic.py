@@ -4,7 +4,9 @@ These generators stand in for measured data and for the (unavailable)
 solver field maps.  Without an rng they are exact model evaluations, so
 fits against them are zero-residual round trips; with an rng (a numpy
 ``Generator``) they add the appropriate noise (Poisson counts for traces,
-Gaussian otherwise).
+Gaussian otherwise).  A bad argument (a size that is not an integer >= 2,
+a peak that is not three finite numbers with a positive width, a negative
+count level or noise fraction) is a ValueError that names it.
 
 The default parameter set matches the device regime this package targets:
 g0/2pi = 0.57 GHz, kappa/2pi = 940 GHz, tau1 = 15.9 ns (so C ~ 0.14) and
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._cells import require_int
+from ._cells import finite_real, require_int
 from .dynamics import AtomCavityParams, DecayTrace, analytic_total_rate, tau_of_detuning
 from .coupling import FieldGrid
 
@@ -36,6 +38,24 @@ TIME_BIN_S = 1.28e-9
 DEFAULT_DETUNING_STEPS = (-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0)
 
 
+def _require_non_negative(name: str, v):
+    if not (finite_real(v) and v >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+
+
+def _peak(name: str, v, width: str) -> tuple:
+    """A spectrum peak's (height, center, width), or a ValueError naming name."""
+    try:
+        height, center, w = v
+        ok = finite_real(height) and finite_real(center) and finite_real(w) and w > 0.0
+    except (TypeError, ValueError):  # not three items
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be finite (height, center, {width}) with "
+                         f"{width} > 0, got {v!r}")
+    return height, center, w
+
+
 def synthetic_decay_trace(params: AtomCavityParams = DEFAULT_ATOM_CAVITY,
                           n_bins: int = 200, peak_counts: float = 1e4,
                           background_counts: float = 0.0,
@@ -43,6 +63,8 @@ def synthetic_decay_trace(params: AtomCavityParams = DEFAULT_ATOM_CAVITY,
     """Measured-like counts trace in TIME_BIN_S bins, decaying at the
     analytic cavity-enhanced rate."""
     require_int("n_bins", n_bins, 2)
+    _require_non_negative("peak_counts", peak_counts)
+    _require_non_negative("background_counts", background_counts)
     rate = analytic_total_rate(params)
     t = np.arange(n_bins) * TIME_BIN_S
     expected = peak_counts * np.exp(-rate * t) + background_counts
@@ -65,6 +87,7 @@ def synthetic_tau_detuning(c: float = 0.14,
     sigma_frac sets the quoted error bars relative to tau; noise of that
     size is only added when an rng is supplied.
     """
+    _require_non_negative("sigma_frac", sigma_frac)
     delta_hz = kappa_hz * np.asarray(DEFAULT_DETUNING_STEPS)
     tau = tau_of_detuning(c, kappa_hz, tau1_s, delta_hz)
     sigma = sigma_frac * tau
@@ -83,9 +106,10 @@ def synthetic_spectrum(n: int = 240, cavity=(120.0, 638.2, 0.64),
     fluctuations).
     """
     require_int("n", n, 2)
+    a_c, x_c, w_c = _peak("cavity", cavity, "half width")
+    a_z, x_z, s_z = _peak("zpl", zpl, "sigma")
+    _require_non_negative("noise_frac", noise_frac)
     lam = np.linspace(630.0, 645.0, n)
-    a_c, x_c, w_c = cavity
-    a_z, x_z, s_z = zpl
     inten = (a_c / (1.0 + ((lam - x_c) / w_c) ** 2)
              + a_z * np.exp(-0.5 * ((lam - x_z) / s_z) ** 2)
              + 40.0 - 0.05 * lam)
@@ -106,9 +130,12 @@ def synthetic_field_grid(dims=(61, 31, 25), uniform_eps: bool = False) -> FieldG
     Odd point counts put a sample exactly on the field maximum at the
     origin.
     """
+    try:
+        nx, ny, nz = dims = tuple(dims)
+    except (TypeError, ValueError):  # not three items
+        raise ValueError(f"dims must be 3 integers, got {dims!r}") from None
     for i, n in enumerate(dims):
         require_int(f"dims[{i}]", n, 2)
-    nx, ny, nz = dims
     spans = (1.2e-6, 3.6e-7, 2.4e-7)
     spacing = tuple(spans[i] / (dims[i] - 1) for i in range(3))
     origin = tuple(-0.5 * spans[i] for i in range(3))

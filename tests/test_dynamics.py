@@ -9,7 +9,7 @@ from cavitykit import dynamics
 from cavitykit.dynamics import (
     AtomCavityParams, DecayTrace, IntegrationError, analytic_total_rate,
     decay_trace_from_csv, decay_trace_to_csv, evolve_master_equation,
-    extract_decay_rate, tau_of_detuning,
+    extract_decay_rate, slow_eigenrate, tau_of_detuning,
 )
 from cavitykit.units import to_angular
 
@@ -357,8 +357,9 @@ def _exceptional_point_generators():
 def test_numpy_expm_matches_scipy_at_exceptional_points():
     # scipy's expm is the oracle, on the whole output grid from t0; the
     # entries are populations and coherences of at most 1, and agree to
-    # 4e-15.  The Pade quotient taken as (V - U)^-1 (V + U) misses this
-    # bound by 2^s eps: 2e-13 at kappa = 1 GHz, 3e-11 at 940 GHz
+    # 4e-15.  Off the exceptional point, a zero stack must give I exactly,
+    # and a generator with dyadic rates, whose 1-norm of exactly 1 is scaled
+    # to 2^-3 .. 2^23, sits on every step of the frexp scaling
     from scipy.linalg import expm
 
     for p, gen in _exceptional_point_generators():
@@ -366,6 +367,17 @@ def test_numpy_expm_matches_scipy_at_exceptional_points():
             stack = gen * (t - t[0])[:, None, None]
             dev = np.max(np.abs(dynamics._expm(stack) - expm(stack)))
             assert dev < 1e-13, (p, gen.shape, dev)
+
+    assert np.array_equal(dynamics._expm(np.zeros((2, 5, 5), dtype=complex)),
+                          np.broadcast_to(np.eye(5), (2, 5, 5)))
+    # gamma1 = 1/4, kappa = 3/8, g = 1/8 and Gamma = 1/2, in _generator's layout
+    unit = np.array([[0, 2, 0, 0, 3], [0, -2, 1j, -1j, 0], [0, 1j, -4, 0, -1j],
+                     [0, -1j, 0, -4, 1j], [0, 0, -1j, 1j, -3]]) / 8
+    norms = np.exp2(np.arange(-3, 24))
+    stack = unit * norms[:, None, None]
+    assert np.array_equal(np.abs(stack).sum(axis=-2).max(axis=-1), norms)
+    dev = np.max(np.abs(dynamics._expm(stack) - expm(stack)))
+    assert dev < 1e-13, dev
 
 
 def test_state_check_rejects_corrupted_states():
@@ -532,6 +544,29 @@ def test_analytic_rate_limits():
         P_REF.gamma1 * (1.0 + c / 40001.0), rel=1e-12)
     with pytest.raises(ValueError):
         analytic_total_rate(AtomCavityParams(g0_hz=1e9, kappa_hz=0.0, gamma1=5e7))
+
+
+def test_analytic_rate_with_dephasing_matches_the_slow_eigenrate():
+    # with K = kappa + 2 gamma_phi in place of kappa, the total rate is
+    # within 1% of the full model's slowest decay on log-uniform draws in the
+    # adiabatic regime, gamma1 and 4 g^2/K below 1% of kappa (0.8% at worst,
+    # 4e-7 in the median); at gamma_phi = 0 it is the expression without
+    # dephasing to the bit
+    rng = np.random.default_rng(3)
+    adiabatic = 0
+    for _ in range(4000):
+        kappa_hz = 10 ** rng.uniform(8, 12)
+        p = AtomCavityParams(g0_hz=10 ** rng.uniform(6, 10), kappa_hz=kappa_hz,
+                             gamma1=1.0 / 10 ** rng.uniform(-9, -6),
+                             gamma_phi=10 ** rng.uniform(6, 13),
+                             delta_hz=rng.uniform(-2, 2) * kappa_hz)
+        g, k, d = (2.0 * math.pi * f for f in (p.g0_hz, p.kappa_hz, p.delta_hz))
+        if max(p.gamma1, 4.0 * g * g / (k + 2.0 * p.gamma_phi)) < 0.01 * k:
+            adiabatic += 1
+            assert analytic_total_rate(p) == pytest.approx(slow_eigenrate(p), rel=0.01), p
+        bare = AtomCavityParams(p.g0_hz, p.kappa_hz, p.gamma1, 0.0, p.delta_hz)
+        assert analytic_total_rate(bare) == p.gamma1 + g * g * k / ((0.5 * k) ** 2 + d ** 2)
+    assert adiabatic > 2000
 
 
 def test_master_equation_matches_analytic_rate_across_detunings():

@@ -501,6 +501,29 @@ def test_synthetic_sizes_take_only_integers_in_range(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: synthetic_field_grid(dims=(5, 5)), r"dims must be 3 integers, got \(5, 5\)"),
+    (lambda: synthetic_field_grid(dims=5), "dims must be 3 integers, got 5"),
+    (lambda: synthetic_spectrum(cavity=(1.0, 638.0)), r"cavity must be finite \(height, "),
+    (lambda: synthetic_spectrum(cavity=5), "cavity must be .* got 5$"),
+    (lambda: synthetic_spectrum(cavity=(1.0, 638.0, 0.0)), "half width > 0, got"),
+    (lambda: synthetic_spectrum(zpl=(1.0, 637.0, -0.1)), "zpl must be .* sigma > 0"),
+    (lambda: synthetic_spectrum(zpl=(np.nan, 637.0, 0.1)), "zpl must be finite"),
+    (lambda: synthetic_spectrum(noise_frac=-0.02, rng=np.random.default_rng(0)),
+     "noise_frac must be finite and >= 0, got -0.02"),
+    (lambda: synthetic_decay_trace(peak_counts=-1.0, rng=np.random.default_rng(0)),
+     "peak_counts must be finite and >= 0, got -1.0"),
+    (lambda: synthetic_decay_trace(background_counts=-5.0, rng=np.random.default_rng(0)),
+     "background_counts must be finite and >= 0, got -5.0"),
+    (lambda: synthetic_tau_detuning(sigma_frac=-0.02), "sigma_frac must be finite and >= 0"),
+])
+def test_synthetic_generators_name_a_bad_argument(make, message):
+    # checked before any numpy work: a zero width would divide by zero, and
+    # the warnings filter makes such a warning fail here
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_synthetic_sizes_take_numpy_integers():
     assert len(synthetic_decay_trace(n_bins=np.int64(40)).times) == 40
     assert synthetic_spectrum(n=np.int32(24)).shape == (24, 2)
