@@ -166,6 +166,7 @@ def _cmd_simulate_decay(args) -> int:
         "extracted_rate_curved": estimate.curved,
         "slow_eigenrate_per_s": dynamics.slow_eigenrate(params),
         "cooperativity": params.cooperativity,
+        "effective_cooperativity": params.effective_cooperativity,
         "n_points": len(trace),
     }
     if args.trace_csv:

@@ -114,10 +114,21 @@ class AtomCavityParams:
     @property
     def cooperativity(self) -> float:
         """C = 4 g0^2 / (kappa gamma1), with g0 and kappa as angular rates."""
+        return self._cooperativity(0.0)
+
+    @property
+    def effective_cooperativity(self) -> float:
+        """C_eff = 4 g0^2 / (K gamma1) with the total linewidth K = kappa +
+        2 gamma_phi (angular), so gamma1 (1 + C_eff) is analytic_total_rate on
+        resonance and C_eff is the C a tau(Delta) fit reads; it is
+        cooperativity at gamma_phi = 0."""
+        return self._cooperativity(2.0 * self.gamma_phi)
+
+    def _cooperativity(self, widening: float) -> float:
         if self.kappa_hz <= 0.0 or self.gamma1 <= 0.0:
             raise ValueError("cooperativity requires kappa > 0 and gamma1 > 0")
         g = to_angular(self.g0_hz)
-        k = to_angular(self.kappa_hz)
+        k = to_angular(self.kappa_hz) + widening
         return 4.0 * g * g / (k * self.gamma1)
 
     def detuned(self, delta_hz: float) -> "AtomCavityParams":
@@ -424,15 +435,24 @@ def tau_of_detuning(c: float, kappa_hz: float, tau1_s: float, delta_hz):
     """tau(Delta) = tau1 / (C f(Delta) + 1) with f = 1 / (1 + 4 Delta^2/kappa^2).
 
     delta_hz may be a scalar or an array; kappa and Delta only enter as a
-    ratio, so any consistent frequency convention works.
+    ratio, so any consistent frequency convention works.  Under pure
+    dephasing the dip's width is the total linewidth, kappa + gamma_phi/pi
+    in Hz, and its depth AtomCavityParams.effective_cooperativity.  Every
+    argument must be finite.
     """
-    if not (c >= 0.0):
+    for name, v in (("C", c), ("kappa", kappa_hz), ("tau1", tau1_s)):
+        if not finite_real(v):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
+    if c < 0.0:
         raise ValueError(f"C must be >= 0, got {c!r}")
-    if not (kappa_hz > 0.0):
+    if kappa_hz <= 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa_hz!r}")
-    if not (tau1_s > 0.0):
+    if tau1_s <= 0.0:
         raise ValueError(f"tau1 must be > 0, got {tau1_s!r}")
     delta = np.asarray(delta_hz, dtype=float)
+    bad = ~np.isfinite(delta)
+    if bad.any():
+        raise ValueError(f"delta_hz must be finite, got {float(delta[bad].flat[0])!r}")
     with np.errstate(over="ignore"):   # |Delta| >> kappa: f -> 0, tau -> tau1
         f = 1.0 / (1.0 + 4.0 * (delta / kappa_hz) ** 2)
     tau = tau1_s / (c * f + 1.0)

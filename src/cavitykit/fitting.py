@@ -12,22 +12,22 @@ Parameters have lower bounds only, and a step is raised to them; a
 parameter on its bound that the gradient pushes below it is held there for
 that iteration, so the gradient test sees only the free parameters.
 Convergence: scaled gradient below 1e-12 or, on a small step (an accepted
-step that lowers the sum of squares by less than 1e-4 of it), relative step
-below 1e-10 or MINPACK's relative-reduction test (actual and
-Gauss-Newton-predicted decreases both at most 1e-10 of the sum, the actual
-no more than twice the predicted), which ends the slow linear tail of
-large-residual Gauss-Newton; capped at 500 iterations, where hitting the cap
-flags converged=False instead of raising.  Where that tail is long, the fit
-crawls: once 3 small steps in a row each lower the sum by less than a
-quarter of the same prediction, computed once per small step, the damped
-normal matrix gains a secant approximation S of the second-order term that
-Gauss-Newton leaves out, sum_i r_i Hess r_i for the residuals
-r = (y - f)/sigma: the structured update of NL2SOL, with its sizing factor,
-starting from S = 0 (Dennis, Gay & Welsch, ACM TOMS 7, 348 (1981)).  Where
-S makes a step that does not lower the cost, the iteration goes on with the
-Gauss-Newton step.  A fit that does not crawl runs pure Gauss-Newton, bit
-for bit.  The covariance comes from a truncated SVD of the column-scaled
-Jacobian; a singular one is noted, never raised.
+step that lowers the sum of squares by less than 1e-4 of it), MINPACK's
+relative-reduction test (actual and Gauss-Newton-predicted decreases both
+at most 1e-10 of the sum, the actual no more than twice the predicted),
+which ends the slow linear tail of large-residual Gauss-Newton; a step too
+small to change any parameter also ends the fit.  Capped at 500
+iterations, where hitting the cap flags converged=False instead of raising.
+Where that tail is long, the fit crawls: once 3 small steps in a row each
+lower the sum by less than a quarter of the same prediction, computed once
+per small step, the damped normal matrix gains a secant approximation S of
+the second-order term that Gauss-Newton leaves out, sum_i r_i Hess r_i for
+the residuals r = (y - f)/sigma: the structured update of NL2SOL, with its
+sizing factor, starting from S = 0 (Dennis, Gay & Welsch, ACM TOMS 7, 348
+(1981)).  Where S makes a step that does not lower the cost, the iteration
+goes on with the Gauss-Newton step.  A fit that does not crawl runs pure
+Gauss-Newton, bit for bit.  The covariance comes from a truncated SVD of the
+column-scaled Jacobian; a singular one is noted, never raised.
 
 Model kinds:
     single-exponential[-background]   A exp(-t/tau) [+ b]
@@ -42,7 +42,9 @@ log-slope and the spectrum's baseline line from centred sums (the line
 np.polyfit fits), the baseline's lowest 30% and the transmission plateau's
 95% level from order statistics by np.partition (np.quantile's).  The
 built-in Jacobians are column-major, so the loop's column norms, scaling and
-products run over contiguous memory.
+products run over contiguous memory.  The kernels are plain whole-array
+expressions, except the spectrum and Lorentzian ones, whose in-place form
+saves measurable time on their many columns.
 
 The tanh and asymmetric-Lorentzian forms are phenomenological conventions:
 three interpretable parameters (plateau, tolerance half-width, rolloff
@@ -69,12 +71,11 @@ __all__ = [
 ]
 
 MAX_ITERATIONS = 500
-STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
 FTOL = 1e-10
 # a small step lowers the sum of squares by less than _SMALL_DROP of it; the
-# FTOL and STEP_TOL tests and the crawl gate run on small steps alone and read
-# one Gauss-Newton prediction.  _CRAWL_STEPS in a row, each below _CRAWL_RHO
+# FTOL test and the crawl gate run on small steps alone and read one
+# Gauss-Newton prediction.  _CRAWL_STEPS in a row, each below _CRAWL_RHO
 # of it, switch the secant term on; _CRAWL_RHO = 0 switches it off
 _SMALL_DROP = 1e-4
 _CRAWL_STEPS = 3
@@ -94,8 +95,8 @@ class FitModel:
     parameters have no other bound).
 
     ``jacobian`` returns an (n, p) array of any memory layout; the built-in
-    ones are column-major, each column a contiguous row of a (p, n) array
-    filled in place.  A fit never writes into the arrays that ``fn`` and
+    ones are column-major, the transpose of a (p, n) array whose rows are
+    the columns.  A fit never writes into the arrays that ``fn`` and
     ``jacobian`` return, so both may hand back cached arrays or views."""
 
     kind: str
@@ -158,23 +159,16 @@ def _exp_fn(t, th):
     return th[0] * np.exp(-t / th[1])
 
 
-def _exp_cols(t, a, tau, out):
-    """exp(-t/tau) and d/d tau of a exp(-t/tau) into out's two rows, with
-    u = t/tau: 0, not 0/0 (tau^2 underflows), once tau sits at its 1e-300
-    bound."""
-    e, d = out
-    u = np.divide(t, tau, out=d)
-    np.negative(u, out=e)
-    np.exp(e, out=e)
-    u *= a
-    d *= e
-    d /= tau
+def _exp_cols(t, a, tau):
+    """exp(-t/tau) and d/d tau of a exp(-t/tau), with u = t/tau: 0, not 0/0
+    (tau^2 underflows), once tau sits at its 1e-300 bound."""
+    u = t / tau
+    e = np.exp(-u)
+    return [e, a * u * e / tau]
 
 
 def _exp_jac(t, th):
-    jt = np.empty((2, len(t)))
-    _exp_cols(t, th[0], th[1], jt)
-    return jt.T
+    return np.array(_exp_cols(t, th[0], th[1])).T
 
 
 def _exp_bg_fn(t, th):
@@ -182,10 +176,7 @@ def _exp_bg_fn(t, th):
 
 
 def _exp_bg_jac(t, th):
-    jt = np.empty((3, len(t)))
-    _exp_cols(t, th[0], th[1], jt[:2])
-    jt[2] = 1.0
-    return jt.T
+    return np.array(_exp_cols(t, th[0], th[1]) + [np.ones_like(t)]).T
 
 
 def _slope(x, y):
@@ -232,34 +223,13 @@ def _tau_detuning_fn(delta, th):
 
 def _tau_detuning_jac(delta, th):
     c, kappa, tau1 = th
-    jt = np.empty((3, len(delta)))
-    # each row is built in place, in the operation order of
-    # f = 1 / (1 + 4 (delta/kappa)^2), denom = 1 + c f and
-    # d f / d kappa = 8 kappa delta^2 / (kappa^2 + 4 delta^2)^2
-    f, df_dkappa, denom = jt
-    np.divide(delta, kappa, out=f)
-    np.square(f, out=f)
-    f *= 4.0
-    f += 1.0
-    np.divide(1.0, f, out=f)
-    np.multiply(f, c, out=denom)
-    denom += 1.0
-    d2 = np.square(delta)
-    np.multiply(d2, 8.0 * kappa, out=df_dkappa)
-    d2 *= 4.0
-    d2 += kappa ** 2
-    np.square(d2, out=d2)
-    df_dkappa /= d2
+    f = 1.0 / (1.0 + 4.0 * (delta / kappa) ** 2)
+    denom = 1.0 + c * f
+    denom2, d2 = denom ** 2, delta ** 2
     # f = 1 at delta = 0 for every kappa, so d f / d kappa is 0 there; the
     # quotient is 0/0 once kappa^4 underflows (kappa at its 1e-300 bound)
-    np.copyto(df_dkappa, 0.0, where=delta == 0.0)
-    denom2 = np.square(denom)
-    f *= -tau1
-    f /= denom2
-    df_dkappa *= -tau1 * c
-    df_dkappa /= denom2
-    np.divide(1.0, denom, out=denom)
-    return jt.T
+    df_dkappa = np.where(delta == 0.0, 0.0, 8.0 * kappa * d2 / (kappa ** 2 + 4.0 * d2) ** 2)
+    return np.array([-tau1 * f / denom2, -tau1 * c * df_dkappa / denom2, 1.0 / denom]).T
 
 
 def _guess_tau_detuning(delta, tau):
@@ -424,11 +394,8 @@ def _satur_fn(x, th):
 
 
 def _satur_jac(x, th):
-    jt = np.empty((2, len(x)))
-    _exp_cols(x, th[0], th[1], jt)
-    np.subtract(1.0, jt[0], out=jt[0])
-    np.negative(jt[1], out=jt[1])
-    return jt.T
+    e, d = _exp_cols(x, th[0], th[1])
+    return np.array([1.0 - e, -d]).T
 
 
 def _guess_satur(x, y):
@@ -582,11 +549,11 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
 
     The fit has converged once an iteration's scaled gradient is below
     GRAD_TOL, or a small step (an accepted step that decreases the sum of
-    squares by less than _SMALL_DROP of it) has a relative step below
-    STEP_TOL or passes MINPACK's relative-reduction test: its actual
-    decrease and the decrease the Gauss-Newton model predicted for it are
-    both at most FTOL times the sum of squares, and the actual is at most
-    twice the predicted.
+    squares by less than _SMALL_DROP of it) passes MINPACK's
+    relative-reduction test: its actual decrease and the decrease the
+    Gauss-Newton model predicted for it are both at most FTOL times the sum
+    of squares, and the actual is at most twice the predicted; or once
+    damping shrinks a step below what any parameter can represent.
 
     The step solves the damped normal equations of the column-scaled
     Jacobian.  Once the fit crawls (_CRAWL_STEPS small steps in a row, each
@@ -673,14 +640,6 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
                 f"{model.kind}: the start guessed from the data is not finite "
                 f"({_at(model, theta)}); pass init")
         theta = np.maximum(theta, lower)
-        # per-parameter scale of the relative-step test; a parameter starting
-        # at (or raised to) ~0 has no scale of its own, and the span of x
-        # stands in
-        typical = abs(theta)
-        unscaled = typical <= _TINY
-        if unscaled.any():
-            typical[unscaled] = max(float(np.ptp(x)), _TINY)
-
         r = residual(theta)
         cost = float(r @ r)
         # scale for the gradient test: with unit-norm Jacobian columns the
@@ -747,14 +706,10 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
                     drop = cost - cost_t
                     if drop < _SMALL_DROP * cost:
                         # a small step: one Gauss-Newton prediction feeds
-                        # MINPACK's relative-reduction test and the crawl
-                        # count; the relative step is per parameter, lest
-                        # the largest mask motion in the others
+                        # MINPACK's relative-reduction test and the crawl count
                         pred = float(delta_s @ (2.0 * g - a @ delta_s))
                         ftol = FTOL * cost
-                        converged = (drop <= ftol and pred <= ftol and drop <= 2.0 * pred
-                                     or float((abs(trial - theta) / np.maximum(
-                                         abs(theta), typical)).max()) < STEP_TOL)
+                        converged = drop <= ftol and pred <= ftol and drop <= 2.0 * pred
                         slow = slow + 1 if drop < _CRAWL_RHO * pred else 0
                         if slow >= _CRAWL_STEPS and secant is None and not converged:
                             secant = np.zeros((p, p))
@@ -846,7 +801,9 @@ def fit_tau_detuning(points) -> FitResult:
 
     Needs at least 4 points covering near-resonant and far-detuned regions.
     When C comes out consistent with zero, kappa is unidentifiable and the
-    result carries a warning instead of an error.
+    result carries a warning instead of an error.  Under pure dephasing the
+    fitted kappa is the total linewidth, kappa + gamma_phi/pi in Hz, and C is
+    AtomCavityParams.effective_cooperativity.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):

@@ -43,6 +43,8 @@ class LinkElement:
     loss_db_err: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"element name must be a string, got {self.name!r}")
         for f in fields(self)[1:]:  # every field after name is a number
             v = getattr(self, f.name)
             if not (v is None or finite_real(v)):
@@ -108,9 +110,17 @@ class LinkChain:
     elements: tuple
 
     def __post_init__(self):
-        if len(self.elements) == 0:
+        try:
+            elements = tuple(self.elements)
+        except TypeError:
+            raise ValueError(f"elements must be a sequence of LinkElement, "
+                             f"got {self.elements!r}") from None
+        if not elements:
             raise ValueError("chain must contain at least one element")
-        object.__setattr__(self, "elements", tuple(self.elements))
+        for i, el in enumerate(elements):
+            if not isinstance(el, LinkElement):
+                raise ValueError(f"elements[{i}] must be a LinkElement, got {el!r}")
+        object.__setattr__(self, "elements", elements)
 
     @property
     def total_efficiency(self) -> float:
@@ -130,8 +140,9 @@ class LinkChain:
 
 def propagation_efficiency(loss_db_per_cm: float, length_cm: float) -> float:
     """eta = 10^(-loss * length / 10)."""
-    if loss_db_per_cm < 0.0 or length_cm < 0.0:
-        raise ValueError("loss and length must be >= 0")
+    for name, v in (("loss_db_per_cm", loss_db_per_cm), ("length_cm", length_cm)):
+        if not (finite_real(v) and v >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
     return 10.0 ** (-loss_db_per_cm * length_cm / 10.0)
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._cells import finite_real
 from .units import C0, DEBYE, EPS0, HBAR, to_angular
 
 #: Conventional Debye-Waller range for NV centers; used as a reporting
@@ -144,7 +145,8 @@ def czpl_from_lifetimes(tau_on_s: float, tau_off_s: float,
                         eta: EfficiencyFactors) -> PurcellResult:
     """C = tau_off/tau_on - 1 and C_ZPL = C / (eta_QE * eta_DW) from on/off-resonance
     lifetimes; tau_on > tau_off gives suppressed=True, not an error."""
-    if not (0.0 < tau_on_s < math.inf and 0.0 < tau_off_s < math.inf):
+    if not (finite_real(tau_on_s) and tau_on_s > 0.0
+            and finite_real(tau_off_s) and tau_off_s > 0.0):
         raise ValueError(f"lifetimes must be finite and > 0, got tau_on = "
                          f"{tau_on_s!r} s, tau_off = {tau_off_s!r} s")
     return _projected(tau_off_s / tau_on_s - 1.0, eta,
@@ -153,7 +155,7 @@ def czpl_from_lifetimes(tau_on_s: float, tau_off_s: float,
 
 def zpl_quantities_from_c(c: float, eta: EfficiencyFactors) -> PurcellResult:
     """Expand a total-rate cooperativity C into (C, C_ZPL)."""
-    if not (0.0 <= c < math.inf):
+    if not (finite_real(c) and c >= 0.0):
         raise ValueError(f"C must be finite and >= 0, got {c!r}")
     return _projected(c, eta, "C_ZPL = C / (eta_QE * eta_DW)")
 
@@ -164,13 +166,19 @@ def zpl_quantities_from_c(c: float, eta: EfficiencyFactors) -> PurcellResult:
 
 def normalized_mode_volume(v_m3: float, wavelength_m: float, n_index: float) -> float:
     """Mode volume in units of (lambda/n)^3."""
-    if not (0.0 < wavelength_m < math.inf and 0.0 < n_index < math.inf):
+    if not (finite_real(v_m3) and v_m3 > 0.0):
+        raise ValueError(f"v_m3 must be finite and > 0, got {v_m3!r}")
+    if not (finite_real(wavelength_m) and wavelength_m > 0.0
+            and finite_real(n_index) and n_index > 0.0):
         raise ValueError("wavelength and index must be finite and > 0")
     try:
-        return v_m3 / (wavelength_m / n_index) ** 3
+        v_norm = v_m3 / (wavelength_m / n_index) ** 3
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"(lambda/n)^3 is out of float64 range for lambda = "
                          f"{wavelength_m!r} m, n = {n_index!r}") from None
+    if v_norm == math.inf:
+        raise ValueError(f"v_m3 / (lambda/n)^3 is out of float64 range for v_m3 = {v_m3!r} m^3")
+    return v_norm
 
 
 def zero_point_field(nu_c_hz: float, eps_rel_at_max: float, v_mode_m3: float) -> float:

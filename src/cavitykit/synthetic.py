@@ -72,7 +72,8 @@ def synthetic_decay_trace(params: AtomCavityParams = DEFAULT_ATOM_CAVITY,
     return DecayTrace(
         times=t, values=counts, kind="measured", bin_width_s=TIME_BIN_S,
         meta={"g0_hz": params.g0_hz, "kappa_hz": params.kappa_hz,
-              "gamma1_per_s": params.gamma1, "delta_hz": params.delta_hz,
+              "gamma1_per_s": params.gamma1, "gamma_phi_per_s": params.gamma_phi,
+              "delta_hz": params.delta_hz,
               "peak_counts": peak_counts,
               "background_counts": background_counts,
               "rate_per_s": rate})

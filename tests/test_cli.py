@@ -95,6 +95,9 @@ def test_simulate_decay(tmp_path):
     assert doc["inputs"]["gamma_phi_per_s"] == 1e9
     assert doc["result"]["analytic_rate_per_s"] == dynamics.analytic_total_rate(params)
     assert doc["result"]["extracted_rate_per_s"] == dynamics.extract_decay_rate(trace).rate
+    assert doc["result"]["cooperativity"] == params.cooperativity
+    assert doc["result"]["effective_cooperativity"] == params.effective_cooperativity
+    assert doc["result"]["effective_cooperativity"] < params.cooperativity
 
 
 @pytest.mark.parametrize("argv, curved", [

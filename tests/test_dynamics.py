@@ -44,6 +44,21 @@ def test_cooperativity_uses_angular_convention():
     assert P_REF.cooperativity == pytest.approx(0.14, rel=0.02)
 
 
+def test_effective_cooperativity_takes_the_total_linewidth():
+    # C_eff = 4 g^2 / (K gamma1) with K = kappa + 2 gamma_phi: the bare C at
+    # gamma_phi = 0, and on resonance gamma1 (1 + C_eff) is the analytic rate
+    assert P_REF.effective_cooperativity == P_REF.cooperativity
+    rng = np.random.default_rng(35)
+    for gamma_phi in [3e12] + list(10 ** rng.uniform(6, 13, 50)):
+        p = AtomCavityParams(P_REF.g0_hz, P_REF.kappa_hz, P_REF.gamma1, gamma_phi)
+        assert p.gamma1 * (1.0 + p.effective_cooperativity) == pytest.approx(
+            analytic_total_rate(p), rel=1e-15, abs=0.0)
+        assert p.cooperativity == P_REF.cooperativity
+    dephased = AtomCavityParams(P_REF.g0_hz, P_REF.kappa_hz, P_REF.gamma1, 3e12)
+    assert dephased.effective_cooperativity == pytest.approx(0.0685, abs=5e-5)
+    assert P_REF.cooperativity == pytest.approx(0.138, abs=5e-4)
+
+
 def test_uncoupled_atom_decays_exponentially():
     p = AtomCavityParams(g0_hz=0.0, kappa_hz=940e9, gamma1=1.0 / 15.9e-9)
     t = np.linspace(0.0, 5 * 15.9e-9, 128)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavitykit import cli, fitting
-from cavitykit.dynamics import DecayTrace, decay_trace_to_csv
+from cavitykit.dynamics import AtomCavityParams, DecayTrace, decay_trace_to_csv
 from cavitykit.fitting import (
     DegenerateFitError, MODEL_KINDS, fit_decay_trace, fit_spectrum,
     fit_tau_detuning, get_model, least_squares_fit,
@@ -125,8 +125,9 @@ def test_covariance_matches_the_inverse_normal_matrix(kind):
 
 
 # Reference kernels: each built-in model's value and Jacobian written as
-# plain whole-array expressions.  The package builds the same numbers in
-# place, row by row of a column-major Jacobian, in the same operation order.
+# plain whole-array expressions.  The package builds the same numbers in the
+# same operation order, the spectrum and Lorentzian ones in place, row by row
+# of a column-major Jacobian.
 def _ref_exp_cols(t, a, tau):
     u = t / tau
     e = np.exp(-u)
@@ -499,6 +500,18 @@ def test_skip_bins_takes_a_numpy_integer():
 def test_synthetic_sizes_take_only_integers_in_range(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_synthetic_trace_meta_records_gamma_phi():
+    # rate_per_s depends on gamma_phi, so the meta says which one it used
+    bare = synthetic_decay_trace().meta
+    p = DEFAULT_ATOM_CAVITY
+    dephased = synthetic_decay_trace(
+        AtomCavityParams(p.g0_hz, p.kappa_hz, p.gamma1, gamma_phi=3e12)).meta
+    assert {k for k in bare if bare[k] != dephased[k]} == {"gamma_phi_per_s", "rate_per_s"}
+    assert (bare["gamma_phi_per_s"], dephased["gamma_phi_per_s"]) == (0.0, 3e12)
+    assert dephased["rate_per_s"] == pytest.approx(6.720e7, rel=1e-3)
+    assert bare["rate_per_s"] == pytest.approx(7.158e7, rel=1e-3)
 
 
 @pytest.mark.parametrize("make, message", [

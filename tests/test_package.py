@@ -1,4 +1,5 @@
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -79,3 +80,37 @@ def test_unknown_name_is_an_attribute_error():
         cavitykit.expm
     assert not hasattr(cavitykit, "liouvillian")
     assert {"dynamics", "cli", "fit_spectrum"} <= set(dir(cavitykit))
+
+
+_ETA = cavitykit.EfficiencyFactors(eta_dw=0.02)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cavitykit.tau_of_detuning(0.1, 1e9, math.inf, 0.0), "tau1 must be a finite number, got inf"),
+    (lambda: cavitykit.tau_of_detuning(math.inf, 1e9, 1e-9, 0.0), "C must be a finite number, got inf"),
+    (lambda: cavitykit.tau_of_detuning(0.1, math.nan, 1e-9, 0.0), "kappa must be a finite number, got nan"),
+    (lambda: cavitykit.tau_of_detuning("0.1", 1e9, 1e-9, 0.0), "C must be a finite number, got '0.1'"),
+    (lambda: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, math.nan), "delta_hz must be finite, got nan"),
+    (lambda: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, [0.0, -math.inf]),
+     "delta_hz must be finite, got -inf"),
+    (lambda: cavitykit.propagation_efficiency(math.nan, 1.0), "loss_db_per_cm must be finite and >= 0, got nan"),
+    (lambda: cavitykit.propagation_efficiency(math.inf, 0.0), "loss_db_per_cm must be finite and >= 0, got inf"),
+    (lambda: cavitykit.propagation_efficiency(1.0, -2.0), "length_cm must be finite and >= 0, got -2.0"),
+    (lambda: cavitykit.normalized_mode_volume(math.nan, 637e-9, 2.4), "v_m3 must be finite and > 0, got nan"),
+    (lambda: cavitykit.normalized_mode_volume(1e-19, "637e-9", 2.4),
+     "wavelength and index must be finite and > 0"),
+    (lambda: cavitykit.normalized_mode_volume(1e300, 637e-9, 2.4),
+     "v_m3 / (lambda/n)^3 is out of float64 range for v_m3 = 1e+300 m^3"),
+    (lambda: cavitykit.LinkElement(name=5, efficiency=0.5), "element name must be a string, got 5"),
+    (lambda: cavitykit.LinkChain(("a",)), "elements[0] must be a LinkElement, got 'a'"),
+    (lambda: cavitykit.LinkChain(5), "elements must be a sequence of LinkElement, got 5"),
+    (lambda: cavitykit.czpl_from_lifetimes(None, 1e-9, _ETA), "lifetimes must be finite and > 0, got tau_on = None"),
+    (lambda: cavitykit.zpl_quantities_from_c("0.1", _ETA), "C must be finite and >= 0, got '0.1'"),
+], ids=["tau-tau1-inf", "tau-c-inf", "tau-kappa-nan", "tau-c-str", "tau-delta-nan",
+        "tau-delta-array", "prop-nan", "prop-inf", "prop-length", "vmode-nan", "vmode-str", "vmode-inf",
+        "element-name", "chain-item", "chain-int", "czpl-none", "czpl-str"])
+def test_library_scalar_arguments_are_value_errors_naming_them(call, message):
+    # no silent nan or inf, and no TypeError from a comparison deep inside
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(message), str(exc.value)
