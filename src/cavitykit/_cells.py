@@ -1,5 +1,7 @@
 """The CSV row format of tables, decay traces and ``.fgrid`` bodies, read and
-written here only; numbers read from JSON values; text reads, atomic writes.
+written here only; numbers read from JSON values; text reads, atomic writes;
+and the checks of the library's scalar arguments and the CLI's number flags
+(require_real, require_int), each a ValueError that names the argument.
 
 A data row is comma-separated cells; blank lines are skipped.  The first row
 holds one of the widths its reader accepts, every later row as many cells as
@@ -39,6 +41,21 @@ def finite_real(v) -> bool:
                 and math.isfinite(v))
     except OverflowError:  # an int too large for a float
         return False
+
+
+def require_real(name: str, v, lo: float = -math.inf, hi: float = math.inf,
+                 above: bool = False):
+    """A ValueError naming name unless v is a finite real number (a bool is
+    not) in [lo, hi], or in (lo, hi] when above is set."""
+    if finite_real(v) and (v > lo if above else v >= lo) and v <= hi:
+        return
+    if hi < math.inf:
+        raise ValueError(f"{name} must lie in {'(' if above else '['}{lo:g}, {hi:g}], "
+                         f"got {v!r}")
+    if lo > -math.inf:
+        raise ValueError(f"{name} must be finite and {'>' if above else '>='} {lo:g}, "
+                         f"got {v!r}")
+    raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def require_int(name: str, v, lo: int):

@@ -31,7 +31,7 @@ import os
 import sys
 import warnings
 
-from ._cells import finite_real, format_rows, read_rows, read_text, write_atomic
+from ._cells import finite_real, format_rows, read_rows, read_text, require_real, write_atomic
 
 SCHEMA_VERSION = 1
 
@@ -138,16 +138,13 @@ def _table_text(header: tuple, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate_decay(args) -> int:
-    if not (0.0 < args.tau1_ns < math.inf):
-        raise ValueError(f"--tau1-ns must be finite and > 0, got {args.tau1_ns!r}")
-    if not (0.0 < args.kappa_ghz < math.inf):
-        raise ValueError(f"--kappa-ghz must be finite and > 0, got {args.kappa_ghz!r}")
+    require_real("--tau1-ns", args.tau1_ns, 0.0, above=True)
+    require_real("--kappa-ghz", args.kappa_ghz, 0.0, above=True)
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    if args.t_max_ns is not None and not (0.0 < args.t_max_ns < math.inf):
-        raise ValueError(f"--t-max-ns must be finite and > 0, got {args.t_max_ns!r}")
-    if not (0.0 < args.tol < math.inf):
-        raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
+    if args.t_max_ns is not None:
+        require_real("--t-max-ns", args.t_max_ns, 0.0, above=True)
+    require_real("--tol", args.tol, 0.0, above=True)
     import numpy as np
 
     from . import dynamics
@@ -308,11 +305,11 @@ def _cmd_ensemble_weight(args) -> int:
 def _cmd_mode_volume(args) -> int:
     if args.n_index is not None and args.lambda_nm is None:
         raise InputFormatError("--n-index requires --lambda-nm")
-    # a bad flag exits 1 before the grid is read, with normalized_mode_volume's message
-    if args.lambda_nm is not None and not (
-            0.0 < args.lambda_nm < math.inf
-            and (args.n_index is None or 0.0 < args.n_index < math.inf)):
-        raise ValueError("wavelength and index must be finite and > 0")
+    # a bad flag exits 1 before the grid is read
+    if args.lambda_nm is not None:
+        require_real("--lambda-nm", args.lambda_nm, 0.0, above=True)
+    if args.n_index is not None:
+        require_real("--n-index", args.n_index, 0.0, above=True)
     grid = _load_grid(args.grid)
     from . import coupling
 

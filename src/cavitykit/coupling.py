@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cells import decode, finite_real, format_rows, read_rows, write_atomic
+from ._cells import decode, finite_real, format_rows, read_rows, require_real, write_atomic
 
 __all__ = [
     "FieldGrid", "WeightingConfig", "CouplingEstimate",
@@ -168,8 +168,12 @@ class FieldGrid:
             raise ValueError("eps_rel shape must match the grid dims")
         if any(n < 2 for n in e.shape[:3]):
             raise ValueError(f"grid must have >= 2 points per axis, got {e.shape[:3]}")
-        if len(self.spacing_m) != 3 or any(not (0.0 < s < math.inf) for s in self.spacing_m):
-            raise ValueError(f"spacing must be three positive lengths, got {self.spacing_m}")
+        for name, lo, above in (("spacing_m", 0.0, True), ("origin_m", -math.inf, False)):
+            val = getattr(self, name)
+            if not (hasattr(val, "__len__") and len(val) == 3):
+                raise ValueError(f"{name} must hold three numbers, got {val!r}")
+            for i, v in enumerate(val):
+                require_real(f"{name}[{i}]", v, lo, above=above)
         # |E|^2 block by block, with the same additions in the same order
         # as np.sum(e**2, axis=-1); the energy block holds each square first
         nx, ny, nz = e.shape[:3]

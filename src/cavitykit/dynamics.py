@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cells import finite_real, format_rows, read_rows, read_text, require_int
+from ._cells import format_rows, read_rows, read_text, require_int, require_real
 from .units import to_angular
 
 __all__ = [
@@ -95,11 +95,8 @@ class AtomCavityParams:
 
     def __post_init__(self):
         for name in ("g0_hz", "kappa_hz", "gamma1", "gamma_phi"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if not math.isfinite(self.delta_hz):
-            raise ValueError(f"delta_hz must be finite, got {self.delta_hz!r}")
+            require_real(name, getattr(self, name), 0.0)
+        require_real("delta_hz", self.delta_hz)
 
     @property
     def gamma2(self) -> float:
@@ -168,10 +165,8 @@ class DecayTrace:
         v = np.asarray(self.values, dtype=float)
         _check_samples(t, v, self.kind)
         v = np.maximum(v, 0.0)
-        if self.bin_width_s is not None and not (finite_real(self.bin_width_s)
-                                                 and self.bin_width_s > 0.0):
-            raise ValueError("bin_width_s must be a positive finite number, "
-                             f"got {self.bin_width_s!r}")
+        if self.bin_width_s is not None:
+            require_real("bin_width_s", self.bin_width_s, 0.0, above=True)
         t.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -366,8 +361,7 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     require_int("n_max", n_max, 1)
     if n_max > _N_MAX_LIMIT:
         raise ValueError(f"n_max must be <= {_N_MAX_LIMIT}, got {n_max}")
-    if not (0.0 < rel_tol < math.inf):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    require_real("rel_tol", rel_tol, 0.0, above=True)
     if t_grid is None:
         t_grid = np.linspace(0.0, 5.0 * params.tau1_s, 251)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -440,15 +434,9 @@ def tau_of_detuning(c: float, kappa_hz: float, tau1_s: float, delta_hz):
     in Hz, and its depth AtomCavityParams.effective_cooperativity.  Every
     argument must be finite.
     """
-    for name, v in (("C", c), ("kappa", kappa_hz), ("tau1", tau1_s)):
-        if not finite_real(v):
-            raise ValueError(f"{name} must be a finite number, got {v!r}")
-    if c < 0.0:
-        raise ValueError(f"C must be >= 0, got {c!r}")
-    if kappa_hz <= 0.0:
-        raise ValueError(f"kappa must be > 0, got {kappa_hz!r}")
-    if tau1_s <= 0.0:
-        raise ValueError(f"tau1 must be > 0, got {tau1_s!r}")
+    require_real("C", c, 0.0)
+    require_real("kappa", kappa_hz, 0.0, above=True)
+    require_real("tau1", tau1_s, 0.0, above=True)
     delta = np.asarray(delta_hz, dtype=float)
     bad = ~np.isfinite(delta)
     if bad.any():

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from ._cells import finite_real
+from ._cells import finite_real, require_real
 from .units import db_to_linear
 
 __all__ = [
@@ -140,9 +140,8 @@ class LinkChain:
 
 def propagation_efficiency(loss_db_per_cm: float, length_cm: float) -> float:
     """eta = 10^(-loss * length / 10)."""
-    for name, v in (("loss_db_per_cm", loss_db_per_cm), ("length_cm", length_cm)):
-        if not (finite_real(v) and v >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+    require_real("loss_db_per_cm", loss_db_per_cm, 0.0)
+    require_real("length_cm", length_cm, 0.0)
     return 10.0 ** (-loss_db_per_cm * length_cm / 10.0)
 
 
@@ -178,8 +177,7 @@ def budget_report(chain: LinkChain, measured_total: Optional[float] = None) -> d
         "flags": flags,
     }
     if measured_total is not None:
-        if not (0.0 < measured_total <= 1.0):
-            raise ValueError("measured total must lie in (0, 1]")
+        require_real("measured_total", measured_total, 0.0, 1.0, above=True)
         measured_db = 10.0 * math.log10(measured_total)
         report["measured_total_efficiency"] = measured_total
         report["measured_total_db"] = measured_db

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._cells import finite_real
+from ._cells import require_real
 from .units import C0, DEBYE, EPS0, HBAR, to_angular
 
 #: Conventional Debye-Waller range for NV centers; used as a reporting
@@ -52,8 +52,8 @@ class RateBudget:
 
     def __post_init__(self):
         rates = (self.gamma_zpl, self.gamma_psb, self.gamma_nonrad)
-        if any(not (math.isfinite(g) and g >= 0.0) for g in rates):
-            raise ValueError(f"rates must be finite and >= 0, got {rates}")
+        for name, g in zip(("gamma_zpl", "gamma_psb", "gamma_nonrad"), rates):
+            require_real(name, g, 0.0)
         if not any(g > 0.0 for g in rates):
             raise ValueError("at least one decay channel must be nonzero")
 
@@ -74,9 +74,8 @@ class EfficiencyFactors:
     eta_qe: float = 1.0
 
     def __post_init__(self):
-        for name, v in (("eta_dw", self.eta_dw), ("eta_qe", self.eta_qe)):
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        require_real("eta_dw", self.eta_dw, 0.0, 1.0)
+        require_real("eta_qe", self.eta_qe, 0.0, 1.0)
 
     @property
     def product(self) -> float:
@@ -136,6 +135,8 @@ def efficiency_factors(budget: RateBudget) -> EfficiencyFactors:
 
 def _projected(c: float, eta: EfficiencyFactors, formula: str) -> PurcellResult:
     """C and C_ZPL = C / (eta_QE * eta_DW); formula names C_ZPL if it overflows."""
+    if not isinstance(eta, EfficiencyFactors):
+        raise ValueError(f"eta must be an EfficiencyFactors, got {eta!r}")
     if not (eta.product > 0.0):
         raise ValueError("eta_QE * eta_DW must be > 0")
     return PurcellResult(c=c, c_zpl=_finite(formula, lambda: c / eta.product))
@@ -145,18 +146,15 @@ def czpl_from_lifetimes(tau_on_s: float, tau_off_s: float,
                         eta: EfficiencyFactors) -> PurcellResult:
     """C = tau_off/tau_on - 1 and C_ZPL = C / (eta_QE * eta_DW) from on/off-resonance
     lifetimes; tau_on > tau_off gives suppressed=True, not an error."""
-    if not (finite_real(tau_on_s) and tau_on_s > 0.0
-            and finite_real(tau_off_s) and tau_off_s > 0.0):
-        raise ValueError(f"lifetimes must be finite and > 0, got tau_on = "
-                         f"{tau_on_s!r} s, tau_off = {tau_off_s!r} s")
+    require_real("tau_on_s", tau_on_s, 0.0, above=True)
+    require_real("tau_off_s", tau_off_s, 0.0, above=True)
     return _projected(tau_off_s / tau_on_s - 1.0, eta,
                       "C_ZPL = (tau_off/tau_on - 1) / (eta_QE * eta_DW)")
 
 
 def zpl_quantities_from_c(c: float, eta: EfficiencyFactors) -> PurcellResult:
     """Expand a total-rate cooperativity C into (C, C_ZPL)."""
-    if not (finite_real(c) and c >= 0.0):
-        raise ValueError(f"C must be finite and >= 0, got {c!r}")
+    require_real("C", c, 0.0)
     return _projected(c, eta, "C_ZPL = C / (eta_QE * eta_DW)")
 
 
@@ -166,11 +164,9 @@ def zpl_quantities_from_c(c: float, eta: EfficiencyFactors) -> PurcellResult:
 
 def normalized_mode_volume(v_m3: float, wavelength_m: float, n_index: float) -> float:
     """Mode volume in units of (lambda/n)^3."""
-    if not (finite_real(v_m3) and v_m3 > 0.0):
-        raise ValueError(f"v_m3 must be finite and > 0, got {v_m3!r}")
-    if not (finite_real(wavelength_m) and wavelength_m > 0.0
-            and finite_real(n_index) and n_index > 0.0):
-        raise ValueError("wavelength and index must be finite and > 0")
+    require_real("v_m3", v_m3, 0.0, above=True)
+    require_real("wavelength_m", wavelength_m, 0.0, above=True)
+    require_real("n_index", n_index, 0.0, above=True)
     try:
         v_norm = v_m3 / (wavelength_m / n_index) ** 3
     except (OverflowError, ZeroDivisionError):
@@ -183,10 +179,9 @@ def normalized_mode_volume(v_m3: float, wavelength_m: float, n_index: float) -> 
 
 def zero_point_field(nu_c_hz: float, eps_rel_at_max: float, v_mode_m3: float) -> float:
     """E_zpf = sqrt(hbar w_c / (2 eps eps0 V_mode)) in V/m."""
-    if not all(0.0 < v < math.inf for v in (nu_c_hz, eps_rel_at_max, v_mode_m3)):
-        raise ValueError(
-            "frequency, permittivity and mode volume must be finite and > 0, got "
-            f"{nu_c_hz!r} Hz, {eps_rel_at_max!r}, {v_mode_m3!r} m^3")
+    require_real("nu_c_hz", nu_c_hz, 0.0, above=True)
+    require_real("eps_rel_at_max", eps_rel_at_max, 0.0, above=True)
+    require_real("v_mode_m3", v_mode_m3, 0.0, above=True)
     omega = to_angular(nu_c_hz)
     return _finite("E_zpf", lambda: math.sqrt(
         HBAR * omega / (2.0 * eps_rel_at_max * EPS0 * v_mode_m3)))
@@ -197,9 +192,8 @@ def dipole_from_lifetime(tau1_s: float, nu_hz: float) -> float:
 
     d = sqrt(3 pi eps0 hbar c^3 gamma1 / omega^3) with gamma1 = 1/tau1.
     """
-    if not (0.0 < tau1_s < math.inf and 0.0 < nu_hz < math.inf):
-        raise ValueError(f"lifetime and frequency must be finite and > 0, got "
-                         f"{tau1_s!r} s, {nu_hz!r} Hz")
+    require_real("tau1_s", tau1_s, 0.0, above=True)
+    require_real("nu_hz", nu_hz, 0.0, above=True)
     gamma1 = 1.0 / tau1_s
     omega = to_angular(nu_hz)
     return _finite("dipole moment", lambda: math.sqrt(
@@ -213,8 +207,8 @@ def to_debye(d_cm: float) -> float:
 
 def g0_ideal(d_zpl_cm: float, e_zpf_v_per_m: float) -> float:
     """Ideal vacuum coupling rate as an ordinary frequency: d E / (2 pi hbar)."""
-    if not (0.0 <= d_zpl_cm < math.inf and 0.0 <= e_zpf_v_per_m < math.inf):
-        raise ValueError("dipole moment and field amplitude must be finite and >= 0")
+    require_real("d_zpl_cm", d_zpl_cm, 0.0)
+    require_real("e_zpf_v_per_m", e_zpf_v_per_m, 0.0)
     return _finite("g0", lambda: d_zpl_cm * e_zpf_v_per_m / (2.0 * math.pi * HBAR))
 
 
@@ -241,14 +235,11 @@ def ideal_coupling(tau1_s: float, nu_hz: float, eta_dw: float,
     if (v_mode_m3 is None) == (v_mode_normalized is None):
         raise ValueError("give exactly one of v_mode_m3 or v_mode_normalized")
     d_perp = dipole_from_lifetime(tau1_s, nu_hz)
-    if not (0.0 < eta_dw <= 1.0):
-        raise ValueError(f"eta_dw must lie in (0, 1], got {eta_dw!r}")
+    require_real("eta_dw", eta_dw, 0.0, 1.0, above=True)
     d_zpl = math.sqrt(eta_dw) * d_perp  # the ZPL-projected dipole
     if v_mode_m3 is None:
-        if not (0.0 < v_mode_normalized < math.inf and 0.0 < eps_rel_at_max < math.inf):
-            raise ValueError(
-                "normalized mode volume and permittivity must be finite and > 0, "
-                f"got {v_mode_normalized!r}, {eps_rel_at_max!r}")
+        require_real("v_mode_normalized", v_mode_normalized, 0.0, above=True)
+        require_real("eps_rel_at_max", eps_rel_at_max, 0.0, above=True)
         lam = C0 / nu_hz
         v_mode_m3 = _finite("mode volume", lambda: v_mode_normalized
                             * (lam / math.sqrt(eps_rel_at_max)) ** 3)
@@ -260,8 +251,6 @@ def ideal_coupling(tau1_s: float, nu_hz: float, eta_dw: float,
 
 def effective_g0(g0_hz: float, weighting: float) -> float:
     """Ensemble-effective coupling rate g0 * F."""
-    if not (0.0 <= weighting <= 1.0):
-        raise ValueError(f"weighting factor must lie in [0, 1], got {weighting!r}")
-    if not (0.0 <= g0_hz < math.inf):
-        raise ValueError(f"g0 must be finite and >= 0, got {g0_hz!r}")
+    require_real("weighting factor", weighting, 0.0, 1.0)
+    require_real("g0", g0_hz, 0.0)
     return g0_hz * weighting

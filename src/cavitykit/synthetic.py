@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._cells import finite_real, require_int
+from ._cells import finite_real, require_int, require_real
 from .dynamics import AtomCavityParams, DecayTrace, analytic_total_rate, tau_of_detuning
 from .coupling import FieldGrid
 
@@ -36,11 +36,6 @@ TIME_BIN_S = 1.28e-9
 
 #: Detunings for sweep fixtures, in units of kappa.
 DEFAULT_DETUNING_STEPS = (-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0)
-
-
-def _require_non_negative(name: str, v):
-    if not (finite_real(v) and v >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 def _peak(name: str, v, width: str) -> tuple:
@@ -63,8 +58,8 @@ def synthetic_decay_trace(params: AtomCavityParams = DEFAULT_ATOM_CAVITY,
     """Measured-like counts trace in TIME_BIN_S bins, decaying at the
     analytic cavity-enhanced rate."""
     require_int("n_bins", n_bins, 2)
-    _require_non_negative("peak_counts", peak_counts)
-    _require_non_negative("background_counts", background_counts)
+    require_real("peak_counts", peak_counts, 0.0)
+    require_real("background_counts", background_counts, 0.0)
     rate = analytic_total_rate(params)
     t = np.arange(n_bins) * TIME_BIN_S
     expected = peak_counts * np.exp(-rate * t) + background_counts
@@ -88,7 +83,7 @@ def synthetic_tau_detuning(c: float = 0.14,
     sigma_frac sets the quoted error bars relative to tau; noise of that
     size is only added when an rng is supplied.
     """
-    _require_non_negative("sigma_frac", sigma_frac)
+    require_real("sigma_frac", sigma_frac, 0.0)
     delta_hz = kappa_hz * np.asarray(DEFAULT_DETUNING_STEPS)
     tau = tau_of_detuning(c, kappa_hz, tau1_s, delta_hz)
     sigma = sigma_frac * tau
@@ -109,7 +104,7 @@ def synthetic_spectrum(n: int = 240, cavity=(120.0, 638.2, 0.64),
     require_int("n", n, 2)
     a_c, x_c, w_c = _peak("cavity", cavity, "half width")
     a_z, x_z, s_z = _peak("zpl", zpl, "sigma")
-    _require_non_negative("noise_frac", noise_frac)
+    require_real("noise_frac", noise_frac, 0.0)
     lam = np.linspace(630.0, 645.0, n)
     inten = (a_c / (1.0 + ((lam - x_c) / w_c) ** 2)
              + a_z * np.exp(-0.5 * ((lam - x_z) / s_z) ** 2)

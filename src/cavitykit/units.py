@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._cells import require_real
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -54,12 +56,15 @@ def to_angular(nu_hz: float) -> float:
 
 def linear_to_db(linear: float) -> float:
     """Linear power ratio -> power dB. Requires linear > 0."""
-    if not (linear > 0.0):
-        raise ValueError(f"linear ratio must be > 0 to convert to dB, got {linear!r}")
+    require_real("linear", linear, 0.0, above=True)
     return 10.0 * math.log10(linear)
 
 
 def db_to_linear(db: float) -> float:
-    """Power dB -> linear power ratio."""
-    return 10.0 ** (db / 10.0)
+    """Power dB -> linear power ratio; one beyond float64 is a ValueError."""
+    require_real("db", db)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"db = {db!r} puts 10^(db/10) out of float64 range") from None
 

@@ -298,12 +298,15 @@ def test_mode_volume_zero_is_not_a_missing_flag(fixtures, tmp_path, capsys):
     # not read as "flag not given"; a bad flag exits 1 before the grid is
     # read, so an absent grid is never opened
     for grid in (str(fixtures / "field_grid.fgrid"), str(tmp_path / "absent.fgrid")):
-        for argv in (["--lambda-nm", "637", "--n-index", "0"], ["--lambda-nm", "0"],
-                     ["--lambda-nm", "-637"]):
+        for argv, message in (
+                (["--lambda-nm", "637", "--n-index", "0"], "--n-index must be finite and > 0, got 0.0"),
+                (["--lambda-nm", "637", "--n-index", "nan"], "--n-index must be finite and > 0, got nan"),
+                (["--lambda-nm", "0"], "--lambda-nm must be finite and > 0, got 0.0"),
+                (["--lambda-nm", "-637"], "--lambda-nm must be finite and > 0, got -637.0")):
             assert run_cli("mode-volume", grid, *argv) == 1
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == "error: wavelength and index must be finite and > 0\n"
+            assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -387,8 +390,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ('{"params": {"c": "abc"}}', 2, "params['c'] must be a finite number, got 'abc'"),
     ('{"result": {"params": {"kappa": NaN}}}', 2, "params['kappa'] must be a finite number"),
     ('{"params": {"tau1": null}}', 2, "params['tau1'] must be a finite number"),
-    ('{"params": {"c": -1}}', 2, "C must be >= 0"),  # out of the generator's range
-    ('{"result": {"params": {"kappa": 0}}}', 2, "kappa must be > 0, got 0.0"),
+    # out of the generator's range
+    ('{"params": {"c": -1}}', 2, "C must be finite and >= 0, got -1.0"),
+    ('{"result": {"params": {"kappa": 0}}}', 2, "kappa must be finite and > 0, got 0.0"),
 ])
 def test_params_json_must_hold_finite_params(doc, code, message, tmp_path, capsys):
     params = tmp_path / "params.json"
@@ -846,7 +850,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, code, modules,
 @pytest.mark.parametrize("argv, message", [
     (["purcell", "--c", "inf"], "C must be finite and >= 0, got inf"),
     (["purcell", "--tau-on-ns", "13", "--tau-off-ns", "inf"],
-     "lifetimes must be finite and > 0"),
+     "tau_off_s must be finite and > 0, got inf"),
     (["purcell", "--c", "1e308", "--eta-dw", "0.03"],
      "C_ZPL = C / (eta_QE * eta_DW) is out of float64 range"),
 ])
@@ -860,22 +864,22 @@ G0_ARGS = ["g0", "--tau1-ns", "15.9", "--nu-thz", "470.6"]
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--tau1-ns", "lifetime and frequency must be finite and > 0, got inf s"),
-    ("--nu-thz", "lifetime and frequency must be finite and > 0, got 1.59e-08 s, inf Hz"),
+    ("--tau1-ns", "tau1_s must be finite and > 0, got inf"),
+    ("--nu-thz", "nu_hz must be finite and > 0, got inf"),
 ])
 def test_g0_rejects_an_infinite_lifetime_or_frequency(flag, message, capsys):
     argv = G0_ARGS + ["--vmode-normalized", "0.9"]
     argv[argv.index(flag) + 1] = "inf"
     assert run_cli(*argv) == 1
     out, err = capsys.readouterr()
-    assert out == "" and message in err
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_g0_rejects_an_infinite_mode_volume(capsys):
     assert run_cli(*G0_ARGS, "--vmode-m3", "inf") == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "mode volume must be finite and > 0, got 470600000000000.0 Hz, 5.7, inf m^3" in err
+    assert err == "error: v_mode_m3 must be finite and > 0, got inf\n"
 
 
 def test_json_text_of_numpy_values_is_pinned():

@@ -166,21 +166,19 @@ def test_zero_point_field_validation():
 
 
 def test_scalar_chain_requires_finite_inputs():
-    with pytest.raises(ValueError, match="lifetime and frequency must be finite and > 0"):
+    with pytest.raises(ValueError, match="^tau1_s must be finite and > 0, got inf$"):
         dipole_from_lifetime(math.inf, 475e12)
-    with pytest.raises(ValueError, match="lifetime and frequency must be finite and > 0"):
+    with pytest.raises(ValueError, match="^nu_hz must be finite and > 0, got inf$"):
         dipole_from_lifetime(16e-9, math.inf)
-    with pytest.raises(ValueError, match="mode volume must be finite and > 0"):
+    with pytest.raises(ValueError, match="^v_mode_m3 must be finite and > 0, got inf$"):
         zero_point_field(475e12, 5.7, math.inf)
-    with pytest.raises(ValueError, match="mode volume must be finite and > 0"):
+    with pytest.raises(ValueError, match="^eps_rel_at_max must be finite and > 0, got inf$"):
         zero_point_field(475e12, math.inf, 1e-20)
-    with pytest.raises(ValueError, match="normalized mode volume and permittivity "
-                                         "must be finite and > 0"):
+    with pytest.raises(ValueError, match="^v_mode_normalized must be finite and > 0, got inf$"):
         ideal_coupling(16e-9, 475e12, 0.02, v_mode_normalized=math.inf)
-    with pytest.raises(ValueError, match="normalized mode volume and permittivity "
-                                         "must be finite and > 0"):
+    with pytest.raises(ValueError, match="^eps_rel_at_max must be finite and > 0, got -1.0$"):
         ideal_coupling(16e-9, 475e12, 0.02, v_mode_normalized=0.5, eps_rel_at_max=-1.0)
-    with pytest.raises(ValueError, match="dipole moment and field amplitude must be finite"):
+    with pytest.raises(ValueError, match="^d_zpl_cm must be finite and >= 0, got inf$"):
         g0_ideal(math.inf, 1e5)
     with pytest.raises(ValueError, match="g0 must be finite and >= 0"):
         effective_g0(math.inf, 0.5)
@@ -235,7 +233,7 @@ def test_ideal_coupling_argument_check():
         ideal_coupling(16e-9, 475e12, 0.02, v_mode_m3=1e-20,
                        v_mode_normalized=0.5)
     # checked before the normalized mode volume divides by the frequency
-    with pytest.raises(ValueError, match="lifetime and frequency must be finite and > 0"):
+    with pytest.raises(ValueError, match="^nu_hz must be finite and > 0, got 0.0$"):
         ideal_coupling(16e-9, 0.0, 0.02, v_mode_normalized=0.5)
     with pytest.raises(ValueError, match=r"eta_dw must lie in \(0, 1\], got 0.0"):
         ideal_coupling(16e-9, 475e12, 0.0, v_mode_normalized=0.5)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavitykit
@@ -83,13 +84,20 @@ def test_unknown_name_is_an_attribute_error():
 
 
 _ETA = cavitykit.EfficiencyFactors(eta_dw=0.02)
+_PAPER = cavitykit.AtomCavityParams(g0_hz=0.57e9, kappa_hz=940e9, gamma1=1.0 / 15.9e-9)
+_CHAIN = cavitykit.LinkChain((cavitykit.LinkElement(name="a", efficiency=0.5),))
+
+
+def _grid(**kw):
+    kw.setdefault("spacing_m", (1e-9, 1e-9, 1e-9))
+    return cavitykit.FieldGrid(np.ones((2, 2, 2, 3)), np.ones((2, 2, 2)), **kw)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: cavitykit.tau_of_detuning(0.1, 1e9, math.inf, 0.0), "tau1 must be a finite number, got inf"),
-    (lambda: cavitykit.tau_of_detuning(math.inf, 1e9, 1e-9, 0.0), "C must be a finite number, got inf"),
-    (lambda: cavitykit.tau_of_detuning(0.1, math.nan, 1e-9, 0.0), "kappa must be a finite number, got nan"),
-    (lambda: cavitykit.tau_of_detuning("0.1", 1e9, 1e-9, 0.0), "C must be a finite number, got '0.1'"),
+    (lambda: cavitykit.tau_of_detuning(0.1, 1e9, math.inf, 0.0), "tau1 must be finite and > 0, got inf"),
+    (lambda: cavitykit.tau_of_detuning(math.inf, 1e9, 1e-9, 0.0), "C must be finite and >= 0, got inf"),
+    (lambda: cavitykit.tau_of_detuning(0.1, math.nan, 1e-9, 0.0), "kappa must be finite and > 0, got nan"),
+    (lambda: cavitykit.tau_of_detuning("0.1", 1e9, 1e-9, 0.0), "C must be finite and >= 0, got '0.1'"),
     (lambda: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, math.nan), "delta_hz must be finite, got nan"),
     (lambda: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, [0.0, -math.inf]),
      "delta_hz must be finite, got -inf"),
@@ -98,17 +106,98 @@ _ETA = cavitykit.EfficiencyFactors(eta_dw=0.02)
     (lambda: cavitykit.propagation_efficiency(1.0, -2.0), "length_cm must be finite and >= 0, got -2.0"),
     (lambda: cavitykit.normalized_mode_volume(math.nan, 637e-9, 2.4), "v_m3 must be finite and > 0, got nan"),
     (lambda: cavitykit.normalized_mode_volume(1e-19, "637e-9", 2.4),
-     "wavelength and index must be finite and > 0"),
+     "wavelength_m must be finite and > 0, got '637e-9'"),
     (lambda: cavitykit.normalized_mode_volume(1e300, 637e-9, 2.4),
      "v_m3 / (lambda/n)^3 is out of float64 range for v_m3 = 1e+300 m^3"),
     (lambda: cavitykit.LinkElement(name=5, efficiency=0.5), "element name must be a string, got 5"),
     (lambda: cavitykit.LinkChain(("a",)), "elements[0] must be a LinkElement, got 'a'"),
     (lambda: cavitykit.LinkChain(5), "elements must be a sequence of LinkElement, got 5"),
-    (lambda: cavitykit.czpl_from_lifetimes(None, 1e-9, _ETA), "lifetimes must be finite and > 0, got tau_on = None"),
+    (lambda: cavitykit.czpl_from_lifetimes(None, 1e-9, _ETA), "tau_on_s must be finite and > 0, got None"),
     (lambda: cavitykit.zpl_quantities_from_c("0.1", _ETA), "C must be finite and >= 0, got '0.1'"),
+    (lambda: cavitykit.tau_of_detuning(0.1, 1e9, None, 0.0), "tau1 must be finite and > 0, got None"),
+    (lambda: cavitykit.normalized_mode_volume(1e-19, 637e-9, None), "n_index must be finite and > 0, got None"),
+    (lambda: cavitykit.czpl_from_lifetimes(1e-9, True, _ETA), "tau_off_s must be finite and > 0, got True"),
+    (lambda: cavitykit.czpl_from_lifetimes(1e-9, 2e-9, None), "eta must be an EfficiencyFactors, got None"),
+    (lambda: cavitykit.zpl_quantities_from_c(0.14, None), "eta must be an EfficiencyFactors, got None"),
+    (lambda: cavitykit.AtomCavityParams("1", 1e9, 1e7), "g0_hz must be finite and >= 0, got '1'"),
+    (lambda: cavitykit.AtomCavityParams(1e9, None, 1e7), "kappa_hz must be finite and >= 0, got None"),
+    (lambda: cavitykit.AtomCavityParams(True, 1e9, 1e7), "g0_hz must be finite and >= 0, got True"),
+    (lambda: cavitykit.AtomCavityParams(1e9, 1e9, 1e7, delta_hz="0"), "delta_hz must be finite, got '0'"),
+    (lambda: cavitykit.RateBudget("1", 1.0), "gamma_zpl must be finite and >= 0, got '1'"),
+    (lambda: cavitykit.RateBudget(1.0, None), "gamma_psb must be finite and >= 0, got None"),
+    (lambda: cavitykit.RateBudget(True, 1.0), "gamma_zpl must be finite and >= 0, got True"),
+    (lambda: cavitykit.RateBudget(1.0, 1.0, math.nan), "gamma_nonrad must be finite and >= 0, got nan"),
+    (lambda: cavitykit.EfficiencyFactors(eta_dw=None), "eta_dw must lie in [0, 1], got None"),
+    (lambda: cavitykit.EfficiencyFactors(eta_dw=True), "eta_dw must lie in [0, 1], got True"),
+    (lambda: cavitykit.EfficiencyFactors(0.02, eta_qe="1"), "eta_qe must lie in [0, 1], got '1'"),
+    (lambda: cavitykit.evolve_master_equation(_PAPER, rel_tol="1e-8"),
+     "rel_tol must be finite and > 0, got '1e-8'"),
+    (lambda: cavitykit.evolve_master_equation(_PAPER, rel_tol=None), "rel_tol must be finite and > 0, got None"),
+    (lambda: cavitykit.evolve_master_equation(_PAPER, rel_tol=True), "rel_tol must be finite and > 0, got True"),
+    (lambda: cavitykit.zero_point_field("4e14", 5.7, 1e-19), "nu_c_hz must be finite and > 0, got '4e14'"),
+    (lambda: cavitykit.zero_point_field(4e14, None, 1e-19), "eps_rel_at_max must be finite and > 0, got None"),
+    (lambda: cavitykit.zero_point_field(4e14, 5.7, True), "v_mode_m3 must be finite and > 0, got True"),
+    (lambda: cavitykit.dipole_from_lifetime("1e-8", 4.7e14), "tau1_s must be finite and > 0, got '1e-8'"),
+    (lambda: cavitykit.dipole_from_lifetime(1e-8, None), "nu_hz must be finite and > 0, got None"),
+    (lambda: cavitykit.dipole_from_lifetime(True, 4.7e14), "tau1_s must be finite and > 0, got True"),
+    (lambda: cavitykit.g0_ideal(None, 1e5), "d_zpl_cm must be finite and >= 0, got None"),
+    (lambda: cavitykit.g0_ideal(1e-30, "1e5"), "e_zpf_v_per_m must be finite and >= 0, got '1e5'"),
+    (lambda: cavitykit.g0_ideal(1e-30, math.nan), "e_zpf_v_per_m must be finite and >= 0, got nan"),
+    (lambda: cavitykit.ideal_coupling(1.6e-8, 4.7e14, "0.02", v_mode_normalized=1.0),
+     "eta_dw must lie in (0, 1], got '0.02'"),
+    (lambda: cavitykit.ideal_coupling(1.6e-8, 4.7e14, True, v_mode_normalized=1.0),
+     "eta_dw must lie in (0, 1], got True"),
+    (lambda: cavitykit.ideal_coupling(1.6e-8, 4.7e14, 0.02, v_mode_normalized="1"),
+     "v_mode_normalized must be finite and > 0, got '1'"),
+    (lambda: cavitykit.ideal_coupling(1.6e-8, 4.7e14, 0.02, v_mode_normalized=1.0, eps_rel_at_max=None),
+     "eps_rel_at_max must be finite and > 0, got None"),
+    (lambda: cavitykit.effective_g0(1e9, None), "weighting factor must lie in [0, 1], got None"),
+    (lambda: cavitykit.effective_g0(1e9, True), "weighting factor must lie in [0, 1], got True"),
+    (lambda: cavitykit.effective_g0("1e9", 0.5), "g0 must be finite and >= 0, got '1e9'"),
+    (lambda: cavitykit.effective_g0(True, 0.5), "g0 must be finite and >= 0, got True"),
+    (lambda: _grid(spacing_m=(1e-9, "1e-9", 1e-9)), "spacing_m[1] must be finite and > 0, got '1e-9'"),
+    (lambda: _grid(spacing_m=(1e-9, 1e-9, None)), "spacing_m[2] must be finite and > 0, got None"),
+    (lambda: _grid(spacing_m=(True, 1e-9, 1e-9)), "spacing_m[0] must be finite and > 0, got True"),
+    (lambda: _grid(spacing_m=(math.nan, 1e-9, 1e-9)), "spacing_m[0] must be finite and > 0, got nan"),
+    (lambda: _grid(spacing_m=1e-9), "spacing_m must hold three numbers, got 1e-09"),
+    (lambda: _grid(origin_m=(0.0, 0.0)), "origin_m must hold three numbers, got (0.0, 0.0)"),
+    (lambda: _grid(origin_m=(0.0, math.nan, 0.0)), "origin_m[1] must be finite, got nan"),
+    (lambda: _grid(origin_m=(0.0, 0.0, "0")), "origin_m[2] must be finite, got '0'"),
+    (lambda: _grid(origin_m=(math.inf, 0.0, 0.0)), "origin_m[0] must be finite, got inf"),
+    (lambda: cavitykit.budget_report(_CHAIN, measured_total="0.5"),
+     "measured_total must lie in (0, 1], got '0.5'"),
+    (lambda: cavitykit.budget_report(_CHAIN, measured_total=True),
+     "measured_total must lie in (0, 1], got True"),
+    (lambda: cavitykit.budget_report(_CHAIN, measured_total=math.nan),
+     "measured_total must lie in (0, 1], got nan"),
+    (lambda: cavitykit.linear_to_db("1"), "linear must be finite and > 0, got '1'"),
+    (lambda: cavitykit.linear_to_db(None), "linear must be finite and > 0, got None"),
+    (lambda: cavitykit.linear_to_db(True), "linear must be finite and > 0, got True"),
+    (lambda: cavitykit.linear_to_db(math.inf), "linear must be finite and > 0, got inf"),
+    (lambda: cavitykit.db_to_linear("3"), "db must be finite, got '3'"),
+    (lambda: cavitykit.db_to_linear(None), "db must be finite, got None"),
+    (lambda: cavitykit.db_to_linear(True), "db must be finite, got True"),
+    (lambda: cavitykit.db_to_linear(math.nan), "db must be finite, got nan"),
+    (lambda: cavitykit.db_to_linear(math.inf), "db must be finite, got inf"),
+    (lambda: cavitykit.db_to_linear(4000.0), "db = 4000.0 puts 10^(db/10) out of float64 range"),
 ], ids=["tau-tau1-inf", "tau-c-inf", "tau-kappa-nan", "tau-c-str", "tau-delta-nan",
         "tau-delta-array", "prop-nan", "prop-inf", "prop-length", "vmode-nan", "vmode-str", "vmode-inf",
-        "element-name", "chain-item", "chain-int", "czpl-none", "czpl-str"])
+        "element-name", "chain-item", "chain-int", "czpl-none", "czpl-str",
+        "tau-tau1-none", "vmode-index-none", "czpl-true", "czpl-eta-none", "zpl-eta-none",
+        "params-str", "params-none", "params-true", "params-delta-str",
+        "rates-str", "rates-none", "rates-true", "rates-nan",
+        "eta-none", "eta-true", "eta-qe-str",
+        "rel-tol-str", "rel-tol-none", "rel-tol-true",
+        "zpf-str", "zpf-none", "zpf-true", "dipole-str", "dipole-none", "dipole-true",
+        "g0-none", "g0-str", "g0-nan",
+        "coupling-eta-str", "coupling-eta-true", "coupling-vmode-str", "coupling-eps-none",
+        "weighting-none", "weighting-true", "effective-g0-str", "effective-g0-true",
+        "spacing-str", "spacing-none", "spacing-true", "spacing-nan", "spacing-scalar",
+        "origin-two", "origin-nan", "origin-str", "origin-inf",
+        "measured-str", "measured-true", "measured-nan",
+        "to-db-str", "to-db-none", "to-db-true", "to-db-inf",
+        "from-db-str", "from-db-none", "from-db-true", "from-db-nan", "from-db-inf",
+        "from-db-overflow"])
 def test_library_scalar_arguments_are_value_errors_naming_them(call, message):
     # no silent nan or inf, and no TypeError from a comparison deep inside
     with pytest.raises(ValueError) as exc:

@@ -100,8 +100,11 @@ def test_czpl_from_lifetimes_validation():
 
 def test_czpl_from_lifetimes_requires_finite_lifetimes_and_result():
     eta = EfficiencyFactors(eta_dw=0.02)
-    for tau_on, tau_off in ((13e-9, math.inf), (math.inf, 15.9e-9), (math.nan, 15.9e-9)):
-        with pytest.raises(ValueError, match="lifetimes must be finite and > 0"):
+    for tau_on, tau_off, message in (
+            (13e-9, math.inf, "^tau_off_s must be finite and > 0, got inf$"),
+            (math.inf, 15.9e-9, "^tau_on_s must be finite and > 0, got inf$"),
+            (math.nan, 15.9e-9, "^tau_on_s must be finite and > 0, got nan$")):
+        with pytest.raises(ValueError, match=message):
             czpl_from_lifetimes(tau_on, tau_off, eta)
     with pytest.raises(ValueError, match=r"C_ZPL = \(tau_off/tau_on - 1\) / "
                                          r"\(eta_QE \* eta_DW\) is out of float64 range"):
