@@ -1,10 +1,13 @@
 """Command-line interface: one subcommand per analysis step.
 
 Exit codes: 0 success, 1 domain error (bad physics inputs, degenerate
-fits), 2 usage error (unknown flags, malformed input files).  All file
-outputs are written atomically (write-then-rename), carry a schema_version
-field and serialize numbers at full precision, so repeated runs with the
-same inputs and seed are byte identical.
+fits), 2 usage error (unknown flags, malformed input files, an output or a
+stdout that cannot be written).  All file outputs are written atomically
+(write-then-rename), carry a schema_version field and serialize numbers at
+full precision, so repeated runs with the same inputs and seed are byte
+identical.  A process enters through run(), which ends it without
+interpreter teardown once stdout and stderr are flushed; main(argv) in
+process returns the exit code.
 
 This module imports no other cavitykit module but ``_cells`` when it
 loads.  Each subcommand imports the modules it runs when it runs, and the
@@ -15,10 +18,10 @@ file, or a table with a wrong cell count or a cell that is not a number, is
 reported with ``_cells`` alone, without numpy or ``dataclasses``.  Measured
 on a 2-vCPU Xeon with no ``__pycache__`` and PYTHONDONTWRITEBYTECODE=1, so
 that each process compiles every module it imports, one process of
-``purcell --c 0.14`` takes about 128 ms, a missing file 105 ms and
-``fit-decay`` 259 ms (medians), against 80 ms for Python with the standard
-modules imported here and 206 ms with numpy; the README lists every
-subcommand, cold and with a warm ``__pycache__``.
+``purcell --c 0.14`` takes about 68 ms, a missing file 56 ms and
+``fit-decay`` 156 ms (medians), against 52 ms for Python with the standard
+modules imported here and 131 ms with numpy (each with its teardown); the
+README lists every subcommand, cold and with a warm ``__pycache__``.
 """
 
 from __future__ import annotations
@@ -76,13 +79,20 @@ def _write(path: str, data):
         write_atomic(path, data)
 
 
+def _print(text: str):
+    """text on stdout; a write that fails (a full disk, a closed pipe) is a
+    usage error, as an unwritable --out is."""
+    with _writing("<stdout>"):
+        sys.stdout.write(text)
+
+
 def _emit(args, command: str, inputs: dict, result: dict) -> int:
     payload = _json_text({"schema_version": SCHEMA_VERSION, "command": command,
                           "inputs": inputs, "result": result})
     if getattr(args, "out", None):
         _write(args.out, payload)
     else:
-        sys.stdout.write(payload)
+        _print(payload)
     return 0
 
 
@@ -343,7 +353,7 @@ def _cmd_link_budget(args) -> int:
             length_cm=args.length_cm),))
     report = linkbudget.budget_report(chain, measured_total=args.measured_total)
     if not args.quiet:
-        sys.stdout.write(linkbudget.format_budget_table(report) + "\n")
+        _print(linkbudget.format_budget_table(report) + "\n")
     return _emit(args, "link-budget",
                  {"chain": args.chain, "db_per_cm": args.db_per_cm,
                   "length_cm": args.length_cm,
@@ -433,7 +443,7 @@ def _cmd_gen_synthetic(args) -> int:
         "files": files,
     })
     _write(os.path.join(args.out_dir, "index.json"), index)
-    sys.stdout.write(f"wrote {args.out_dir}/index.json\n")
+    _print(f"wrote {args.out_dir}/index.json\n")
     return 0
 
 
@@ -565,5 +575,32 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """The process entry of the ``cavitykit`` script and ``python -m
+    cavitykit.cli``: main(), then the process ends with os._exit once stdout
+    and stderr are flushed, which skips the interpreter's teardown (module
+    cleanup and a last garbage collection, about 20 ms once numpy is loaded).
+
+    Every output is complete by then: main closes and renames each file it
+    writes, and cavitykit registers no atexit callback and starts no thread.
+    An exception that escapes main takes Python's normal path.  A stdout
+    that cannot take the buffered output is a usage error, unless main has
+    already reported one.
+    """
+    rc = main()
+    try:
+        with _writing("<stdout>"):
+            if sys.stdout is not None:  # None when started with fd 1 closed
+                sys.stdout.flush()
+    except InputFormatError as exc:
+        if rc == 0:
+            sys.stderr.write(f"usage error: {exc}\n")
+            rc = 2
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -202,6 +202,7 @@ def dipole_from_lifetime(tau1_s: float, nu_hz: float) -> float:
 
 def to_debye(d_cm: float) -> float:
     """Dipole moment C m -> Debye."""
+    require_real("d_cm", d_cm)
     return d_cm / DEBYE
 
 

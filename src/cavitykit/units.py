@@ -51,6 +51,7 @@ DEBYE = CONSTANTS.debye
 
 def to_angular(nu_hz: float) -> float:
     """Ordinary frequency (Hz) -> angular frequency (rad/s)."""
+    require_real("nu_hz", nu_hz)
     return 2.0 * math.pi * nu_hz
 
 

@@ -847,6 +847,97 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, code, modules,
         BASE_MODULES + [f"cavitykit.{m}" for m in modules])
 
 
+def _cli_process(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m cavitykit.cli argv``, which ends through cli.run(); its
+    stdout is block-buffered, as a console script's is, unless unbuffered."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), COLUMNS="80")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "cavitykit.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["purcell", "--c", "0.14"], 0),
+    (["fit-decay", "{fx}/decay_trace_04.csv", "--background", "--out", "{tmp}/{side}.json"], 0),
+    (["purcell", "--c", "inf"], 1),
+    (["fit-decay", "{tmp}/absent.csv"], 2),
+    (["bogus"], 2),
+    (["--help"], 0),
+], ids=["purcell", "fit-decay-out", "domain-error", "missing-file", "bad-subcommand", "help"])
+def test_a_process_gives_what_main_gives_in_process(argv, code, fixtures, tmp_path,
+                                                    capsys, monkeypatch):
+    # run() skips the interpreter's teardown, and loses no byte of stdout,
+    # stderr or an --out file, nor the exit code, on the way out
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's help width
+    sides = {}
+    for side in ("process", "in_process"):
+        args = [a.format(fx=fixtures, tmp=tmp_path, side=side) for a in argv]
+        if side == "process":
+            proc = _cli_process(args)
+            sides[side] = (proc.returncode, proc.stdout, proc.stderr)
+        else:
+            rc = run_cli(*args)
+            out, err = capsys.readouterr()
+            sides[side] = (rc, out.encode(), err.encode())
+    assert sides["process"] == sides["in_process"]
+    assert sides["process"][0] == code
+    if "--out" in argv:
+        written = (tmp_path / "process.json").read_bytes()
+        assert written == (tmp_path / "in_process.json").read_bytes()
+        assert json.loads(written)["command"] == "fit-decay"
+
+
+def test_run_ends_the_process_before_atexit_callbacks(capsys):
+    # the control: the same callback fires when main() returns normally
+    script = ("import atexit, os, sys\n"
+              "atexit.register(os.write, 1, b'atexit fired\\n')\n"
+              "from cavitykit import cli\n"
+              "entry = getattr(cli, sys.argv.pop(1))\n"
+              "sys.exit(entry())  # each reads sys.argv[1:]\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["purcell", "--c", "0.14"]
+    assert run_cli(*argv) == 0
+    expected = capsys.readouterr().out
+    for entry, tail in (("run", ""), ("main", "atexit fired\n")):
+        proc = subprocess.run([sys.executable, "-c", script, entry, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + tail, ""), entry
+
+
+def test_run_with_stdout_and_stderr_closed(tmp_path):
+    # started with fds 1 and 2 closed, Python has no sys.stdout or sys.stderr
+    # to flush; an --out run still succeeds
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "p.json"
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m cavitykit.cli purcell --c 0.14 --out "$1" >&- 2>&-',
+         sys.executable, str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(out.read_text())["command"] == "purcell"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["write-fails", "flush-fails"])
+@pytest.mark.parametrize("argv", [
+    ["purcell", "--c", "0.14"],
+    ["link-budget", "--db-per-cm", "1.9", "--length-cm", "0.35"],
+    ["gen-synthetic", "--what", "spectrum", "--out-dir", "{tmp}"],
+], ids=["purcell", "link-budget", "gen-synthetic"])
+def test_stdout_that_cannot_be_written_is_a_usage_error(argv, unbuffered, tmp_path):
+    # unbuffered, the write inside main fails; buffered, run()'s last flush
+    # does; each is reported once, as an unwritable --out is
+    with open("/dev/full", "w") as full:
+        proc = _cli_process([a.format(tmp=tmp_path) for a in argv], stdout=full,
+                            unbuffered=unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr == b"usage error: <stdout>: cannot write: No space left on device\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["purcell", "--c", "inf"], "C must be finite and >= 0, got inf"),
     (["purcell", "--tau-on-ns", "13", "--tau-off-ns", "inf"],

@@ -180,6 +180,16 @@ def _grid(**kw):
     (lambda: cavitykit.db_to_linear(math.nan), "db must be finite, got nan"),
     (lambda: cavitykit.db_to_linear(math.inf), "db must be finite, got inf"),
     (lambda: cavitykit.db_to_linear(4000.0), "db = 4000.0 puts 10^(db/10) out of float64 range"),
+    (lambda: cavitykit.to_angular("1"), "nu_hz must be finite, got '1'"),
+    (lambda: cavitykit.to_angular(None), "nu_hz must be finite, got None"),
+    (lambda: cavitykit.to_angular(True), "nu_hz must be finite, got True"),
+    (lambda: cavitykit.to_angular(math.nan), "nu_hz must be finite, got nan"),
+    (lambda: cavitykit.to_angular(math.inf), "nu_hz must be finite, got inf"),
+    (lambda: cavitykit.to_debye("1e-29"), "d_cm must be finite, got '1e-29'"),
+    (lambda: cavitykit.to_debye(None), "d_cm must be finite, got None"),
+    (lambda: cavitykit.to_debye(True), "d_cm must be finite, got True"),
+    (lambda: cavitykit.to_debye(math.nan), "d_cm must be finite, got nan"),
+    (lambda: cavitykit.to_debye(-math.inf), "d_cm must be finite, got -inf"),
 ], ids=["tau-tau1-inf", "tau-c-inf", "tau-kappa-nan", "tau-c-str", "tau-delta-nan",
         "tau-delta-array", "prop-nan", "prop-inf", "prop-length", "vmode-nan", "vmode-str", "vmode-inf",
         "element-name", "chain-item", "chain-int", "czpl-none", "czpl-str",
@@ -197,7 +207,9 @@ def _grid(**kw):
         "measured-str", "measured-true", "measured-nan",
         "to-db-str", "to-db-none", "to-db-true", "to-db-inf",
         "from-db-str", "from-db-none", "from-db-true", "from-db-nan", "from-db-inf",
-        "from-db-overflow"])
+        "from-db-overflow",
+        "angular-str", "angular-none", "angular-true", "angular-nan", "angular-inf",
+        "debye-str", "debye-none", "debye-true", "debye-nan", "debye-inf"])
 def test_library_scalar_arguments_are_value_errors_naming_them(call, message):
     # no silent nan or inf, and no TypeError from a comparison deep inside
     with pytest.raises(ValueError) as exc:
