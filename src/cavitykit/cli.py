@@ -20,7 +20,7 @@ on a 2-vCPU Xeon with no ``__pycache__`` and PYTHONDONTWRITEBYTECODE=1, so
 that each process compiles every module it imports, one process of
 ``purcell --c 0.14`` takes about 68 ms, a missing file 56 ms and
 ``fit-decay`` 156 ms (medians), against 52 ms for Python with the standard
-modules imported here and 131 ms with numpy (each with its teardown); the
+modules imported here and 131 ms with numpy (both with teardown); the
 README lists every subcommand, cold and with a warm ``__pycache__``.
 """
 

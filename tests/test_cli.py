@@ -871,29 +871,22 @@ def test_a_process_gives_what_main_gives_in_process(argv, code, fixtures, tmp_pa
                                                     capsys, monkeypatch):
     # run() skips the interpreter's teardown, and loses no byte of stdout,
     # stderr or an --out file, nor the exit code, on the way out
-    monkeypatch.setenv("COLUMNS", "80")  # argparse's help width
-    sides = {}
-    for side in ("process", "in_process"):
-        args = [a.format(fx=fixtures, tmp=tmp_path, side=side) for a in argv]
-        if side == "process":
-            proc = _cli_process(args)
-            sides[side] = (proc.returncode, proc.stdout, proc.stderr)
-        else:
-            rc = run_cli(*args)
-            out, err = capsys.readouterr()
-            sides[side] = (rc, out.encode(), err.encode())
-    assert sides["process"] == sides["in_process"]
-    assert sides["process"][0] == code
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's help width, as in the process
+    proc = _cli_process([a.format(fx=fixtures, tmp=tmp_path, side="process") for a in argv])
+    rc = run_cli(*[a.format(fx=fixtures, tmp=tmp_path, side="in_process") for a in argv])
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
+    assert rc == code
     if "--out" in argv:
         written = (tmp_path / "process.json").read_bytes()
         assert written == (tmp_path / "in_process.json").read_bytes()
         assert json.loads(written)["command"] == "fit-decay"
 
 
-def test_run_ends_the_process_before_atexit_callbacks(capsys):
+def test_run_ends_the_process_before_atexit_callbacks(capsys, tmp_path):
     # the control: the same callback fires when main() returns normally
     script = ("import atexit, os, sys\n"
-              "atexit.register(os.write, 1, b'atexit fired\\n')\n"
+              "atexit.register(os.mkdir, sys.argv.pop(1))\n"
               "from cavitykit import cli\n"
               "entry = getattr(cli, sys.argv.pop(1))\n"
               "sys.exit(entry())  # each reads sys.argv[1:]\n")
@@ -902,10 +895,12 @@ def test_run_ends_the_process_before_atexit_callbacks(capsys):
     argv = ["purcell", "--c", "0.14"]
     assert run_cli(*argv) == 0
     expected = capsys.readouterr().out
-    for entry, tail in (("run", ""), ("main", "atexit fired\n")):
-        proc = subprocess.run([sys.executable, "-c", script, entry, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + tail, ""), entry
+    for entry, fired in (("run", False), ("main", True)):
+        marker = tmp_path / entry
+        proc = subprocess.run([sys.executable, "-c", script, str(marker), entry, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, ""), entry
+        assert marker.exists() == fired, entry
 
 
 def test_run_with_stdout_and_stderr_closed(tmp_path):
