@@ -1,7 +1,8 @@
 """The CSV row format of tables, decay traces and ``.fgrid`` bodies, read and
 written here only; numbers read from JSON values; text reads, atomic writes;
-and the checks of the library's scalar arguments and the CLI's number flags
-(require_real, require_int), each a ValueError that names the argument.
+and the checks of the library's scalar and array arguments and the CLI's
+number flags (require_real, require_finite, require_int), each a ValueError
+that names the argument; require_finite names the first nan or inf entry.
 
 A data row is comma-separated cells; blank lines are skipped.  The first row
 holds one of the widths its reader accepts, every later row as many cells as
@@ -65,6 +66,21 @@ def require_int(name: str, v, lo: int):
         raise ValueError(f"{name} must be an integer, got {v!r}")
     if v < lo:
         raise ValueError(f"{name} must be >= {lo}, got {v}")
+
+
+def require_finite(name: str, arr):
+    """A ValueError naming name and its first nan or inf entry, in C order,
+    unless every entry of arr, a float ndarray, is finite."""
+    np = sys.modules["numpy"]   # loaded, as arr is an ndarray; not imported here
+    # vdot, the sum of squares, is finite unless a value is nan or inf or the
+    # squares overflow it, and never warns, as a sum does of inf - inf
+    if math.isfinite(np.vdot(arr, arr)):
+        return
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = np.unravel_index(int(np.argmin(finite)), arr.shape)
+        at = f"; {name}[{', '.join(map(str, i))}] =" if arr.ndim else ", got"
+        raise ValueError(f"{name} must be finite{at} {float(arr[i])!r}")
 
 
 def parse_row(parts, lineno: int) -> list:

@@ -34,7 +34,8 @@ import os
 import sys
 import warnings
 
-from ._cells import finite_real, format_rows, read_rows, read_text, require_real, write_atomic
+from ._cells import (finite_real, format_rows, read_rows, read_text, require_int, require_real,
+                     write_atomic)
 
 SCHEMA_VERSION = 1
 
@@ -150,8 +151,7 @@ def _table_text(header: tuple, rows) -> str:
 def _cmd_simulate_decay(args) -> int:
     require_real("--tau1-ns", args.tau1_ns, 0.0, above=True)
     require_real("--kappa-ghz", args.kappa_ghz, 0.0, above=True)
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
+    require_int("--points", args.points, 2)
     if args.t_max_ns is not None:
         require_real("--t-max-ns", args.t_max_ns, 0.0, above=True)
     require_real("--tol", args.tol, 0.0, above=True)
@@ -381,8 +381,8 @@ def _replayed_params(path: str, defaults: dict) -> list:
 
 
 def _cmd_gen_synthetic(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.seed is not None:
+        require_int("--seed", args.seed, 0)
     what = args.what
     c, kappa_hz, tau1_s = 0.14, 940e9, 15.9e-9
     if args.params_json:
@@ -451,8 +451,15 @@ def _cmd_gen_synthetic(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """Help on stdout through _print, so that a failed write is a usage
+        error (argparse drops it); add_subparsers gives subcommands this class."""
+        _print(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavitykit",
         description="Emitter-cavity analysis: simulate, fit, compute, budget.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -560,13 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except InputFormatError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

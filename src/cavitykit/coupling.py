@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cells import decode, finite_real, format_rows, read_rows, require_real, write_atomic
+from ._cells import (decode, finite_real, format_rows, read_rows, require_finite,
+                     require_real, write_atomic)
 
 __all__ = [
     "FieldGrid", "WeightingConfig", "CouplingEstimate",
@@ -100,8 +101,8 @@ def _owned_read_only(arr) -> np.ndarray:
 
 def _check_inputs(e: np.ndarray, eps: np.ndarray):
     """The whole-grid input checks, in the order their messages take precedence."""
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(eps))):
-        raise ValueError("field and permittivity must be finite")
+    require_finite("e_field", e)
+    require_finite("eps_rel", eps)
     if np.any(eps < 1.0):
         raise ValueError("relative permittivity must be >= 1 everywhere")
 
@@ -274,7 +275,10 @@ def mode_volume(grid: FieldGrid) -> float:
         total = float(np.sum(w))
     if not math.isfinite(total):
         raise ValueError("the sum of eps*|E|^2 overflows float64; rescale the field")
-    return total * grid.cell_volume_m3 / w_max
+    v = total * grid.cell_volume_m3 / w_max
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"the mode volume {v!r} m^3 is out of float64 range; rescale the spacing")
+    return v
 
 
 def ensemble_weighting_factor(grid: FieldGrid, cfg: WeightingConfig) -> float:

@@ -54,7 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cells import format_rows, read_rows, read_text, require_int, require_real
+from ._cells import (format_rows, read_rows, read_text, require_finite, require_int,
+                     require_real)
 from .units import to_angular
 
 __all__ = [
@@ -193,8 +194,8 @@ def _check_samples(t, v, kind, linenos=None):
             and kind in ("simulated", "measured") and (t[1:] > t[:-1]).all()
             and lo >= floor and (hi <= 1.0 + 1e-6 or kind != "simulated")):
         return
-    if not (np.isfinite(t).all() and np.isfinite(v).all()):
-        raise ValueError("times and values must be finite")
+    require_finite("times", t)
+    require_finite("values", v)
     if kind not in ("simulated", "measured"):
         raise ValueError(f"kind must be 'simulated' or 'measured', got {kind!r}")
     for bad, message in (
@@ -372,8 +373,7 @@ def evolve_master_equation(params: AtomCavityParams, n_max: int = 1,
     # finite ends and positive steps make every time finite; the checks
     # run in their order of precedence only when that fails
     if not (-math.inf < t_grid[0] and t_grid[-1] < math.inf and (diffs > 0.0).all()):
-        if not np.isfinite(t_grid).all():
-            raise ValueError("t_grid must be finite")
+        require_finite("t_grid", t_grid)
         if (diffs <= 0.0).any():
             raise ValueError("t_grid must be strictly increasing")
 
@@ -439,9 +439,7 @@ def tau_of_detuning(c: float, kappa_hz: float, tau1_s: float, delta_hz):
     require_real("kappa", kappa_hz, 0.0, above=True)
     require_real("tau1", tau1_s, 0.0, above=True)
     delta = np.asarray(delta_hz, dtype=float)
-    bad = ~np.isfinite(delta)
-    if bad.any():
-        raise ValueError(f"delta_hz must be finite, got {float(delta[bad].flat[0])!r}")
+    require_finite("delta_hz", delta)
     with np.errstate(over="ignore"):   # |Delta| >> kappa: f -> 0, tau -> tau1
         f = 1.0 / (1.0 + 4.0 * (delta / kappa_hz) ** 2)
     tau = tau1_s / (c * f + 1.0)

@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._cells import require_int
+from ._cells import require_finite, require_int
 
 __all__ = [
     "DegenerateFitError", "FitModel", "FitResult", "MODEL_KINDS",
@@ -489,17 +489,6 @@ def get_model(kind: str) -> FitModel:
 # Levenberg-Marquardt engine
 # ---------------------------------------------------------------------------
 
-def _require_finite(name: str, arr: np.ndarray):
-    # a sum is finite unless a value is nan or inf or the finite values
-    # overflow it, and only then are the values looked at one by one
-    if math.isfinite(np.add.reduce(arr)):
-        return
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"{name} must be finite; {name}[{i}] = {float(arr[i])!r}")
-
-
 def _at(model, theta) -> str:
     return ", ".join(f"{n}={v:.6g}" for n, v in zip(model.param_names, theta))
 
@@ -585,8 +574,8 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         raise ValueError("x and y must be equal-length 1-D arrays")
     if len(x) < p:
         raise ValueError(f"need at least {p} points to fit {model.kind}")
-    _require_finite("x", x)
-    _require_finite("y", y)
+    require_finite("x", x)
+    require_finite("y", y)
     # an unweighted fit skips its multiplications by unit weights, which are
     # exact: it equals the fit with sigma = 1 bit for bit
     inv_sigma = None
@@ -594,8 +583,10 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != y.shape or (sigma <= 0.0).any():
             raise ValueError("sigma must be positive and match y in length")
-        _require_finite("sigma", sigma)
-        inv_sigma = 1.0 / sigma
+        require_finite("sigma", sigma)
+        with np.errstate(over="ignore"):   # a subnormal sigma
+            inv_sigma = 1.0 / sigma
+        require_finite("1/sigma", inv_sigma)
 
     # the model's arrays are never written into: the loop scales in place
     # only arrays it made (the residual, the weighted Jacobian), and divides
@@ -634,7 +625,7 @@ def least_squares_fit(model, x, y, sigma=None, init=None) -> FitResult:
         if theta.shape != (p,):
             raise ValueError(f"init must supply {p} parameters for {model.kind}")
         if init is not None:
-            _require_finite("init", theta)
+            require_finite("init", theta)
         elif not np.isfinite(theta).all():
             raise DegenerateFitError(
                 f"{model.kind}: the start guessed from the data is not finite "
@@ -812,10 +803,10 @@ def fit_tau_detuning(points) -> FitResult:
         raise ValueError("need at least 4 detuning points")
     delta, tau = pts[:, 0], pts[:, 1]
     sigma = pts[:, 2] if pts.shape[1] == 3 else None
-    _require_finite("delta", delta)
-    _require_finite("tau", tau)
+    require_finite("delta", delta)
+    require_finite("tau", tau)
     if sigma is not None:
-        _require_finite("sigma", sigma)
+        require_finite("sigma", sigma)
     if (delta == delta[0]).all():
         raise DegenerateFitError("all points share one detuning; "
                                  "tau(Delta) cannot be constrained")
@@ -854,8 +845,8 @@ def fit_spectrum(spectrum) -> FitResult:
         raise ValueError("need at least 20 spectral samples")
     lam, inten = spec[:, 0], spec[:, 1]
     # checked here, before the guess reads the samples
-    _require_finite("wavelength", lam)
-    _require_finite("intensity", inten)
+    require_finite("wavelength", lam)
+    require_finite("intensity", inten)
     lo, hi = float(lam.min()), float(lam.max())
     if lo == hi:
         raise DegenerateFitError(f"every sample has the wavelength {lo!r}; "

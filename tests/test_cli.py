@@ -658,6 +658,18 @@ def test_overflowing_field_map_is_a_usage_error(tmp_path, capsys):
         f"usage error: {path}: |E|^2 overflows float64 at grid index (0, 0, 0)")
 
 
+@pytest.mark.parametrize("spacing, v", [(1e-120, "0.0"), (1e120, "inf")],
+                         ids=["underflow", "overflow"])
+def test_mode_volume_outside_float64_range_is_a_domain_error(spacing, v, tmp_path, capsys):
+    path = tmp_path / "grid.fgrid"
+    save_field_grid(FieldGrid(e_field=np.ones((3, 3, 3, 3)), eps_rel=np.ones((3, 3, 3)),
+                              spacing_m=(spacing,) * 3), path)
+    assert run_cli("mode-volume", str(path)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the mode volume {v} m^3 is out of float64 range; rescale the spacing\n"
+
+
 def test_grid_warning_is_one_line_naming_the_file(tmp_path, capsys):
     # |E| peaks at a vacuum point, eps*|E|^2 at the eps = 2 point beside it
     e = np.zeros((2, 2, 2, 3))
@@ -922,7 +934,9 @@ def test_run_with_stdout_and_stderr_closed(tmp_path):
     ["purcell", "--c", "0.14"],
     ["link-budget", "--db-per-cm", "1.9", "--length-cm", "0.35"],
     ["gen-synthetic", "--what", "spectrum", "--out-dir", "{tmp}"],
-], ids=["purcell", "link-budget", "gen-synthetic"])
+    ["--help"],
+    ["fit-decay", "-h"],
+], ids=["purcell", "link-budget", "gen-synthetic", "help", "subcommand-help"])
 def test_stdout_that_cannot_be_written_is_a_usage_error(argv, unbuffered, tmp_path):
     # unbuffered, the write inside main fails; buffered, run()'s last flush
     # does; each is reported once, as an unwritable --out is

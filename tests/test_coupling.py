@@ -88,6 +88,16 @@ def test_overflowing_field_is_rejected():
         mode_volume(grid)
 
 
+@pytest.mark.parametrize("spacing, v", [(1e-120, "0.0"), (1e120, "inf")],
+                         ids=["underflow", "overflow"])
+def test_mode_volume_outside_float64_range_is_rejected(spacing, v):
+    # the cell volume, spacing^3, underflows to 0 or overflows to inf
+    with pytest.raises(ValueError) as exc:
+        mode_volume(_uniform_grid(dims=(3, 3, 3), spacing=spacing))
+    assert str(exc.value) == (f"the mode volume {v} m^3 is out of float64 range; "
+                              "rescale the spacing")
+
+
 def test_normalized_mode_volume():
     lam, n = 631.1e-9, math.sqrt(5.7)
     v = 0.5 * (lam / n) ** 3
@@ -543,7 +553,6 @@ def test_blocked_derived_arrays_equal_whole_grid_arithmetic(tmp_path, monkeypatc
         assert grid.energy_density.tobytes() == (grid.eps_rel * e2).tobytes()
 
 
-FINITE = "field and permittivity must be finite"
 EPS_BELOW_1 = "relative permittivity must be >= 1 everywhere"
 
 
@@ -553,25 +562,33 @@ def _overflow(name, index):
 
 # (column, grid index, value) plants: columns 0-2 are the field, 3 is eps
 @pytest.mark.parametrize("plants, message", [
-    ([(1, (12, 4, 3), math.nan)], FINITE),
-    ([(0, (12, 4, 3), math.inf)], FINITE),
-    ([(2, (12, 4, 3), -math.inf)], FINITE),
+    ([(1, (12, 4, 3), math.nan)], "e_field must be finite; e_field[12, 4, 3, 1] = nan"),
+    ([(0, (12, 4, 3), math.inf)], "e_field must be finite; e_field[12, 4, 3, 0] = inf"),
+    ([(2, (12, 4, 3), -math.inf)], "e_field must be finite; e_field[12, 4, 3, 2] = -inf"),
     ([(1, (12, 4, 3), 1e160)], _overflow("|E|^2", (12, 4, 3))),
-    ([(3, (12, 4, 3), math.nan)], FINITE),
-    ([(3, (12, 4, 3), math.inf)], FINITE),
-    ([(3, (12, 4, 3), -math.inf)], FINITE),
+    ([(3, (12, 4, 3), math.nan)], "eps_rel must be finite; eps_rel[12, 4, 3] = nan"),
+    ([(3, (12, 4, 3), math.inf)], "eps_rel must be finite; eps_rel[12, 4, 3] = inf"),
+    ([(3, (12, 4, 3), -math.inf)], "eps_rel must be finite; eps_rel[12, 4, 3] = -inf"),
     ([(3, (12, 4, 3), 0.5)], EPS_BELOW_1),
-    # precedence: finite, then eps >= 1, then overflow at the first index
-    ([(3, (12, 1, 1), 0.5), (1, (12, 6, 2), math.nan)], FINITE),
-    ([(3, (0, 1, 1), 0.5), (1, (12, 6, 2), math.inf)], FINITE),
+    # precedence: a finite field, a finite eps, eps >= 1, then overflow at the
+    # first index
+    ([(3, (0, 1, 1), math.nan), (1, (12, 6, 2), math.inf)],
+     "e_field must be finite; e_field[12, 6, 2, 1] = inf"),
+    ([(3, (12, 1, 1), 0.5), (1, (12, 6, 2), math.nan)],
+     "e_field must be finite; e_field[12, 6, 2, 1] = nan"),
+    ([(3, (0, 1, 1), 0.5), (1, (12, 6, 2), math.inf)],
+     "e_field must be finite; e_field[12, 6, 2, 1] = inf"),
     ([(1, (12, 1, 1), 1e160), (3, (12, 6, 2), 0.5)], EPS_BELOW_1),
     ([(1, (12, 6, 2), 1e160), (0, (12, 1, 1), 1e170)], _overflow("|E|^2", (12, 1, 1))),
     ([(1, (12, 6, 2), 1e154), (3, (12, 6, 2), 1e10)], _overflow("eps*|E|^2", (12, 6, 2))),
     # one bad value in the first block and one in the last: the maxima of the
     # blocks are folded, and the messages keep the same precedence
-    ([(1, (0, 2, 3), math.nan), (0, (12, 4, 3), 1e160)], FINITE),
-    ([(1, (0, 2, 3), 1e160), (0, (12, 4, 3), math.nan)], FINITE),
-    ([(2, (0, 2, 3), math.inf), (2, (12, 4, 3), -math.inf)], FINITE),
+    ([(1, (0, 2, 3), math.nan), (0, (12, 4, 3), 1e160)],
+     "e_field must be finite; e_field[0, 2, 3, 1] = nan"),
+    ([(1, (0, 2, 3), 1e160), (0, (12, 4, 3), math.nan)],
+     "e_field must be finite; e_field[12, 4, 3, 0] = nan"),
+    ([(2, (0, 2, 3), math.inf), (2, (12, 4, 3), -math.inf)],
+     "e_field must be finite; e_field[0, 2, 3, 2] = inf"),
     ([(1, (0, 2, 3), 1e160), (3, (12, 4, 3), 0.5)], EPS_BELOW_1),
     ([(1, (12, 4, 3), 1e170), (0, (0, 2, 3), 1e160)], _overflow("|E|^2", (0, 2, 3))),
     ([(1, (0, 2, 3), 1e154), (3, (0, 2, 3), 1e10), (1, (12, 4, 3), 1e160)],
@@ -579,7 +596,7 @@ def _overflow(name, index):
     ([(1, (12, 4, 3), 1e154), (3, (12, 4, 3), 1e10), (1, (0, 2, 3), 1e154),
       (3, (0, 2, 3), 1e10)], _overflow("eps*|E|^2", (0, 2, 3))),
 ], ids=["e-nan", "e-inf", "e-neginf", "e-overflow", "eps-nan", "eps-inf", "eps-neginf",
-        "eps-half", "nan-before-eps", "inf-before-earlier-eps", "eps-before-overflow",
+        "eps-half", "field-before-earlier-eps-nan", "nan-before-eps", "inf-before-earlier-eps", "eps-before-overflow",
         "first-overflow", "energy-overflow", "first-nan-last-overflow",
         "first-overflow-last-nan", "first-inf-last-neginf", "first-overflow-last-eps",
         "overflow-in-both", "last-overflow-before-first-energy-overflow",

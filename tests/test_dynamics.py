@@ -473,15 +473,15 @@ _T3 = np.array([0.0, 1.0, 2.0])
 @pytest.mark.parametrize("make, message", [
     # each input breaks two rules; the first in the order of the checks names it
     (lambda: DecayTrace(times=[0.0, math.nan, 2.0], values=np.ones(3), kind="other"),
-     "times and values must be finite"),
+     "times must be finite; times[1] = nan"),
     (lambda: DecayTrace(times=_T3, values=[1.0, math.inf, 0.5], kind="other"),
-     "times and values must be finite"),
+     "values must be finite; values[1] = inf"),
     (lambda: DecayTrace(times=_T3, values=[1.0, -math.inf, 0.5]),
-     "times and values must be finite"),
+     "values must be finite; values[1] = -inf"),
     (lambda: DecayTrace(times=_T3, values=[1.0, -math.inf, 0.5], kind="measured"),
-     "times and values must be finite"),
+     "values must be finite; values[1] = -inf"),
     (lambda: DecayTrace(times=[-math.inf, 1.0, 2.0], values=[1.5, 1.0, 0.5]),
-     "times and values must be finite"),
+     "times must be finite; times[0] = -inf"),
     (lambda: DecayTrace(times=[[0.0, 1.0, 2.0]], values=[[math.nan] * 3]),
      "times and values must be equal-length 1-D arrays"),
     (lambda: DecayTrace(times=_T3, values=[0.5, 1.5], kind="other"),
@@ -495,11 +495,11 @@ _T3 = np.array([0.0, 1.0, 2.0])
     (lambda: DecayTrace(times=_T3, values=[1.5, 1.0, 0.5], kind="other"),
      "kind must be 'simulated' or 'measured', got 'other'"),
     (lambda: evolve_master_equation(P_REF, t_grid=[0.0, 2e-9, 1e-9, math.inf]),
-     "t_grid must be finite"),
+     "t_grid must be finite; t_grid[3] = inf"),
     (lambda: evolve_master_equation(P_REF, t_grid=[math.nan, 1e-9, 1e-9]),
-     "t_grid must be finite"),
+     "t_grid must be finite; t_grid[0] = nan"),
     (lambda: evolve_master_equation(P_REF, t_grid=[-math.inf, 0.0, 1e-9]),
-     "t_grid must be finite"),
+     "t_grid must be finite; t_grid[0] = -inf"),
     (lambda: evolve_master_equation(P_REF, t_grid=[0.0, 1e-9, 1e-9], rel_tol=0.0),
      "rel_tol must be finite and > 0, got 0.0"),
     (lambda: evolve_master_equation(P_REF, t_grid=[1e-9, 0.0, 2e-9, 2e-9]),

@@ -1217,6 +1217,17 @@ def test_purpose_built_fits_name_the_non_finite_column(fit, column, name, bad):
             call(table)
 
 
+def test_a_sigma_whose_inverse_overflows_is_named_before_any_weighting():
+    # 1/1e-320 is past float64: the input is at fault, not the fit, and no
+    # overflow warning escapes on the way
+    table = synthetic_tau_detuning()
+    table[:, 2] = 1e-320
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^1/sigma must be finite; 1/sigma\[0\] = inf$"):
+            fit_tau_detuning(table)
+
+
 def _bits(res):
     """Every numeric field of a least-squares result, bit for bit."""
     return ([v.hex() for v in res.params.values()],

@@ -100,7 +100,7 @@ def _grid(**kw):
     (lambda: cavitykit.tau_of_detuning("0.1", 1e9, 1e-9, 0.0), "C must be finite and >= 0, got '0.1'"),
     (lambda: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, math.nan), "delta_hz must be finite, got nan"),
     (lambda: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, [0.0, -math.inf]),
-     "delta_hz must be finite, got -inf"),
+     "delta_hz must be finite; delta_hz[1] = -inf"),
     (lambda: cavitykit.propagation_efficiency(math.nan, 1.0), "loss_db_per_cm must be finite and >= 0, got nan"),
     (lambda: cavitykit.propagation_efficiency(math.inf, 0.0), "loss_db_per_cm must be finite and >= 0, got inf"),
     (lambda: cavitykit.propagation_efficiency(1.0, -2.0), "length_cm must be finite and >= 0, got -2.0"),
@@ -215,3 +215,77 @@ def test_library_scalar_arguments_are_value_errors_naming_them(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value).startswith(message), str(exc.value)
+
+
+def _planted(a, index, value):
+    """A float copy of a with value at index."""
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
+_T = np.linspace(0.0, 7.0, 8)
+_TAU_ROWS = cavitykit.synthetic.synthetic_tau_detuning()
+_SPECTRUM = cavitykit.synthetic.synthetic_spectrum()
+_E, _EPS = np.ones((3, 3, 3, 3)), np.ones((3, 3, 3))
+
+# a call with value planted at a known index of one array argument, and its
+# message, {} standing for the value
+_ARRAY_ARGUMENTS = {
+    "lsq-x": (lambda v: cavitykit.least_squares_fit("single-exponential", _planted(_T, 3, v),
+                                                    np.exp(-_T)),
+              "x must be finite; x[3] = {!r}"),
+    "lsq-y": (lambda v: cavitykit.least_squares_fit("single-exponential", _T,
+                                                    _planted(np.exp(-_T), 5, v)),
+              "y must be finite; y[5] = {!r}"),
+    "lsq-sigma": (lambda v: cavitykit.least_squares_fit("single-exponential", _T, np.exp(-_T),
+                                                        sigma=_planted(np.ones(8), 2, v)),
+                  "sigma must be finite; sigma[2] = {!r}"),
+    "lsq-init": (lambda v: cavitykit.least_squares_fit("single-exponential", _T, np.exp(-_T),
+                                                       init=[1.0, v]),
+                 "init must be finite; init[1] = {!r}"),
+    "detuning-delta": (lambda v: cavitykit.fit_tau_detuning(_planted(_TAU_ROWS, (4, 0), v)),
+                       "delta must be finite; delta[4] = {!r}"),
+    "detuning-tau": (lambda v: cavitykit.fit_tau_detuning(_planted(_TAU_ROWS, (6, 1), v)),
+                     "tau must be finite; tau[6] = {!r}"),
+    "detuning-sigma": (lambda v: cavitykit.fit_tau_detuning(_planted(_TAU_ROWS, (2, 2), v)),
+                       "sigma must be finite; sigma[2] = {!r}"),
+    "spectrum-wavelength": (lambda v: cavitykit.fit_spectrum(_planted(_SPECTRUM, (7, 0), v)),
+                            "wavelength must be finite; wavelength[7] = {!r}"),
+    "spectrum-intensity": (lambda v: cavitykit.fit_spectrum(_planted(_SPECTRUM, (11, 1), v)),
+                           "intensity must be finite; intensity[11] = {!r}"),
+    "trace-times": (lambda v: cavitykit.DecayTrace(times=_planted(_T, 2, v), values=np.exp(-_T)),
+                    "times must be finite; times[2] = {!r}"),
+    "trace-values": (lambda v: cavitykit.DecayTrace(times=_T, values=_planted(np.exp(-_T), 4, v)),
+                     "values must be finite; values[4] = {!r}"),
+    "t-grid": (lambda v: cavitykit.evolve_master_equation(_PAPER, t_grid=_planted(_T * 1e-9, 5, v)),
+               "t_grid must be finite; t_grid[5] = {!r}"),
+    "tau-delta-scalar": (lambda v: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, v),
+                         "delta_hz must be finite, got {!r}"),
+    "tau-delta-list": (lambda v: cavitykit.tau_of_detuning(0.1, 1e9, 1e-9, [0.0, 1e9, v]),
+                       "delta_hz must be finite; delta_hz[2] = {!r}"),
+    "grid-eps": (lambda v: cavitykit.FieldGrid(_E, _planted(_EPS, (1, 2, 0), v),
+                                               spacing_m=(1e-9,) * 3),
+                 "eps_rel must be finite; eps_rel[1, 2, 0] = {!r}"),
+    "grid-field": (lambda v: cavitykit.FieldGrid(_planted(_E, (2, 0, 1, 2), v), _EPS,
+                                                 spacing_m=(1e-9,) * 3),
+                   "e_field must be finite; e_field[2, 0, 1, 2] = {!r}"),
+}
+
+
+def _array_argument_cases():
+    for case, (call, message) in _ARRAY_ARGUMENTS.items():
+        for value in (math.nan, math.inf, -math.inf):
+            expected = message.format(value)
+            if case == "lsq-sigma" and value < 0.0:   # the positivity check comes first
+                expected = "sigma must be positive and match y in length"
+            yield pytest.param(call, value, expected, id=f"{case}-{value!r}")
+
+
+@pytest.mark.parametrize("call, value, message", _array_argument_cases())
+def test_library_array_arguments_are_value_errors_naming_the_entry(call, value, message):
+    # the first nan or inf in C order, named with its index; no numpy warning
+    # on the way (the suite makes one an error)
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == message
